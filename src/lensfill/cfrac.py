@@ -16,7 +16,6 @@ singularities and lens spaces.
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,34 +210,68 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     """All admissible zero tuples n with 0 <= n_i <= bounds_i, lexicographic.
 
     Depth-first search on forced tail values: once n_1..n_{i-1} are fixed,
-    the tail [n_i, ..., n_k] must equal a known positive rational, which
-    pins n_i into a short integer range.  Equivalent to filtering
-    enumerate_zero_cf(k) by the bounds, but independent of the Catalan
-    growth, so it works at any length.
+    the tail [n_i, ..., n_k] must equal a known rational num/den, which
+    pins n_i above num/den.  The fraction stays reduced, so for an
+    admissible n the running denominator after choosing n_i is the tail
+    continuant K(n_{i+1}..n_k).
+
+    Cap rule: tail values are monotone in their entries, and a continuant
+    is the product of its tail values, so for an admissible n <= bounds
+    with i >= 1, K(n_{i+1}..n_k) <= K(bounds_{i+1}..bounds_k), the empty
+    continuant being 1.  The value loop at position i therefore stops once
+    v*den - num exceeds the cap of the next position; a pruned branch holds
+    no admissible completion.  The cap after the next-to-last position is
+    K() = 1, so the last two entries are forced by the ones before them.
+    If a tail of the bounds past the first entry is <= 0, no admissible
+    n <= bounds exists (by the same monotonicity), and a cap computed there
+    is <= 0, which prunes every branch.  There is no matching lower bound,
+    so dead branches are still entered below the cap.
+
+    The search keeps an explicit stack, so it works at any length without
+    touching the interpreter's recursion limit, and it is independent of
+    the Catalan growth of enumerate_zero_cf.
     """
     _check_entries(bounds)
     k = len(bounds)
     if k == 0:
         return []
-    if k + 50 > sys.getrecursionlimit():
-        sys.setrecursionlimit(k + 200)
+    last = k - 1
+    # caps[j] = K(bounds[j+2:]): the largest denominator allowed after
+    # choosing the entry at 0-based position j
+    caps = [0] * k
+    t1, t0 = 1, 0
+    for j in range(k - 2, -1, -1):
+        caps[j] = t1
+        t1, t0 = bounds[j + 1] * t1 - t0, t1
     out: list[CFTuple] = []
-    path: list[int] = []
-
-    def extend(i: int, num: int, den: int) -> None:
-        # the tail [n_i .. n_k] must evaluate to num/den, with den > 0
-        if i == k:
-            v, r = divmod(num, den)
-            if not r and 0 <= v <= bounds[k - 1]:
-                out.append(tuple(path) + (v,))
-            return
-        for v in range(num // den + 1, bounds[i - 1] + 1):
-            path.append(v)
-            extend(i + 1, den, v * den - num)
-            path.pop()
-
-    extend(1, 0, 1)
-    return out
+    path = [0] * k
+    frames: list[tuple[int, int, int]] = []  # (num, den, hi) per open position
+    num, den = 0, 1
+    while True:
+        j = len(frames)
+        if j < last:
+            v = num // den + 1
+            hi = min(bounds[j], (caps[j] + num) // den)
+            if v <= hi:
+                frames.append((num, den, hi))
+                path[j] = v
+                num, den = den, v * den - num
+                continue
+        elif num <= bounds[last]:  # den == 1 here, so n_k = num
+            path[last] = num
+            out.append(tuple(path))
+        # advance the deepest open position that has values left
+        while frames:
+            num, den, hi = frames[-1]
+            j = len(frames) - 1
+            v = path[j] + 1
+            if v <= hi:
+                path[j] = v
+                num, den = den, v * den - num
+                break
+            frames.pop()
+        else:
+            return out
 
 
 def dual_expansion(b: Sequence[int]) -> CFTuple:

@@ -33,6 +33,9 @@ from .suites import SUITES, run_suite
 
 _SUITE_CHOICES = sorted(SUITES) + ["corollary-c", "all"]
 
+# zeroseq refuses lengths whose Catalan(k-1) tuples exceed this; it admits k <= 14
+ZEROSEQ_MAX_TUPLES = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we keep 2
@@ -82,8 +85,13 @@ def cmd_expand(args) -> int:
 def cmd_zeroseq(args) -> int:
     if args.k < 1:
         raise LensfillError(f"length must be >= 1, got {args.k}")
-    tuples = sorted(enumerate_zero_cf(args.k))
     catalan = comb(2 * (args.k - 1), args.k - 1) // args.k if args.k >= 2 else 1
+    if catalan > ZEROSEQ_MAX_TUPLES:
+        raise LensfillError(
+            f"zeroseq {args.k} would write Catalan({args.k - 1}) = {catalan} tuples, "
+            f"more than the limit of {ZEROSEQ_MAX_TUPLES}"
+        )
+    tuples = sorted(enumerate_zero_cf(args.k))
     payload = {
         "k": args.k,
         "count": len(tuples),

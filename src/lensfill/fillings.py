@@ -108,23 +108,19 @@ def _check_member(params: LensParams, n: Sequence[int]) -> CFTuple:
     return n
 
 
-def invariants(params: LensParams, n: Sequence[int]) -> FillingDescriptor:
-    """Handle counts and Euler characteristic of the filling attached to n."""
-    n = _check_member(params, n)
+def _describe(params: LensParams, n: CFTuple) -> FillingDescriptor:
     handles = tuple(bi - ni for bi, ni in zip(params.b, n))
     chi = sum(handles)
     return FillingDescriptor(params=params, n=n, chi=chi, b2=chi - 1, handle_counts=handles)
 
 
-def classify(params: LensParams) -> list[FillingClass]:
-    """Partition the fillings by the diffeomorphism relation.
+def invariants(params: LensParams, n: Sequence[int]) -> FillingDescriptor:
+    """Handle counts and Euler characteristic of the filling attached to n."""
+    return _describe(params, _check_member(params, n))
 
-    The reversal n ~ reverse(n) is active exactly when q^2 = 1 mod p (then
-    qbar = q and reversal preserves the bound b, which is a palindrome).
-    Classes are listed by their lexicographically least representative,
-    least first within each class.
-    """
-    zs = zset(params)
+
+def _orbits(params: LensParams, zs: list[CFTuple]) -> list[list[CFTuple]]:
+    """The classes of classify, as tuples, from the already computed zset."""
     members = set(zs)
     active = (params.q * params.q) % params.p == 1
     out = []
@@ -143,8 +139,22 @@ def classify(params: LensParams) -> list[FillingClass]:
                     )
                 orbit.append(rn)
                 seen.add(rn)
-        out.append(FillingClass(tuple(invariants(params, m) for m in orbit)))
+        out.append(orbit)
     return out
+
+
+def classify(params: LensParams) -> list[FillingClass]:
+    """Partition the fillings by the diffeomorphism relation.
+
+    The reversal n ~ reverse(n) is active exactly when q^2 = 1 mod p (then
+    qbar = q and reversal preserves the bound b, which is a palindrome).
+    Classes are listed by their lexicographically least representative,
+    least first within each class.
+    """
+    return [
+        FillingClass(tuple(invariants(params, m) for m in orbit))
+        for orbit in _orbits(params, zset(params))
+    ]
 
 
 def minimal_filling_family(params: LensParams, r: int) -> CFTuple:
@@ -233,6 +243,18 @@ def rational_ball_criterion(p: int, q: int) -> Optional[tuple[int, int]]:
     return m, h
 
 
+def _certify_unique(params: LensParams, zs: list[CFTuple]) -> bool:
+    """Assert that zs is the staircase alone, for a pair whose expansion of
+    p/q has all entries >= 5."""
+    k = len(params.b)
+    expected = (1,) + (2,) * (k - 2) + (1,)
+    if zs != [expected]:
+        raise TheoremViolation(
+            f"expansion of {params.p}/{params.q} has all entries >= 5 but fillings are {zs}"
+        )
+    return True
+
+
 def uniqueness_predicate(p: int, q: int) -> bool:
     """True when the expansion of p/q has all entries >= 5.
 
@@ -243,11 +265,4 @@ def uniqueness_predicate(p: int, q: int) -> bool:
     if any(x < 5 for x in a):
         return False
     params = make_params(p, q)
-    k = len(params.b)
-    expected = (1,) + (2,) * (k - 2) + (1,)
-    zs = zset(params)
-    if zs != [expected]:
-        raise TheoremViolation(
-            f"expansion of {p}/{q} has all entries >= 5 but fillings are {zs}"
-        )
-    return True
+    return _certify_unique(params, zset(params))

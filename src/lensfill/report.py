@@ -3,6 +3,11 @@
 The JSON layout is fixed and published as schema/report.schema.json at the
 repository root; identical inputs produce byte-identical output (no
 timestamps, fully deterministic ordering).
+
+A report computes the bounded zero-tuple set once and derives the classes,
+the per-filling handle data and the uniqueness flag from it.  The tuples
+come from the package's own search, so the report skips the membership
+check that the public invariants applies to its argument.
 """
 
 from __future__ import annotations
@@ -13,11 +18,11 @@ import json
 from typing import Any
 
 from .fillings import (
-    classify,
-    invariants,
+    _certify_unique,
+    _describe,
+    _orbits,
     make_params,
     rational_ball_criterion,
-    uniqueness_predicate,
     zset,
 )
 from .homology import gamma_filling, gamma_standard, mu_basis, rotation_numbers, spin_structures
@@ -32,11 +37,12 @@ def build_report(p: int, q: int) -> dict[str, Any]:
     """Everything the tool knows about L(p, q), as a JSON-ready dict."""
     params = make_params(p, q)
     zs = zset(params)
+    a = dual_expansion(params.b)
     index = {n: i for i, n in enumerate(zs)}
-    classes = [[index[d.n] for d in c.representatives] for c in classify(params)]
+    classes = [[index[m] for m in orbit] for orbit in _orbits(params, zs)]
     fillings = []
     for n in zs:
-        d = invariants(params, n)
+        d = _describe(params, n)
         fillings.append(
             {
                 "n": list(n),
@@ -60,7 +66,7 @@ def build_report(p: int, q: int) -> dict[str, Any]:
         "p": p,
         "q": q,
         "b": list(params.b),
-        "a": list(dual_expansion(params.b)),
+        "a": list(a),
         "qbar": params.qbar,
         "z_set": [list(n) for n in zs],
         "classes": classes,
@@ -69,7 +75,7 @@ def build_report(p: int, q: int) -> dict[str, Any]:
         "flags": {
             "rational_ball": witness is not None,
             "rational_ball_witness": list(witness) if witness else None,
-            "unique_filling_certified": uniqueness_predicate(p, q),
+            "unique_filling_certified": all(x >= 5 for x in a) and _certify_unique(params, zs),
         },
     }
 

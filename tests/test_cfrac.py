@@ -1,8 +1,11 @@
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lensfill.cfrac import (
     blowdown,
@@ -308,6 +311,64 @@ def test_bounded_zero_cf_large_length():
     # far beyond Catalan reach: 99 twos bound only the single staircase tuple
     bounds = (2,) * 99
     assert bounded_zero_cf(bounds) == [(1,) + (2,) * 97 + (1,)]
+
+
+def test_bounded_zero_cf_leaves_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    assert bounded_zero_cf((2,) * 5000) == [(1,) + (2,) * 4998 + (1,)]
+    assert sys.getrecursionlimit() == limit
+
+
+def brute_bounded_zero_cf(bounds):
+    """Every tuple 0 <= n <= bounds, filtered by evaluation."""
+    return [
+        t
+        for t in product(*(range(b + 1) for b in bounds))
+        if (v := eval_cf(t)).admissible and v.value == 0
+    ]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=7))
+@example([1, 1, 1])  # tail [1, 1] = 0: every branch is pruned
+@example([3, 2, 0, 4])  # tail [0, 4] < 0 in the middle
+@example([7] * 6)
+def test_bounded_zero_cf_equals_brute_force(bounds):
+    assert bounded_zero_cf(bounds) == brute_bounded_zero_cf(bounds)
+
+
+def unpruned_bounded_zero_cf(bounds):
+    """The search without the continuant cap, recursive, as first written."""
+    k = len(bounds)
+    if k == 0:
+        return []
+    out = []
+    path = []
+
+    def extend(i, num, den):
+        # the tail [n_i .. n_k] must evaluate to num/den, with den > 0
+        if i == k:
+            v, r = divmod(num, den)
+            if not r and 0 <= v <= bounds[k - 1]:
+                out.append(tuple(path) + (v,))
+            return
+        for v in range(num // den + 1, bounds[i - 1] + 1):
+            path.append(v)
+            extend(i + 1, den, v * den - num)
+            path.pop()
+
+    extend(1, 0, 1)
+    return out
+
+
+def test_bounded_zero_cf_equals_unpruned_search_all_pairs():
+    # chains of every coprime pair p <= 300 reach length 299, far past
+    # what the Catalan filter can check
+    for p in range(2, 301):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                b = hj_expand(p, p - q)
+                assert bounded_zero_cf(b) == unpruned_bounded_zero_cf(b), (p, q)
 
 
 def test_dual_expansion_examples():

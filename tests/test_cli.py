@@ -23,6 +23,7 @@ def run_cli(*args, env_extra=None):
         text=True,
         env=env,
         cwd=REPO,
+        timeout=120,
     )
 
 
@@ -133,6 +134,13 @@ def test_zeroseq_command():
     assert [1, 2, 2, 1] in payload["tuples"]
     assert payload["tuples"] == sorted(payload["tuples"])
     assert run_cli("zeroseq", "0").returncode == 1
+
+
+def test_zeroseq_refuses_catalan_sized_output():
+    res = run_cli("zeroseq", "16")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "zeroseq 16 would write Catalan(15) = 9694845 tuples" in res.stderr
 
 
 def test_classify_command():

@@ -3,13 +3,14 @@ from math import gcd, isqrt
 
 import pytest
 
-from lensfill.cfrac import enumerate_zero_cf, eval_cf, hj_expand, reverse
+from lensfill.cfrac import bounded_zero_cf, enumerate_zero_cf, eval_cf, hj_expand, reverse
 from lensfill.errors import (
     HypothesisViolated,
     InvalidPair,
     NotAFilling,
     PreconditionViolated,
 )
+from lensfill.exact import continuant
 from lensfill.fillings import (
     classify,
     invariants,
@@ -83,6 +84,32 @@ def test_zset_matches_catalan_filter():
             t for t in enumerate_zero_cf(k) if all(x <= bi for x, bi in zip(t, b))
         ) if k >= 2 else [(0,)]
         assert zset(make_params(p, q)) == expected
+
+
+def test_zset_count_at_depth_twelve():
+    # b = (6,) * 12, p = 1,311,738,121; count from the unpruned search
+    b = (6,) * 12
+    pr = make_params(continuant(b), continuant(b) - continuant(b[1:]))
+    assert pr.b == b
+    assert len(zset(pr)) == 47_866
+
+
+def test_build_report_searches_once(monkeypatch):
+    import lensfill.fillings as fillings_module
+    from lensfill.report import build_report
+
+    calls = []
+
+    def counted(bounds):
+        calls.append(tuple(bounds))
+        return bounded_zero_cf(bounds)
+
+    monkeypatch.setattr(fillings_module, "bounded_zero_cf", counted)
+    # 24/5 = [5, 5] certifies a unique filling; 8^2 = 1 mod 21 pairs reversals
+    for p, q in ((24, 5), (21, 8), (9, 2)):
+        calls.clear()
+        build_report(p, q)
+        assert calls == [make_params(p, q).b], (p, q)
 
 
 def test_staircase_tuple_always_present():
