@@ -48,6 +48,7 @@ from .homology import (
 from .lattice import (
     StringConfiguration,
     build_string,
+    check_filling,
     complement_homology,
     dot,
     minimal_si_counts,
@@ -71,6 +72,7 @@ __all__ = [
     "bounded_zero_cf",
     "build_report",
     "build_string",
+    "check_filling",
     "classify",
     "complement_homology",
     "continuant",

@@ -3,37 +3,29 @@
 Exit codes: 0 success, 1 bad arguments or invalid input, 2 when a
 computation contradicts a structural guarantee (the most important signal
 the tool can emit).  Output is deterministic; identical invocations
-produce byte-identical output.  LENS_THREADS caps the worker count used
-by sweeps.
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from math import comb, gcd
+from math import gcd
 
 from .cfrac import enumerate_zero_cf, hj_expand
 from .errors import LensfillError, TheoremViolation
 from .fillings import make_params, zset
 from .homology import gamma_filling, gamma_standard, rotation_numbers, spin_structures
-from .lattice import (
-    build_string,
-    complement_homology,
-    minimal_si_counts,
-    orthogonal_minus_one_classes,
-    validate_hom_classes,
-    validate_string_lemma,
-)
+from .lattice import check_filling
 from .report import build_report, render_csv, render_table
-from .suites import SUITES, run_suite
+from .suites import SUITES, _catalan, resolve_suite
 
 _SUITE_CHOICES = sorted(SUITES) + ["corollary-c", "all"]
 
-# zeroseq refuses lengths whose Catalan(k-1) tuples exceed this; it admits k <= 14
+# zeroseq and verify --kmax refuse lengths k whose Catalan(k-1) zero tuples
+# exceed this; they admit k <= 14
 ZEROSEQ_MAX_TUPLES = 10**6
 
 
@@ -54,11 +46,16 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("LENS_THREADS", "1")))
-    except ValueError:
-        return 1
+def _zero_tuple_count(k: int, action: str) -> int:
+    """Catalan(k-1), the number of zero tuples of length k >= 1; refuses
+    counts above ZEROSEQ_MAX_TUPLES before anything is enumerated."""
+    count = _catalan(max(k - 1, 0))
+    if count > ZEROSEQ_MAX_TUPLES:
+        raise LensfillError(
+            f"{action} Catalan({k - 1}) = {count} tuples, "
+            f"more than the limit of {ZEROSEQ_MAX_TUPLES}"
+        )
+    return count
 
 
 def cmd_expand(args) -> int:
@@ -85,12 +82,7 @@ def cmd_expand(args) -> int:
 def cmd_zeroseq(args) -> int:
     if args.k < 1:
         raise LensfillError(f"length must be >= 1, got {args.k}")
-    catalan = comb(2 * (args.k - 1), args.k - 1) // args.k if args.k >= 2 else 1
-    if catalan > ZEROSEQ_MAX_TUPLES:
-        raise LensfillError(
-            f"zeroseq {args.k} would write Catalan({args.k - 1}) = {catalan} tuples, "
-            f"more than the limit of {ZEROSEQ_MAX_TUPLES}"
-        )
+    catalan = _zero_tuple_count(args.k, f"zeroseq {args.k} would write")
     tuples = sorted(enumerate_zero_cf(args.k))
     payload = {
         "k": args.k,
@@ -184,28 +176,7 @@ def cmd_rot(args) -> int:
 
 def cmd_lattice_check(args) -> int:
     params = make_params(args.p, args.q)
-    rows = []
-    for n in zset(params):
-        cfg = build_string(params.b, n)
-        shapes = validate_hom_classes(cfg)
-        nesting = validate_string_lemma(cfg)
-        b2, divisors = complement_homology(cfg)
-        counts = minimal_si_counts(cfg)
-        minimal = not orthogonal_minus_one_classes(cfg)
-        if not (shapes and nesting and minimal):
-            raise TheoremViolation(f"lattice validation failed for n={n}")
-        rows.append(
-            {
-                "n": list(n),
-                "m_total": cfg.m_total,
-                "hom_classes": shapes,
-                "string_lemma": nesting,
-                "b2": b2,
-                "h1_divisors": divisors,
-                "si_counts": list(counts),
-                "minimal": minimal,
-            }
-        )
+    rows = [check_filling(params.b, n) for n in zset(params)]
     payload = {"p": args.p, "q": args.q, "fillings": rows}
     if args.json:
         _emit(_dump_json(payload), args.out)
@@ -231,12 +202,7 @@ def cmd_sweep(args) -> int:
         for q in range(1, p)
         if gcd(p, q) == 1
     ]
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda pq: build_report(*pq), pairs))
-    else:
-        reports = [build_report(p, q) for p, q in pairs]
+    reports = [build_report(p, q) for p, q in pairs]
 
     def keep(r) -> bool:
         if args.rational_ball and not r["flags"]["rational_ball"]:
@@ -274,19 +240,16 @@ def cmd_verify(args) -> int:
     lines = []
     failed = False
     for name in names:
-        kwargs = {}
-        if args.pmax is not None and name in (
-            "duality",
-            "gamma",
-            "lattice",
-            "mcduff",
-            "rational-ball",
-            "corollary-c",
-        ):
-            kwargs["pmax"] = args.pmax
-        if args.kmax is not None and name in ("catalan", "rotation"):
-            kwargs["kmax"] = args.kmax
-        res = run_suite(name, **kwargs)
+        suite = resolve_suite(name)
+        accepted = inspect.signature(suite).parameters
+        kwargs = {
+            key: value
+            for key, value in (("pmax", args.pmax), ("kmax", args.kmax))
+            if value is not None and key in accepted
+        }
+        if "kmax" in kwargs:
+            _zero_tuple_count(args.kmax, f"verify {name} --kmax {args.kmax} would enumerate")
+        res = suite(**kwargs)
         status = "pass" if res.ok else "FAIL"
         line = f"{res.name}: {status} ({res.cases} cases; {res.detail})"
         if not res.ok:

@@ -60,8 +60,3 @@ class TerminalRelationViolated(TheoremViolation):
 
 class ConsistencyViolated(TheoremViolation):
     """Two independent derivations of the same quantity disagree."""
-
-
-class EnumerationBoundViolated(TheoremViolation):
-    """The short-vector search produced a vector outside its proven
-    coefficient bounds."""

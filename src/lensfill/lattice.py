@@ -13,16 +13,22 @@ direct integer computation, the structural facts the classification rests
 on: the shape of the classes, the nesting of their exceptional sets, the
 homology of the complement, and the recovery of n from counts of ambient
 (-1)-classes meeting a single curve.
+
+Every (-1)-class that matters here is orthogonal to [C_0] = l, so it lies
+in the span of the f_j.  That span has Gram matrix -I, so a class of
+square -1 in it has exactly one coefficient +-1 and the rest 0: the only
+such classes are +-f_j, and +-f_j meets [C_i] exactly when the f_j
+coefficient of [C_i] is nonzero.  The counts therefore read off which
+classes use each exceptional index; no search over the lattice is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .cfrac import CFTuple, strict_blowup_sequence
-from .errors import ConsistencyViolated, EnumerationBoundViolated
+from .errors import ConsistencyViolated
 from .exact import continuant, smith_diagonal
 
 __all__ = [
@@ -34,6 +40,7 @@ __all__ = [
     "complement_homology",
     "minimal_si_counts",
     "orthogonal_minus_one_classes",
+    "check_filling",
 ]
 
 Vector = tuple[int, ...]
@@ -42,13 +49,6 @@ Vector = tuple[int, ...]
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     """Intersection pairing in the basis (l, f_1, ..., f_M)."""
     return u[0] * v[0] - sum(a * c for a, c in zip(u[1:], v[1:]))
-
-
-def _f_basis(m: int) -> Iterator[Vector]:
-    for j in range(1, m + 1):
-        e = [0] * (m + 1)
-        e[j] = 1
-        yield tuple(e)
 
 
 @dataclass(frozen=True)
@@ -245,67 +245,31 @@ def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
     return b2, [d for d in diag if d > 1]
 
 
-def _minus_one_in_f_span(cfg: StringConfiguration) -> list[Vector]:
-    """All ambient classes e with e.e = -1 and e.l = 0.
-
-    Orthogonality to l kills the l-coordinate, so the search lives in the
-    span of the f_j, whose Gram matrix is diagonal with entries -1.  For a
-    negative-definite diagonal Gram G, a vector of square -1 satisfies
-    x^T (-G) x = 1, so |x_j| <= isqrt((-G)^{-1}_{jj}); the bound is
-    computed from the Gram, and the depth-first walk prunes on the exact
-    partial sum, so the enumeration is provably complete.
-    """
-    m = cfg.m_total
-    gram_neg = [-dot(e, e) for e in _f_basis(m)]  # diagonal by orthogonality
-    if any(g < 1 for g in gram_neg):
-        raise EnumerationBoundViolated("f-span Gram is not negative definite")
-    # x_j^2 * g_j <= 1 pins |x_j| <= isqrt(1 // g_j)
-    bounds = [isqrt(1 // g) for g in gram_neg]
-    out: list[Vector] = []
-    coeffs = [0] * m
-
-    def walk(j: int, remaining: int) -> None:
-        if j == m:
-            if remaining == 0:
-                out.append((0,) + tuple(coeffs))
-            return
-        if remaining == 0:
-            out.append((0,) + tuple(coeffs))
-            return
-        for x in range(-bounds[j], bounds[j] + 1):
-            used = gram_neg[j] * x * x
-            if used > remaining:
-                continue
-            coeffs[j] = x
-            walk(j + 1, remaining - used)
-        coeffs[j] = 0
-
-    walk(0, 1)
-    for e in out:
-        if dot(e, e) != -1:
-            raise EnumerationBoundViolated(f"candidate {e} has square {dot(e, e)}")
-    return out
+def _index_users(cfg: StringConfiguration) -> list[list[int]]:
+    """users[j - 1] lists, in order, the i whose [C_i] has a nonzero f_j
+    coefficient; [C_0] is included, so hand-built configurations whose
+    C_0 is not the line class are counted faithfully."""
+    users: list[list[int]] = [[] for _ in range(cfg.m_total)]
+    for i, c in enumerate(cfg.classes):
+        for j, x in enumerate(c[1 : cfg.m_total + 1]):
+            if x:
+                users[j].append(i)
+    return users
 
 
 def minimal_si_counts(cfg: StringConfiguration) -> tuple[int, ...]:
     """Recover n from ambient (-1)-classes touching a single curve.
 
-    For each i, count the classes e with e.e = -1 orthogonal to every
-    [C_j] (including [C_0]) except [C_i]; half that count is s_i, and
-    b_i - s_i must reproduce n_i.  The recovery is asserted.
+    For each i, the classes e with e.e = -1 orthogonal to every [C_j]
+    (including [C_0]) except [C_i] are the pairs +-f_j (see the module
+    docstring) with f_j used by [C_i] alone; s_i is the number of such
+    indices j, and b_i - s_i must reproduce n_i.  The recovery is asserted.
     """
-    k = len(cfg.b)
-    counts = [0] * k
-    for e in _minus_one_in_f_span(cfg):
-        profile = [dot(e, c) for c in cfg.classes]
-        if profile[0] != 0:
-            continue
-        nz = [i for i in range(1, k + 1) if profile[i]]
-        if len(nz) == 1:
-            counts[nz[0] - 1] += 1
-    if any(c % 2 for c in counts):
-        raise ConsistencyViolated(f"odd (-1)-class counts {counts}")
-    s = tuple(c // 2 for c in counts)
+    counts = [0] * len(cfg.b)
+    for users in _index_users(cfg):
+        if len(users) == 1 and users[0] >= 1:
+            counts[users[0] - 1] += 1
+    s = tuple(counts)
     recovered = tuple(bi - si for bi, si in zip(cfg.b, s))
     if recovered != cfg.n:
         raise ConsistencyViolated(
@@ -317,11 +281,46 @@ def minimal_si_counts(cfg: StringConfiguration) -> tuple[int, ...]:
 def orthogonal_minus_one_classes(cfg: StringConfiguration) -> list[Vector]:
     """Classes of square -1 orthogonal to the whole configuration.
 
-    Nonempty output would exhibit a (-1)-class inside the complement; the
-    complements realized here are minimal, so builds must return [].
+    These are the +-f_j (see the module docstring) for the indices j that
+    no [C_i] uses, listed as -f_j for ascending j followed by +f_j for
+    descending j.  Nonempty output would exhibit a (-1)-class inside the
+    complement; the complements realized here are minimal, so builds must
+    return [].
     """
-    out = []
-    for e in _minus_one_in_f_span(cfg):
-        if all(dot(e, c) == 0 for c in cfg.classes):
-            out.append(e)
-    return out
+    unused = [j for j, users in enumerate(_index_users(cfg), 1) if not users]
+    signed = [(j, -1) for j in unused] + [(j, 1) for j in reversed(unused)]
+    return [tuple(s if i == j else 0 for i in range(cfg.m_total + 1)) for j, s in signed]
+
+
+def check_filling(b: Sequence[int], n: Sequence[int]) -> dict:
+    """Run every lattice check on the filling n of the chain b.
+
+    Builds the string, then checks class shapes, exceptional-set nesting,
+    complement homology, count recovery and minimality, and returns the
+    lattice-check row for n.  A failed check raises ConsistencyViolated
+    naming b, n and the check.
+    """
+    cfg = build_string(b, n)
+
+    def require(ok: bool, check: str) -> bool:
+        if not ok:
+            raise ConsistencyViolated(
+                f"lattice check {check} failed for b={cfg.b}, n={cfg.n}"
+            )
+        return ok
+
+    shapes = require(validate_hom_classes(cfg), "hom_classes")
+    nesting = require(validate_string_lemma(cfg), "string_lemma")
+    b2, divisors = complement_homology(cfg)
+    counts = minimal_si_counts(cfg)
+    minimal = require(not orthogonal_minus_one_classes(cfg), "minimal")
+    return {
+        "n": list(cfg.n),
+        "m_total": cfg.m_total,
+        "hom_classes": shapes,
+        "string_lemma": nesting,
+        "b2": b2,
+        "h1_divisors": divisors,
+        "si_counts": list(counts),
+        "minimal": minimal,
+    }

@@ -14,18 +14,11 @@ from math import comb, gcd
 from typing import Callable, Optional
 
 from .cfrac import bounded_zero_cf, enumerate_zero_cf, eval_cf, hj_expand, reverse
-from .fillings import classify, invariants, make_params, rational_ball_criterion, zset
+from .fillings import classify, make_params, rational_ball_criterion, zset
 from .homology import gamma_filling, gamma_standard, rotation_numbers, spin_structures
-from .lattice import (
-    build_string,
-    complement_homology,
-    minimal_si_counts,
-    orthogonal_minus_one_classes,
-    validate_hom_classes,
-    validate_string_lemma,
-)
+from .lattice import check_filling
 
-__all__ = ["SuiteResult", "SUITES", "run_suite"]
+__all__ = ["SuiteResult", "SUITES", "resolve_suite", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -146,23 +139,10 @@ def suite_lattice(pmax: int = 60) -> SuiteResult:
     for p, q in _coprime_pairs(pmax):
         pr = make_params(p, q)
         for n in zset(pr):
-            label = f"(p,q)=({p},{q}), n={n}"
             try:
-                cfg = build_string(pr.b, n)
-                if not validate_hom_classes(cfg):
-                    return SuiteResult("lattice", False, cases, label, "class shapes")
-                if not validate_string_lemma(cfg):
-                    return SuiteResult("lattice", False, cases, label, "set nesting")
-                b2, _ = complement_homology(cfg)
-                if b2 != invariants(pr, n).b2:
-                    return SuiteResult("lattice", False, cases, label, "b2 mismatch")
-                minimal_si_counts(cfg)  # recovery asserted inside
-                if orthogonal_minus_one_classes(cfg):
-                    return SuiteResult(
-                        "lattice", False, cases, label, "(-1)-class in the complement"
-                    )
+                check_filling(pr.b, n)
             except Exception as exc:
-                return SuiteResult("lattice", False, cases, label, str(exc))
+                return SuiteResult("lattice", False, cases, f"(p,q)=({p},{q}), n={n}", str(exc))
             cases += 1
     return SuiteResult("lattice", True, cases, f"all fillings with p <= {pmax}")
 
@@ -232,5 +212,9 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 _ALIASES = {"corollary-c": "rational-ball"}
 
 
+def resolve_suite(name: str) -> Callable[..., SuiteResult]:
+    return SUITES[_ALIASES.get(name, name)]
+
+
 def run_suite(name: str, **kwargs) -> SuiteResult:
-    return SUITES[_ALIASES.get(name, name)](**kwargs)
+    return resolve_suite(name)(**kwargs)

@@ -185,6 +185,25 @@ def test_verify_command_and_alias():
     assert res.returncode == 0
 
 
+def test_verify_routes_bounds_by_suite_signature():
+    from lensfill.suites import suite_lattice, suite_rotation
+
+    res = run_cli("verify", "lattice", "--pmax", "12", "--kmax", "5")
+    assert res.returncode == 0
+    assert f"lattice: pass ({suite_lattice(pmax=12).cases} cases;" in res.stdout
+    res = run_cli("verify", "rotation", "--kmax", "5", "--pmax", "12")
+    assert res.returncode == 0
+    assert f"rotation: pass ({suite_rotation(kmax=5).cases} cases;" in res.stdout
+
+
+def test_verify_refuses_catalan_sized_kmax():
+    for suite in ("catalan", "rotation", "all"):
+        res = run_cli("verify", suite, "--kmax", "16")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "Catalan(15) = 9694845 tuples" in res.stderr
+
+
 def test_table_output_mentions_key_facts():
     res = run_cli("fillings", "4", "1")
     assert "L(4,1)" in res.stdout

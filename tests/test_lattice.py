@@ -1,12 +1,14 @@
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
+from lensfill import cli, lattice
 from lensfill.errors import ConsistencyViolated
 from lensfill.fillings import invariants, make_params, zset
 from lensfill.lattice import (
     StringConfiguration,
     build_string,
+    check_filling,
     complement_homology,
     dot,
     minimal_si_counts,
@@ -174,3 +176,124 @@ def test_no_minus_one_class_orthogonal_to_string():
         pr = make_params(p, q)
         for n in zset(pr):
             assert orthogonal_minus_one_classes(build_string(pr.b, n)) == []
+
+
+# Reference: the Gram-bounded walk that counted (-1)-classes before the
+# direct column count, kept here to check the count against.
+def reference_minus_one_in_f_span(m):
+    basis = [tuple(int(i == j) for i in range(m + 1)) for j in range(1, m + 1)]
+    gram_neg = [-dot(e, e) for e in basis]
+    bounds = [isqrt(1 // g) for g in gram_neg]
+    out = []
+    coeffs = [0] * m
+
+    def walk(j, remaining):
+        if j == m or remaining == 0:
+            if remaining == 0:
+                out.append((0,) + tuple(coeffs))
+            return
+        for x in range(-bounds[j], bounds[j] + 1):
+            used = gram_neg[j] * x * x
+            if used > remaining:
+                continue
+            coeffs[j] = x
+            walk(j + 1, remaining - used)
+        coeffs[j] = 0
+
+    walk(0, 1)
+    assert all(dot(e, e) == -1 for e in out)
+    return out
+
+
+def reference_si_counts(cfg):
+    k = len(cfg.b)
+    counts = [0] * k
+    for e in reference_minus_one_in_f_span(cfg.m_total):
+        profile = [dot(e, c) for c in cfg.classes]
+        if profile[0] != 0:
+            continue
+        nz = [i for i in range(1, k + 1) if profile[i]]
+        if len(nz) == 1:
+            counts[nz[0] - 1] += 1
+    assert all(c % 2 == 0 for c in counts)
+    return tuple(c // 2 for c in counts)
+
+
+def reference_orthogonal(cfg):
+    return [
+        e
+        for e in reference_minus_one_in_f_span(cfg.m_total)
+        if all(dot(e, c) == 0 for c in cfg.classes)
+    ]
+
+
+def test_counts_match_reference_walk_for_every_filling_up_to_60():
+    fillings = 0
+    for p, q in coprime_pairs(60):
+        pr = make_params(p, q)
+        for n in zset(pr):
+            cfg = build_string(pr.b, n)
+            assert minimal_si_counts(cfg) == reference_si_counts(cfg), (p, q, n)
+            assert orthogonal_minus_one_classes(cfg) == reference_orthogonal(cfg) == []
+            fillings += 1
+    assert fillings == 1972
+
+
+def _padded(cfg, extra, n=None, c0=None):
+    """cfg with `extra` exceptional indices that no class uses."""
+    classes = tuple(c + (0,) * extra for c in cfg.classes)
+    if c0 is not None:
+        classes = (c0 + (0,) * extra,) + classes[1:]
+    return StringConfiguration(
+        b=cfg.b, n=n or cfg.n, m_total=cfg.m_total + extra, classes=classes
+    )
+
+
+def test_unused_index_gives_plus_minus_f():
+    good = build_string((2, 2, 2), (1, 2, 1))
+    one = _padded(good, 1)
+    assert orthogonal_minus_one_classes(one) == [(0, 0, 0, 0, 0, -1), (0, 0, 0, 0, 0, 1)]
+    assert minimal_si_counts(one) == (1, 0, 1)
+    two = _padded(good, 2)
+    assert orthogonal_minus_one_classes(two) == reference_orthogonal(two) == [
+        (0, 0, 0, 0, 0, -1, 0),
+        (0, 0, 0, 0, 0, 0, -1),
+        (0, 0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 0, 1, 0),
+    ]
+    assert minimal_si_counts(two) == reference_si_counts(two) == (1, 0, 1)
+
+
+def test_line_class_with_f_coefficient_is_counted():
+    good = build_string((2, 2, 2), (1, 2, 1))
+    # f_3 is used by C_1 alone; giving C_0 an f_3 term takes it from s_1
+    cfg = _padded(good, 0, n=(2, 2, 1), c0=(1, 0, 0, -1, 0))
+    assert minimal_si_counts(cfg) == reference_si_counts(cfg) == (0, 0, 1)
+    assert orthogonal_minus_one_classes(cfg) == reference_orthogonal(cfg) == []
+    # with an unused index, C_0 still hides f_3 but not the new one
+    cfg = _padded(good, 1, n=(2, 2, 1), c0=(1, 0, 0, -1, 0))
+    assert minimal_si_counts(cfg) == reference_si_counts(cfg) == (0, 0, 1)
+    assert orthogonal_minus_one_classes(cfg) == reference_orthogonal(cfg)
+    assert len(orthogonal_minus_one_classes(cfg)) == 2
+
+
+def test_check_filling_row():
+    row = check_filling((2, 2, 2, 3), (2, 2, 1, 3))
+    assert list(row) == [
+        "n", "m_total", "hom_classes", "string_lemma", "b2", "h1_divisors",
+        "si_counts", "minimal",
+    ]
+    assert row["n"] == [2, 2, 1, 3] and row["b2"] == 0 and row["h1_divisors"] == [3]
+    assert row["si_counts"] == [0, 0, 1, 0] and row["minimal"] is True
+
+
+def test_check_filling_forced_failure(monkeypatch, capsys):
+    monkeypatch.setattr(lattice, "validate_string_lemma", lambda cfg: False)
+    with pytest.raises(ConsistencyViolated) as info:
+        check_filling((2, 2, 2, 3), (2, 2, 1, 3))
+    assert "string_lemma" in str(info.value)
+    assert "n=(2, 2, 1, 3)" in str(info.value)
+    assert cli.main(["lattice-check", "9", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "theorem violation" in err and "string_lemma" in err
