@@ -16,7 +16,6 @@ singularities and lens spaces.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -155,30 +154,18 @@ def blowup(t: Sequence[int], s: int) -> CFTuple:
     return tuple(out)
 
 
-# cache of zero-tuple generations, index = length
-_levels: list[set[CFTuple]] = [set(), {(0,)}]
-_levels_lock = threading.Lock()
-
-
 def enumerate_zero_cf(k: int) -> set[CFTuple]:
     """All admissible tuples of positive integers of length k with value 0.
 
-    Generated as the closure of {(0)} under strict blowups (insertion
-    position >= 2), deduplicated level by level; different blowup orders
-    produce the same tuple.  For k = 1 this is {(0,)} by convention; for
-    k >= 2 the count is the Catalan number C(k-1).
+    This is the bounded search with every entry bounded by k - 1: a zero
+    tuple of length k has entries <= k - 1, by induction on k, since (0)
+    has entry 0 and a strict blowup raises the largest entry by at most
+    one.  For k = 1 this is {(0,)} by convention; for k >= 2 the count is
+    the Catalan number C(k-1).
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
-    with _levels_lock:
-        while len(_levels) <= k:
-            j = len(_levels) - 1
-            nxt = set()
-            for t in _levels[j]:
-                for s in range(2, j + 2):
-                    nxt.add(blowup(t, s))
-            _levels.append(nxt)
-        return set(_levels[k])
+    return set(bounded_zero_cf((k - 1,) * k))
 
 
 def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
@@ -210,26 +197,27 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     """All admissible zero tuples n with 0 <= n_i <= bounds_i, lexicographic.
 
     Depth-first search on forced tail values: once n_1..n_{i-1} are fixed,
-    the tail [n_i, ..., n_k] must equal a known rational num/den, which
-    pins n_i above num/den.  The fraction stays reduced, so for an
-    admissible n the running denominator after choosing n_i is the tail
-    continuant K(n_{i+1}..n_k).
+    the tail [n_i, ..., n_k] must equal a known reduced rational num/den.
+    Choosing n_i = v > num/den leaves m = k - i entries that must form an
+    admissible tuple of value x = den/d, d = v*den - num, and for an
+    admissible n, d is the continuant K(n_{i+2}..n_k).
 
     Cap rule: tail values are monotone in their entries, and a continuant
-    is the product of its tail values, so for an admissible n <= bounds
-    with i >= 1, K(n_{i+1}..n_k) <= K(bounds_{i+1}..bounds_k), the empty
-    continuant being 1.  The value loop at position i therefore stops once
-    v*den - num exceeds the cap of the next position; a pruned branch holds
-    no admissible completion.  The cap after the next-to-last position is
-    K() = 1, so the last two entries are forced by the ones before them.
-    If a tail of the bounds past the first entry is <= 0, no admissible
-    n <= bounds exists (by the same monotonicity), and a cap computed there
-    is <= 0, which prunes every branch.  There is no matching lower bound,
-    so dead branches are still entered below the cap.
+    is the product of its tail values, so d <= K(bounds_{i+2}..bounds_k);
+    the empty continuant is 1, so the last two entries are forced.  If a
+    tail of the bounds past the first entry is <= 0, no n <= bounds exists
+    and the cap computed there is <= 0, which prunes every branch.
 
-    The search keeps an explicit stack, so it works at any length without
-    touching the interpreter's recursion limit, and it is independent of
-    the Catalan growth of enumerate_zero_cf.
+    Length rule: the Hirzebruch-Jung expansion of x (ceil(x), then entries
+    >= 2) is its shortest admissible representation.  Any other one has a
+    1 past its first entry, and a strict blowdown there keeps the value and
+    admissibility and drops an entry; strict blowups lengthen it again.  So
+    with no bounds v has a completion iff that expansion has at most m
+    entries.  Such an expansion has x >= [1, 2, ..., 2] = 1/m, so
+    v <= num//den + m joins the cap; its denominators strictly decrease, so
+    d <= m passes at once; otherwise it is run for at most m steps.  Under
+    bounds (k-1,)*k, which never bind, every entered position is a prefix
+    of an output tuple.  The explicit stack leaves the recursion limit alone.
     """
     _check_entries(bounds)
     k = len(bounds)
@@ -250,26 +238,43 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     while True:
         j = len(frames)
         if j < last:
-            v = num // den + 1
-            hi = min(bounds[j], (caps[j] + num) // den)
-            if v <= hi:
-                frames.append((num, den, hi))
-                path[j] = v
-                num, den = den, v * den - num
-                continue
+            # open position j just below its first candidate num//den + 1
+            v = num // den
+            hi = v + last - j
+            if bounds[j] < hi:
+                hi = bounds[j]
+            c = (caps[j] + num) // den
+            if c < hi:
+                hi = c
+            frames.append((num, den, hi))
+            path[j] = v
         elif num <= bounds[last]:  # den == 1 here, so n_k = num
             path[last] = num
             out.append(tuple(path))
-        # advance the deepest open position that has values left
+        # advance the deepest open position to its next value whose tail
+        # has an expansion of at most m entries
         while frames:
             num, den, hi = frames[-1]
             j = len(frames) - 1
+            m = last - j
             v = path[j] + 1
-            if v <= hi:
-                path[j] = v
-                num, den = den, v * den - num
-                break
-            frames.pop()
+            while v <= hi:
+                d = v * den - num
+                if d <= m:
+                    break
+                p, q, s = den, d, m
+                while q and s:
+                    p, q = q, -p % q
+                    s -= 1
+                if not q:
+                    break
+                v += 1
+            else:
+                frames.pop()
+                continue
+            path[j] = v
+            num, den = den, d
+            break
         else:
             return out
 

@@ -12,7 +12,6 @@ import argparse
 import inspect
 import json
 import sys
-from math import gcd
 
 from .cfrac import enumerate_zero_cf, hj_expand
 from .errors import LensfillError, TheoremViolation
@@ -20,7 +19,7 @@ from .fillings import make_params, zset
 from .homology import gamma_filling, gamma_standard, rotation_numbers, spin_structures
 from .lattice import check_filling
 from .report import build_report, render_csv, render_table
-from .suites import SUITES, _catalan, resolve_suite
+from .suites import SUITES, _catalan, _coprime_pairs, resolve_suite
 
 _SUITE_CHOICES = sorted(SUITES) + ["corollary-c", "all"]
 
@@ -196,13 +195,7 @@ def cmd_sweep(args) -> int:
         raise LensfillError("sweep needs a bound: positional p_max or --pmax")
     if args.p_max < 2:
         raise LensfillError(f"sweep bound must be >= 2, got {args.p_max}")
-    pairs = [
-        (p, q)
-        for p in range(2, args.p_max + 1)
-        for q in range(1, p)
-        if gcd(p, q) == 1
-    ]
-    reports = [build_report(p, q) for p, q in pairs]
+    reports = [build_report(p, q) for p, q in _coprime_pairs(args.p_max)]
 
     def keep(r) -> bool:
         if args.rational_ball and not r["flags"]["rational_ball"]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cfrac import CFTuple, eval_cf
+from .cfrac import eval_cf
 from .errors import (
     ClosureViolated,
     ConsistencyViolated,

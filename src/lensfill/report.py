@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Any
 
 from .fillings import (

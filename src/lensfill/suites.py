@@ -13,7 +13,7 @@ from itertools import product
 from math import comb, gcd
 from typing import Callable, Optional
 
-from .cfrac import bounded_zero_cf, enumerate_zero_cf, eval_cf, hj_expand, reverse
+from .cfrac import enumerate_zero_cf, eval_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
 from .homology import gamma_filling, gamma_standard, rotation_numbers, spin_structures
 from .lattice import check_filling

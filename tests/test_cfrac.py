@@ -241,6 +241,25 @@ def catalan(n):
     return comb(2 * n, n) // (n + 1)
 
 
+def closure_zero_cf(k):
+    """Zero tuples of length k as the closure of {(0)} under strict blowups
+    (insertion position >= 2), level by level, deduplicating as it goes."""
+    level = {(0,)}
+    for j in range(1, k):
+        level = {blowup(t, s) for t in level for s in range(2, j + 2)}
+    return level
+
+
+def test_enumerate_zero_cf_equals_closure():
+    for k in range(1, 13):
+        assert enumerate_zero_cf(k) == closure_zero_cf(k), k
+
+
+def test_enumerate_zero_cf_rejects_empty_length():
+    with pytest.raises(ValueError):
+        enumerate_zero_cf(0)
+
+
 def test_enumerate_zero_cf_small():
     assert enumerate_zero_cf(1) == {(0,)}
     assert enumerate_zero_cf(2) == {(1, 1)}
@@ -301,7 +320,7 @@ def test_bounded_zero_cf_equals_filter():
     ]
     for bounds in cases:
         k = len(bounds)
-        expected = sorted(t for t in enumerate_zero_cf(k) if all(x <= b for x, b in zip(t, bounds)))
+        expected = sorted(t for t in closure_zero_cf(k) if all(x <= b for x, b in zip(t, bounds)))
         assert bounded_zero_cf(bounds) == expected
     assert bounded_zero_cf((7,)) == [(0,)]
     assert bounded_zero_cf(()) == []
@@ -317,6 +336,35 @@ def test_bounded_zero_cf_leaves_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     assert bounded_zero_cf((2,) * 5000) == [(1,) + (2,) * 4998 + (1,)]
     assert sys.getrecursionlimit() == limit
+
+
+def hj_length(x):
+    """Number of entries of the expansion ceil(x), then entries >= 2, of a
+    positive Fraction x."""
+    n = 1
+    while x.denominator != 1:
+        x = 1 / (-(-x.numerator // x.denominator) - x)
+        n += 1
+    return n
+
+
+def test_hj_expansion_is_shortest_admissible_representation():
+    # the length rule of bounded_zero_cf, by brute force on Fractions: an
+    # admissible tuple of positive value x has at least as many entries as
+    # the expansion of x, and x >= 1/length
+    assert hj_length(Fraction(1, 5)) == 5 and hj_length(Fraction(7, 1)) == 1
+    checked = 0
+    for k in range(1, 6):
+        for t in product(range(1, 7), repeat=k):
+            tails = eval_oracle_full(t)
+            if tails is None or tails[1] <= 0:
+                continue
+            x = tails[1]
+            assert k >= hj_length(x), t
+            assert x >= Fraction(1, k), t
+            checked += 1
+    assert checked > 1000
+    assert eval_oracle_full((1, 2, 2, 2, 2))[1] == Fraction(1, 5)
 
 
 def brute_bounded_zero_cf(bounds):

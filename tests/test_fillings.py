@@ -21,6 +21,7 @@ from lensfill.fillings import (
     uniqueness_predicate,
     zset,
 )
+from test_cfrac import closure_zero_cf
 
 
 def coprime_pairs(pmax):
@@ -81,7 +82,7 @@ def test_zset_matches_catalan_filter():
         if k > 9:
             continue
         expected = sorted(
-            t for t in enumerate_zero_cf(k) if all(x <= bi for x, bi in zip(t, b))
+            t for t in closure_zero_cf(k) if all(x <= bi for x, bi in zip(t, b))
         ) if k >= 2 else [(0,)]
         assert zset(make_params(p, q)) == expected
 
