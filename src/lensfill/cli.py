@@ -13,15 +13,15 @@ import inspect
 import json
 import sys
 
-from .cfrac import enumerate_zero_cf, hj_expand
+from .cfrac import bounded_zero_cf, hj_expand
 from .errors import LensfillError, TheoremViolation
 from .fillings import make_params, zset
-from .homology import gamma_filling, gamma_standard, rotation_numbers, spin_structures
+from .homology import rotation_numbers
 from .lattice import check_filling
-from .report import build_report, render_csv, render_table
-from .suites import SUITES, _catalan, _coprime_pairs, resolve_suite
+from .report import build_report, render_csv, render_table, spin_rows
+from .suites import SUITES, _ALIASES, _catalan, _coprime_pairs, resolve_suite
 
-_SUITE_CHOICES = sorted(SUITES) + ["corollary-c", "all"]
+_SUITE_CHOICES = sorted(SUITES) + sorted(_ALIASES) + ["all"]
 
 # zeroseq and verify --kmax refuse lengths k whose Catalan(k-1) zero tuples
 # exceed this; they admit k <= 14
@@ -29,7 +29,7 @@ ZEROSEQ_MAX_TUPLES = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; we keep 2
+    def error(self, message):  # argparse exits 2 here; 2 is reserved for theorem violations
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -57,7 +57,10 @@ def _zero_tuple_count(k: int, action: str) -> int:
     return count
 
 
-def cmd_expand(args) -> int:
+# Each command returns the text to write; verify also returns its exit code.
+
+
+def cmd_expand(args) -> str:
     params = make_params(args.p, args.q)
     payload = {
         "p": args.p,
@@ -67,130 +70,92 @@ def cmd_expand(args) -> int:
         "qbar": params.qbar,
     }
     if args.json:
-        _emit(_dump_json(payload), args.out)
-    else:
-        _emit(
-            f"p/q = {args.p}/{args.q} = {payload['a']}\n"
-            f"p/(p-q) = {args.p}/{args.p - args.q} = {payload['b']}\n"
-            f"qbar = {params.qbar}\n",
-            args.out,
-        )
-    return 0
+        return _dump_json(payload)
+    return (
+        f"p/q = {args.p}/{args.q} = {payload['a']}\n"
+        f"p/(p-q) = {args.p}/{args.p - args.q} = {payload['b']}\n"
+        f"qbar = {params.qbar}\n"
+    )
 
 
-def cmd_zeroseq(args) -> int:
+def cmd_zeroseq(args) -> str:
     if args.k < 1:
         raise LensfillError(f"length must be >= 1, got {args.k}")
     catalan = _zero_tuple_count(args.k, f"zeroseq {args.k} would write")
-    tuples = sorted(enumerate_zero_cf(args.k))
-    payload = {
-        "k": args.k,
-        "count": len(tuples),
-        "catalan": catalan,
-        "tuples": [list(t) for t in tuples],
-    }
+    # the search yields the zero tuples of length k in lexicographic order
+    tuples = bounded_zero_cf((args.k - 1,) * args.k)
     if args.json:
-        _emit(_dump_json(payload), args.out)
-    else:
-        body = "\n".join(" ".join(map(str, t)) for t in tuples)
-        _emit(f"# {len(tuples)} zero tuples of length {args.k}\n{body}\n", args.out)
-    return 0
+        payload = {
+            "k": args.k,
+            "count": len(tuples),
+            "catalan": catalan,
+            "tuples": tuples,
+        }
+        return _dump_json(payload)
+    body = "\n".join(" ".join(map(str, t)) for t in tuples)
+    return f"# {len(tuples)} zero tuples of length {args.k}\n{body}\n"
 
 
-def cmd_fillings(args) -> int:
+def cmd_fillings(args) -> str:
     report = build_report(args.p, args.q)
     if args.json:
-        _emit(_dump_json(report), args.out)
-    elif args.csv:
-        _emit(render_csv([report]), args.out)
-    else:
-        _emit(render_table(report), args.out)
-    return 0
+        return _dump_json(report)
+    return render_csv([report]) if args.csv else render_table(report)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> str:
     report = build_report(args.p, args.q)
-    payload = {k: report[k] for k in ("p", "q", "z_set", "classes")}
     if args.json:
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = [f"L({args.p},{args.q}): {len(report['classes'])} classes"]
-        for i, c in enumerate(report["classes"]):
-            members = " ".join(str(tuple(report["z_set"][j])) for j in c)
-            lines.append(f"  class {i}: {members}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _dump_json({k: report[k] for k in ("p", "q", "z_set", "classes")})
+    lines = [f"L({args.p},{args.q}): {len(report['classes'])} classes"]
+    for i, c in enumerate(report["classes"]):
+        members = " ".join(str(tuple(report["z_set"][j])) for j in c)
+        lines.append(f"  class {i}: {members}")
+    return "\n".join(lines) + "\n"
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args) -> str:
     params = make_params(args.p, args.q)
-    rows = []
-    for s in spin_structures(params.b, args.p):
-        rows.append(
-            {
-                "s": list(s),
-                "gamma_filling": gamma_filling(params.b, s),
-                "gamma_standard": gamma_standard(params.b, s),
-            }
-        )
-    payload = {"p": args.p, "q": args.q, "b": list(params.b), "spin": rows}
+    rows = spin_rows(params)
     if args.json:
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = [f"L({args.p},{args.q}) spin structures and invariants:"]
-        for r in rows:
-            lines.append(
-                f"  s={tuple(r['s'])}: filling formula {r['gamma_filling']}, "
-                f"standard formula {r['gamma_standard']}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    mismatched = [r for r in rows if r["gamma_filling"] != r["gamma_standard"]]
-    if mismatched:
-        negated = all(
-            r["gamma_filling"] == (-r["gamma_standard"]) % args.p for r in rows
+        return _dump_json({"p": args.p, "q": args.q, "b": list(params.b), "spin": rows})
+    lines = [f"L({args.p},{args.q}) spin structures and invariants:"]
+    for r in rows:
+        lines.append(
+            f"  s={tuple(r['s'])}: filling formula {r['gamma_filling']}, "
+            f"standard formula {r['gamma_standard']}"
         )
-        if not negated:
-            raise TheoremViolation(f"invariant formulas disagree at {mismatched[0]['s']}")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_rot(args) -> int:
-    params = make_params(args.p, args.q)
-    zs = zset(params)
-    payload = {
-        "p": args.p,
-        "q": args.q,
-        "z_set": [list(n) for n in zs],
-        "rot": [list(rotation_numbers(n)) for n in zs],
-    }
+def cmd_rot(args) -> str:
+    # zset plus the rotation column, not the whole report: on long chains
+    # build_report costs about twice as much
+    zs = zset(make_params(args.p, args.q))
+    rot = [rotation_numbers(n) for n in zs]
     if args.json:
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = [f"L({args.p},{args.q}) rotation numbers:"]
-        for n, r in zip(payload["z_set"], payload["rot"]):
-            lines.append(f"  n={tuple(n)}: rot={tuple(r)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _dump_json({"p": args.p, "q": args.q, "z_set": zs, "rot": rot})
+    lines = [f"L({args.p},{args.q}) rotation numbers:"]
+    for n, r in zip(zs, rot):
+        lines.append(f"  n={n}: rot={r}")
+    return "\n".join(lines) + "\n"
 
 
-def cmd_lattice_check(args) -> int:
+def cmd_lattice_check(args) -> str:
     params = make_params(args.p, args.q)
     rows = [check_filling(params.b, n) for n in zset(params)]
-    payload = {"p": args.p, "q": args.q, "fillings": rows}
     if args.json:
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = [f"L({args.p},{args.q}) lattice checks:"]
-        for r in rows:
-            lines.append(
-                f"  n={tuple(r['n'])}: M={r['m_total']} b2={r['b2']} "
-                f"H1 divisors={r['h1_divisors']} counts={tuple(r['si_counts'])} ok"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return _dump_json({"p": args.p, "q": args.q, "fillings": rows})
+    lines = [f"L({args.p},{args.q}) lattice checks:"]
+    for r in rows:
+        lines.append(
+            f"  n={tuple(r['n'])}: M={r['m_total']} b2={r['b2']} "
+            f"H1 divisors={r['h1_divisors']} counts={tuple(r['si_counts'])} ok"
+        )
+    return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     if args.p_max is None:
         raise LensfillError("sweep needs a bound: positional p_max or --pmax")
     if args.p_max < 2:
@@ -208,27 +173,25 @@ def cmd_sweep(args) -> int:
 
     reports = [r for r in reports if keep(r)]
     if args.json:
-        _emit(_dump_json(reports), args.out)
-    elif args.csv:
-        _emit(render_csv(reports), args.out)
-    else:
-        lines = []
-        for r in reports:
-            fl = r["flags"]
-            tags = []
-            if fl["rational_ball"]:
-                tags.append("ball(m={},h={})".format(*fl["rational_ball_witness"]))
-            if fl["unique_filling_certified"]:
-                tags.append("unique")
-            lines.append(
-                f"L({r['p']},{r['q']}): |Z|={len(r['z_set'])} "
-                f"classes={len(r['classes'])}" + ("  " + " ".join(tags) if tags else "")
-            )
-        _emit("\n".join(lines) + "\n" if lines else "", args.out)
-    return 0
+        return _dump_json(reports)
+    if args.csv:
+        return render_csv(reports)
+    lines = []
+    for r in reports:
+        fl = r["flags"]
+        tags = []
+        if fl["rational_ball"]:
+            tags.append("ball(m={},h={})".format(*fl["rational_ball_witness"]))
+        if fl["unique_filling_certified"]:
+            tags.append("unique")
+        lines.append(
+            f"L({r['p']},{r['q']}): |Z|={len(r['z_set'])} "
+            f"classes={len(r['classes'])}" + ("  " + " ".join(tags) if tags else "")
+        )
+    return "\n".join(lines) + "\n" if lines else ""
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     lines = []
     failed = False
@@ -249,8 +212,7 @@ def cmd_verify(args) -> int:
             line += f"\n  first counterexample: {res.counterexample}"
             failed = True
         lines.append(line)
-    _emit("\n".join(lines) + "\n", args.out)
-    return 2 if failed else 0
+    return "\n".join(lines) + "\n", 2 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,13 +288,16 @@ def main(argv=None) -> int:
     if getattr(args, "p_max_flag", None) is not None:
         args.p_max = args.p_max_flag
     try:
-        return args.func(args)
+        result = args.func(args)
     except TheoremViolation as exc:
         print(f"lensfill: theorem violation: {exc}", file=sys.stderr)
         return 2
     except LensfillError as exc:
         print(f"lensfill: error: {exc}", file=sys.stderr)
         return 1
+    text, code = result if isinstance(result, tuple) else (result, 0)
+    _emit(text, args.out)
+    return code
 
 
 if __name__ == "__main__":

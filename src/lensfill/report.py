@@ -16,7 +16,9 @@ import csv
 import io
 from typing import Any
 
+from .errors import ConsistencyViolated
 from .fillings import (
+    LensParams,
     _certify_unique,
     _describe,
     _orbits,
@@ -27,9 +29,29 @@ from .fillings import (
 from .homology import gamma_filling, gamma_standard, mu_basis, rotation_numbers, spin_structures
 from .cfrac import dual_expansion
 
-__all__ = ["build_report", "render_table", "csv_rows", "render_csv", "CSV_HEADER"]
+__all__ = ["build_report", "spin_rows", "render_table", "csv_rows", "render_csv", "CSV_HEADER"]
 
 CSV_HEADER = ["p", "q", "b", "n", "chi", "b2", "handles", "rot", "class_index"]
+
+
+def spin_rows(params: LensParams) -> list[dict[str, Any]]:
+    """The spin section: Gamma from the handle picture and from the standard
+    contact structure, on every spin structure of the boundary.
+
+    The two formulas are independent derivations of the same invariant, so
+    they must agree exactly; ConsistencyViolated names the pair and the spin
+    structure where they do not.
+    """
+    rows = []
+    for s in spin_structures(params.b, params.p):
+        gf, gs = gamma_filling(params.b, s), gamma_standard(params.b, s)
+        if gf != gs:
+            raise ConsistencyViolated(
+                f"L({params.p},{params.q}) gamma at s={s}: "
+                f"filling formula {gf}, standard formula {gs}"
+            )
+        rows.append({"s": list(s), "gamma_filling": gf, "gamma_standard": gs})
+    return rows
 
 
 def build_report(p: int, q: int) -> dict[str, Any]:
@@ -51,15 +73,6 @@ def build_report(p: int, q: int) -> dict[str, Any]:
                 "rot": list(rotation_numbers(n)),
             }
         )
-    spin = []
-    for s in spin_structures(params.b, p):
-        spin.append(
-            {
-                "s": list(s),
-                "gamma_filling": gamma_filling(params.b, s),
-                "gamma_standard": gamma_standard(params.b, s),
-            }
-        )
     witness = rational_ball_criterion(p, q)
     return {
         "p": p,
@@ -70,7 +83,7 @@ def build_report(p: int, q: int) -> dict[str, Any]:
         "z_set": [list(n) for n in zs],
         "classes": classes,
         "fillings": fillings,
-        "spin": spin,
+        "spin": spin_rows(params),
         "flags": {
             "rational_ball": witness is not None,
             "rational_ball_witness": list(witness) if witness else None,

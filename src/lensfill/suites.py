@@ -15,10 +15,12 @@ from typing import Callable, Optional
 
 from .cfrac import enumerate_zero_cf, eval_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
-from .homology import gamma_filling, gamma_standard, rotation_numbers, spin_structures
+from .errors import TheoremViolation
+from .homology import rotation_numbers
 from .lattice import check_filling
+from .report import spin_rows
 
-__all__ = ["SuiteResult", "SUITES", "resolve_suite", "run_suite"]
+__all__ = ["SuiteResult", "SUITES", "resolve_suite"]
 
 
 @dataclass(frozen=True)
@@ -86,35 +88,19 @@ def suite_duality(pmax: int = 300) -> SuiteResult:
 
 
 def suite_gamma(pmax: int = 100) -> SuiteResult:
-    """The two plane-field invariant formulas agree for every spin
-    structure; equality up to a simultaneous global sign is accepted and
-    the convention actually matched is reported."""
-    cases = 0
-    direct = negated = 0
+    """The two plane-field invariant formulas agree exactly on every spin
+    structure; the report's spin section raises where they differ."""
+    cases = pairs = 0
     for p, q in _coprime_pairs(pmax):
-        b = make_params(p, q).b
-        values = [
-            (s, gamma_filling(b, s), gamma_standard(b, s)) for s in spin_structures(b, p)
-        ]
-        cases += len(values)
-        if all(gf == gs for _, gf, gs in values):
-            direct += 1
-        elif all(gf == (-gs) % p for _, gf, gs in values):
-            negated += 1
-        else:
-            s, gf, gs = next((v for v in values if v[1] != v[2]))
-            return SuiteResult(
-                "gamma",
-                False,
-                cases,
-                f"(p,q)=({p},{q})",
-                f"s={s}: filling formula {gf}, standard formula {gs}",
-            )
+        try:
+            cases += len(spin_rows(make_params(p, q)))
+        except TheoremViolation as exc:
+            return SuiteResult("gamma", False, cases, f"(p,q)=({p},{q})", str(exc))
+        pairs += 1
+    # "negated for 0" keeps the published detail format: no pair may pass with
+    # the formulas of opposite sign
     return SuiteResult(
-        "gamma",
-        True,
-        cases,
-        f"p <= {pmax}; convention: direct for {direct} pairs, negated for {negated}",
+        "gamma", True, cases, f"p <= {pmax}; convention: direct for {pairs} pairs, negated for 0"
     )
 
 
@@ -214,7 +200,3 @@ _ALIASES = {"corollary-c": "rational-ball"}
 
 def resolve_suite(name: str) -> Callable[..., SuiteResult]:
     return SUITES[_ALIASES.get(name, name)]
-
-
-def run_suite(name: str, **kwargs) -> SuiteResult:
-    return resolve_suite(name)(**kwargs)

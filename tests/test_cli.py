@@ -209,3 +209,36 @@ def test_table_output_mentions_key_facts():
     assert "L(4,1)" in res.stdout
     assert "classes" in res.stdout
     assert "gamma_filling=1" in res.stdout
+
+
+def test_gamma_formulas_must_agree_strictly(monkeypatch, capsys):
+    from lensfill import cli, homology
+    from lensfill.exact import continuant
+    from lensfill.suites import suite_gamma
+
+    # negate the standard formula wherever a lensfill module has bound it
+    standard = homology.gamma_standard
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lensfill") and vars(module).get("gamma_standard") is standard:
+            monkeypatch.setattr(
+                module, "gamma_standard", lambda b, s: (-standard(b, s)) % continuant(b)
+            )
+    assert cli.main(["gamma", "4", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "theorem violation: L(4,1) gamma at s=(" in err
+    assert not suite_gamma(pmax=12).ok
+
+
+def test_gamma_and_expand_never_enumerate_fillings(monkeypatch, capsys):
+    from lensfill import cli, fillings
+
+    def refuse(bounds):
+        raise AssertionError("zero-tuple search called")
+
+    monkeypatch.setattr(fillings, "bounded_zero_cf", refuse)
+    for command in ("gamma", "expand"):
+        assert cli.main([command, "1583407981", "1311738121", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["p"] == 1583407981
+    with pytest.raises(AssertionError):
+        cli.main(["rot", "1583407981", "1311738121"])

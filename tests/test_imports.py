@@ -1,8 +1,9 @@
-"""Every name a lensfill module imports is used in that module.
+"""Every name a lensfill module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
-No linter ships with the package, so this is a stdlib AST check.  The
-package ``__init__.py`` is skipped, since its imports are re-exports, and
-so are ``__future__`` imports.
+No linter ships with the package, so these are stdlib AST checks.  The
+package ``__init__.py`` is skipped by the import check, since its imports
+are re-exports, and so are ``__future__`` imports.
 """
 
 import ast
@@ -40,3 +41,45 @@ def test_no_unused_imports_in_package():
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def dead_private_names(sources):
+    """(module, name) for each module-level ``_name`` that no source uses.
+
+    ``sources`` maps module names to source text.  A use is a load of the
+    name, an attribute of that name, or an import of it from another module.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted((module, name) for module, name in defined if name not in used)
+
+
+def test_dead_private_names_detected():
+    sources = {
+        "a": "_used = 1\n_dead = 2\n_imported = 3\n__dunder__ = 4\n"
+        "def _helper():\n    return _used\nclass _Orphan:\n    pass\n",
+        "b": "from .a import _imported\nprint(_imported)\n",
+    }
+    assert dead_private_names(sources) == [("a", "_Orphan"), ("a", "_dead"), ("a", "_helper")]
+
+
+def test_no_dead_private_names_in_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
