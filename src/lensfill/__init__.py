@@ -46,6 +46,7 @@ from .homology import (
     spin_structures,
 )
 from .lattice import (
+    SphereClass,
     StringConfiguration,
     build_string,
     check_filling,
@@ -66,6 +67,7 @@ __all__ = [
     "FillingDescriptor",
     "LensParams",
     "MuBasis",
+    "SphereClass",
     "StringConfiguration",
     "blowdown",
     "blowup",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .errors import InvalidInput, InvalidPair, NotBlowdownable
+from .errors import ConsistencyViolated, InvalidInput, InvalidPair, NotBlowdownable
 
 __all__ = [
     "CFValue",
@@ -286,7 +286,8 @@ def dual_expansion(b: Sequence[int]) -> CFTuple:
     Row i of the diagram carries b_i - 1 dots and each row starts under
     the last dot of the previous one; the column counts plus one give the
     dual expansion.  The result is cross-checked against the direct route
-    (recover p and q from the value, expand p/q); the two must agree.
+    (recover p and q from the value, expand p/q); a mismatch raises
+    ConsistencyViolated.
     """
     b = tuple(b)
     if not b or any(x < 2 for x in b):
@@ -306,7 +307,8 @@ def dual_expansion(b: Sequence[int]) -> CFTuple:
     if not v.admissible or v.value is None or v.value <= 1:
         raise InvalidInput(f"{b} does not present a pair p > p-q >= 1")
     p, pq = v.value.numerator, v.value.denominator
-    assert a == hj_expand(p, p - pq), "point diagram disagrees with direct expansion"
+    if a != (direct := hj_expand(p, p - pq)):
+        raise ConsistencyViolated(f"point diagram of b = {b} gives {a}, direct route {direct}")
     return a
 
 

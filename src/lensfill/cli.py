@@ -33,14 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -287,17 +279,32 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     if getattr(args, "p_max_flag", None) is not None:
         args.p_max = args.p_max_flag
+    out = sys.stdout
+    if args.out:
+        # opened before the command runs, so an unwritable path fails at once;
+        # append mode keeps an existing file intact until there is text to write
+        try:
+            out = open(args.out, "a", encoding="utf-8")
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"lensfill: error: cannot write {args.out}: {reason}", file=sys.stderr)
+            return 1
     try:
         result = args.func(args)
+        text, code = result if isinstance(result, tuple) else (result, 0)
+        if args.out:
+            out.truncate(0)
+        out.write(text)
+        return code
     except TheoremViolation as exc:
         print(f"lensfill: theorem violation: {exc}", file=sys.stderr)
         return 2
     except LensfillError as exc:
         print(f"lensfill: error: {exc}", file=sys.stderr)
         return 1
-    text, code = result if isinstance(result, tuple) else (result, 0)
-    _emit(text, args.out)
-    return code
+    finally:
+        if args.out:
+            out.close()
 
 
 if __name__ == "__main__":

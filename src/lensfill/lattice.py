@@ -6,7 +6,11 @@ spheres C_0, C_1, ..., C_k in a blowup of the projective plane: two lines
 from (0), then each curve C_i absorbs b_i - n_i extra generic blowups.
 The ambient second homology has orthogonal basis (l, f_1, ..., f_M) with
 intersection form diag(+1, -1, ..., -1); the configuration has type
-(1, 1-b_1, -b_2, ..., -b_k).
+(1, 1-b_1, -b_2, ..., -b_k).  Its classes have forced shapes, [C_0] = l,
+[C_1] = l - sum_{j in T} f_j and [C_i] = f_a - sum_{j in T} f_j for i >= 2,
+so each is stored as SphereClass(line, lead, tails): the coefficient of l,
+the index a (0 for none) and the set T.  Pairings are set intersections;
+dense coefficient rows are built only for the Smith form.
 
 The functions here rebuild that configuration explicitly and verify, by
 direct integer computation, the structural facts the classification rests
@@ -17,21 +21,22 @@ homology of the complement, and the recovery of n from counts of ambient
 Every (-1)-class that matters here is orthogonal to [C_0] = l, so it lies
 in the span of the f_j.  That span has Gram matrix -I, so a class of
 square -1 in it has exactly one coefficient +-1 and the rest 0: the only
-such classes are +-f_j, and +-f_j meets [C_i] exactly when the f_j
-coefficient of [C_i] is nonzero.  The counts therefore read off which
+such classes are +-f_j, and +-f_j meets [C_i] exactly when [C_i] uses the
+index j as its lead or in its tails.  The counts therefore read off which
 classes use each exceptional index; no search over the lattice is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cfrac import CFTuple, strict_blowup_sequence
 from .errors import ConsistencyViolated
 from .exact import continuant, smith_diagonal
 
 __all__ = [
+    "SphereClass",
     "StringConfiguration",
     "dot",
     "build_string",
@@ -43,17 +48,29 @@ __all__ = [
     "check_filling",
 ]
 
-Vector = tuple[int, ...]
+
+class SphereClass(NamedTuple):
+    """The class line*l + f_lead - sum_{j in tails} f_j; lead = 0 means
+    no lead term, and tails holds indices in 1..M."""
+
+    line: int
+    lead: int
+    tails: frozenset[int]
 
 
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    """Intersection pairing in the basis (l, f_1, ..., f_M)."""
-    return u[0] * v[0] - sum(a * c for a, c in zip(u[1:], v[1:]))
+_LINE = SphereClass(1, 0, frozenset())
+
+
+def dot(u: SphereClass, v: SphereClass) -> int:
+    """Intersection pairing: the line terms pair to +1, each f_j with
+    itself to -1."""
+    f = len(u.tails & v.tails) - (u.lead in v.tails) - (v.lead in u.tails)
+    return u.line * v.line - f - (u.lead == v.lead != 0)
 
 
 @dataclass(frozen=True)
 class StringConfiguration:
-    """Classes [C_0], ..., [C_k] as vectors over (l, f_1, ..., f_M).
+    """Classes [C_0], ..., [C_k] over (l, f_1, ..., f_M).
 
     b and n are the chain weights and the zero tuple the configuration
     realizes; m_total is the number of exceptional classes M.  Instances
@@ -64,7 +81,7 @@ class StringConfiguration:
     b: CFTuple
     n: CFTuple
     m_total: int
-    classes: tuple[Vector, ...]
+    classes: tuple[SphereClass, ...]
 
 
 def _expected_types(b: Sequence[int]) -> list[int]:
@@ -83,8 +100,7 @@ def build_string(b: Sequence[int], n: Sequence[int]) -> StringConfiguration:
     alone.  M = (k - 1) + sum(b_i - n_i).  The resulting intersection
     pattern and type are re-checked before returning.
     """
-    b = tuple(b)
-    n = tuple(n)
+    b, n = tuple(b), tuple(n)
     k = len(b)
     if len(n) != k or k == 0:
         raise ValueError(f"length mismatch: b = {b}, n = {n}")
@@ -93,95 +109,71 @@ def build_string(b: Sequence[int], n: Sequence[int]) -> StringConfiguration:
     seq = strict_blowup_sequence(n)
 
     m_total = (k - 1) + sum(bi - ni for bi, ni in zip(b, n))
-    width = m_total + 1
-    ell = [1] + [0] * m_total
-    cur = [list(ell), list(ell)]  # C_0 and C_1, both lines
+    cur = [(1, 0, set()), (1, 0, set())]  # (line, lead, tails) of C_0 and C_1
     nxt = 1
 
     for s in seq:
-        cur[s - 1][nxt] -= 1
+        cur[s - 1][2].add(nxt)
         if s < len(cur):
-            cur[s][nxt] -= 1
-        e = [0] * width
-        e[nxt] = 1
-        cur.insert(s, e)
+            cur[s][2].add(nxt)
+        cur.insert(s, (0, nxt, set()))
         nxt += 1
     if len(cur) != k + 1:
         raise ConsistencyViolated(f"replay of {n} produced {len(cur) - 1} curves, not {k}")
 
     for i in range(1, k + 1):
-        for _ in range(b[i - 1] - n[i - 1]):
-            cur[i][nxt] -= 1
-            nxt += 1
+        extra = b[i - 1] - n[i - 1]
+        cur[i][2].update(range(nxt, nxt + extra))
+        nxt += extra
     if nxt != m_total + 1:
         raise ConsistencyViolated(f"used {nxt - 1} exceptional classes, expected {m_total}")
 
-    cfg = StringConfiguration(b=b, n=n, m_total=m_total, classes=tuple(map(tuple, cur)))
-
+    classes = tuple(SphereClass(line, lead, frozenset(t)) for line, lead, t in cur)
     types = _expected_types(b)
-    for i, ci in enumerate(cfg.classes):
+    for i, ci in enumerate(classes):
         if dot(ci, ci) != types[i]:
             raise ConsistencyViolated(f"[C_{i}]^2 = {dot(ci, ci)}, expected {types[i]}")
         for j in range(i + 1, k + 1):
             expected = 1 if j == i + 1 else 0
-            if dot(ci, cfg.classes[j]) != expected:
+            if dot(ci, classes[j]) != expected:
                 raise ConsistencyViolated(f"[C_{i}].[C_{j}] != {expected}")
-    if cfg.classes[0] != tuple(ell):
+    if classes[0] != _LINE:
         raise ConsistencyViolated("[C_0] is not the line class")
-    return cfg
+    return StringConfiguration(b=b, n=n, m_total=m_total, classes=classes)
 
 
 def validate_hom_classes(cfg: StringConfiguration) -> bool:
-    """Check the forced shape of the classes and the adjunction identity.
+    """Check the forced shape of the classes.
 
-    [C_1] must be l minus b_1 distinct exceptional classes; [C_i] for
-    i >= 2 must be one exceptional class minus b_i - 1 distinct others.
-    Distinctness means every f-coefficient lies in {0, -1} apart from the
-    single +1.  Each class must also satisfy
-    sum_j (a_j + a_j^2) = 2 (1 - delta_{1 i}) over its f-coefficients.
+    [C_0] must be l, [C_1] l minus b_1 distinct exceptional classes, and
+    [C_i] for i >= 2 one exceptional class minus b_i - 1 distinct others,
+    all indexed in 1..M.  A SphereClass holds only the f-coefficients +1
+    (lead) and -1 (tails), so once the lead lies outside the tails the
+    coefficient ranges and the adjunction identity sum_j (a_j + a_j^2) =
+    2 (1 - delta_{1 i}) hold by construction and are not re-checked.
     """
     k = len(cfg.b)
-    if len(cfg.classes) != k + 1 or any(len(c) != cfg.m_total + 1 for c in cfg.classes):
+    m = cfg.m_total
+    if len(cfg.classes) != k + 1 or cfg.classes[0] != _LINE:
         return False
-    if cfg.classes[0] != (1,) + (0,) * cfg.m_total:
-        return False
-    for i in range(1, k + 1):
-        c = cfg.classes[i]
-        fs = c[1:]
+    for i, c in enumerate(cfg.classes[1:], 1):
         if i == 1:
-            if c[0] != 1 or any(x not in (0, -1) for x in fs):
+            if c.line != 1 or c.lead != 0 or len(c.tails) != cfg.b[0]:
                 return False
-            if sum(1 for x in fs if x == -1) != cfg.b[0]:
-                return False
-        else:
-            if c[0] != 0:
-                return False
-            if sum(1 for x in fs if x == 1) != 1 or any(x not in (0, 1, -1) for x in fs):
-                return False
-            if sum(1 for x in fs if x == -1) != cfg.b[i - 1] - 1:
-                return False
-        if sum(x + x * x for x in fs) != 2 * (1 - (1 if i == 1 else 0)):
+        elif c.line != 0 or not 1 <= c.lead <= m or c.lead in c.tails:
+            return False
+        elif len(c.tails) != cfg.b[i - 1] - 1:
+            return False
+        if c.tails and (min(c.tails) < 1 or max(c.tails) > m):
             return False
     return True
-
-
-def _leading_and_tails(cfg: StringConfiguration):
-    """Index sets: A[1] = all exceptionals of C_1, A[i] = the subtracted
-    exceptionals of C_i for i >= 2; lead[i] = the positive one."""
-    k = len(cfg.b)
-    lead = {}
-    tails = {}
-    for i in range(1, k + 1):
-        c = cfg.classes[i]
-        tails[i] = {j for j in range(1, cfg.m_total + 1) if c[j] == -1}
-        if i >= 2:
-            lead[i] = next(j for j in range(1, cfg.m_total + 1) if c[j] == 1)
-    return lead, tails
 
 
 def validate_string_lemma(cfg: StringConfiguration) -> bool:
     """Check the nesting facts about exceptional sets of a string.
 
+    Write A^1 for the tails of C_1, and A^i and e^i_1 for the tails and
+    the lead of C_i when i >= 2.
     (1) Each leading class e^j_1 (j >= 2) lies in some earlier set A^i;
         when the witness i is not j - 1 there must be an intermediate h
         with e^h_1 in A^i and A^j.
@@ -191,22 +183,20 @@ def validate_string_lemma(cfg: StringConfiguration) -> bool:
     if not validate_hom_classes(cfg):
         raise ValueError("configuration fails the shape check")
     k = len(cfg.b)
-    lead, tails = _leading_and_tails(cfg)
-    leading_set = set(lead.values())
+    c = cfg.classes
+    leading_set = {ci.lead for ci in c[2:]}
     for j in range(2, k + 1):
-        holders = [i for i in range(1, j) if lead[j] in tails[i]]
+        holders = [i for i in range(1, j) if c[j].lead in c[i].tails]
         if not holders:
             return False
         for i in holders:
-            if i < j - 1:
-                if not any(
-                    h in lead and lead[h] in tails[i] and lead[h] in tails[j]
-                    for h in range(i + 1, j)
-                ):
-                    return False
+            if i < j - 1 and not any(
+                c[h].lead in c[i].tails and c[h].lead in c[j].tails for h in range(i + 1, j)
+            ):
+                return False
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            if not (tails[i] & tails[j]) <= leading_set:
+            if not (c[i].tails & c[j].tails) <= leading_set:
                 return False
     return True
 
@@ -220,40 +210,39 @@ def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
     absolute value K(b) - the order of the boundary's first homology.
     Returns (b_2, nontrivial elementary divisors of H_1).
     """
-    k = len(cfg.b)
     width = cfg.m_total + 1
     rows = []
-    for c in cfg.classes:
-        rows.append([c[0]] + [-x for x in c[1:]])
+    for c in cfg.classes:  # [C_i] paired with l, f_1, ..., f_M
+        row = [c.line] + [0] * cfg.m_total
+        for j in c.tails:
+            row[j] = 1
+        if c.lead:
+            row[c.lead] = -1
+        rows.append(row)
     diag = smith_diagonal(rows)
-    rank = sum(1 for d in diag if d)
-    b2 = width - rank
+    b2 = width - sum(1 for d in diag if d)  # corank
     expected_b2 = sum(bi - ni for bi, ni in zip(cfg.b, cfg.n)) - 1
     if b2 != expected_b2:
-        raise ConsistencyViolated(
-            f"complement b2 = {b2} but handle count gives {expected_b2}"
-        )
-    types = _expected_types(cfg.b)
-    prev2, prev = 0, 1
-    for i in range(k + 1):
-        prev2, prev = prev, types[i] * prev - prev2
+        raise ConsistencyViolated(f"complement b2 = {b2} but handle count gives {expected_b2}")
+    det = continuant(_expected_types(cfg.b))
     p = continuant(cfg.b)
-    if abs(prev) != p:
+    if abs(det) != p:
         raise ConsistencyViolated(
-            f"string Gram determinant {prev} is not +-{p}, boundary order mismatch"
+            f"string Gram determinant {det} is not +-{p}, boundary order mismatch"
         )
     return b2, [d for d in diag if d > 1]
 
 
 def _index_users(cfg: StringConfiguration) -> list[list[int]]:
-    """users[j - 1] lists, in order, the i whose [C_i] has a nonzero f_j
-    coefficient; [C_0] is included, so hand-built configurations whose
-    C_0 is not the line class are counted faithfully."""
+    """users[j - 1] lists, in order, the i whose [C_i] uses the index j as
+    its lead or in its tails; [C_0] is included, so hand-built
+    configurations whose C_0 is not the line class are counted faithfully."""
     users: list[list[int]] = [[] for _ in range(cfg.m_total)]
     for i, c in enumerate(cfg.classes):
-        for j, x in enumerate(c[1 : cfg.m_total + 1]):
-            if x:
-                users[j].append(i)
+        for j in c.tails:
+            users[j - 1].append(i)
+        if c.lead:
+            users[c.lead - 1].append(i)
     return users
 
 
@@ -278,7 +267,7 @@ def minimal_si_counts(cfg: StringConfiguration) -> tuple[int, ...]:
     return s
 
 
-def orthogonal_minus_one_classes(cfg: StringConfiguration) -> list[Vector]:
+def orthogonal_minus_one_classes(cfg: StringConfiguration) -> list[SphereClass]:
     """Classes of square -1 orthogonal to the whole configuration.
 
     These are the +-f_j (see the module docstring) for the indices j that
@@ -288,8 +277,9 @@ def orthogonal_minus_one_classes(cfg: StringConfiguration) -> list[Vector]:
     return [].
     """
     unused = [j for j, users in enumerate(_index_users(cfg), 1) if not users]
-    signed = [(j, -1) for j in unused] + [(j, 1) for j in reversed(unused)]
-    return [tuple(s if i == j else 0 for i in range(cfg.m_total + 1)) for j, s in signed]
+    return [SphereClass(0, 0, frozenset((j,))) for j in unused] + [
+        SphereClass(0, j, frozenset()) for j in reversed(unused)
+    ]
 
 
 def check_filling(b: Sequence[int], n: Sequence[int]) -> dict:
@@ -304,9 +294,7 @@ def check_filling(b: Sequence[int], n: Sequence[int]) -> dict:
 
     def require(ok: bool, check: str) -> bool:
         if not ok:
-            raise ConsistencyViolated(
-                f"lattice check {check} failed for b={cfg.b}, n={cfg.n}"
-            )
+            raise ConsistencyViolated(f"lattice check {check} failed for b={cfg.b}, n={cfg.n}")
         return ok
 
     shapes = require(validate_hom_classes(cfg), "hom_classes")

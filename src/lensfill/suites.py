@@ -13,7 +13,7 @@ from itertools import product
 from math import comb, gcd
 from typing import Callable, Optional
 
-from .cfrac import enumerate_zero_cf, eval_cf, reverse
+from .cfrac import bounded_zero_cf, enumerate_zero_cf, eval_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
 from .errors import TheoremViolation
 from .homology import rotation_numbers
@@ -109,7 +109,7 @@ def suite_rotation(kmax: int = 10) -> SuiteResult:
     length 2..kmax."""
     cases = 0
     for k in range(2, kmax + 1):
-        for n in sorted(enumerate_zero_cf(k)):
+        for n in bounded_zero_cf((k - 1,) * k):  # lexicographic, like zeroseq
             try:
                 rotation_numbers(n)
             except Exception as exc:  # TerminalRelationViolated or worse

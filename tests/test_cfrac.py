@@ -19,7 +19,8 @@ from lensfill.cfrac import (
     reverse,
     strict_blowup_sequence,
 )
-from lensfill.errors import InvalidInput, InvalidPair, NotBlowdownable
+from lensfill import cfrac
+from lensfill.errors import ConsistencyViolated, InvalidInput, InvalidPair, NotBlowdownable
 from lensfill.exact import continuant, mod_inverse
 
 
@@ -442,6 +443,14 @@ def test_dual_expansion_sweep_and_length_duality():
             assert a == hj_expand(p, q)
             h, k = len(a), len(b)
             assert sum(x - 1 for x in a) == sum(x - 1 for x in b) == h + k - 1
+
+
+def test_dual_expansion_raises_when_the_routes_disagree(monkeypatch):
+    # a wrong direct route must raise even under python -O, so no assert
+    monkeypatch.setattr(cfrac, "hj_expand", lambda p, q: (4, 2))
+    with pytest.raises(ConsistencyViolated) as info:
+        dual_expansion((2, 2, 2, 3))
+    assert str(info.value) == "point diagram of b = (2, 2, 2, 3) gives (5, 2), direct route (4, 2)"
 
 
 def test_reverse_examples():

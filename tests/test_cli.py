@@ -83,6 +83,31 @@ def test_out_file(tmp_path):
     assert target.read_text() == direct.stdout
 
 
+def test_unwritable_out_fails_before_computing(monkeypatch, capsys, tmp_path):
+    from lensfill import cli
+
+    def refuse(p, q):
+        raise AssertionError("computed before opening --out")
+
+    monkeypatch.setattr(cli, "build_report", refuse)
+    bad = tmp_path / "missing" / "x.txt"
+    assert cli.main(["fillings", "9", "2", "--out", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"lensfill: error: cannot write {bad}: No such file or directory\n"
+
+
+def test_failed_command_keeps_existing_out_file(tmp_path):
+    target = tmp_path / "keep.txt"
+    target.write_text("earlier output\n")
+    res = run_cli("fillings", "6", "4", "--out", str(target))
+    assert res.returncode == 1 and res.stdout == ""
+    assert target.read_text() == "earlier output\n"
+    res = run_cli("expand", "9", "2", "--out", str(target))
+    assert res.returncode == 0
+    assert target.read_text() == run_cli("expand", "9", "2").stdout
+
+
 def test_csv_output_is_parseable():
     res = run_cli("fillings", "9", "2", "--csv")
     rows = list(csv.reader(io.StringIO(res.stdout)))

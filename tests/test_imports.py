@@ -1,5 +1,6 @@
-"""Every name a lensfill module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a lensfill module imports is used in that module, every
+module-level private name is used somewhere in the package, and no module
+holds an ``assert`` statement, since ``python -O`` strips those.
 
 No linter ships with the package, so these are stdlib AST checks.  The
 package ``__init__.py`` is skipped by the import check, since its imports
@@ -83,3 +84,22 @@ def test_dead_private_names_detected():
 def test_no_dead_private_names_in_package():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def assert_statements(source):
+    """Line numbers of the ``assert`` statements in source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_assert_statements_detected():
+    source = "x = 1\nassert x, 'x'\ndef f():\n    assert x == 1\n    return 'assert'\n"
+    assert assert_statements(source) == [2, 4]
+
+
+def test_no_assert_statements_in_package():
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := assert_statements(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

@@ -6,6 +6,7 @@ from lensfill import cli, lattice
 from lensfill.errors import ConsistencyViolated
 from lensfill.fillings import invariants, make_params, zset
 from lensfill.lattice import (
+    SphereClass,
     StringConfiguration,
     build_string,
     check_filling,
@@ -25,17 +26,44 @@ def coprime_pairs(pmax):
                 yield p, q
 
 
+def cls(line, lead, *tails):
+    return SphereClass(line, lead, frozenset(tails))
+
+
+LINE = cls(1, 0)
+
+
+# Test-only reference: classes expanded to dense coefficient rows over
+# (l, f_1, ..., f_m), paired by the diagonal form diag(+1, -1, ..., -1).
+def dense(c, m):
+    row = [c.line] + [0] * m
+    if c.lead:
+        row[c.lead] += 1
+    for j in c.tails:
+        row[j] -= 1
+    return tuple(row)
+
+
+def dense_dot(u, v):
+    return u[0] * v[0] - sum(a * c for a, c in zip(u[1:], v[1:]))
+
+
 def test_dot_is_the_standard_form():
-    assert dot((1, 0, 0), (1, 0, 0)) == 1
-    assert dot((0, 1, 0), (0, 1, 0)) == -1
-    assert dot((1, 1, 0), (0, 1, 1)) == -1
-    assert dot((1, -1, -1), (1, -1, -1)) == -1
+    assert dot(LINE, LINE) == 1
+    assert dot(cls(0, 1), cls(0, 1)) == -1
+    assert dot(cls(0, 0, 1), cls(0, 0, 1)) == -1
+    assert dot(cls(1, 0, 1, 2), cls(1, 0, 1, 2)) == -1  # l - f1 - f2
+    assert dot(cls(0, 1, 2), cls(0, 2, 3)) == 1  # (f1 - f2).(f2 - f3)
+    assert dot(cls(0, 1, 2), cls(1, 0, 1, 4)) == 1  # (f1 - f2).(l - f1 - f4)
+    assert dot(cls(0, 3, 1, 2), cls(0, 2, 3)) == 2  # (f3 - f1 - f2).(f2 - f3)
+    assert dot(cls(0, 3, 1, 2), cls(0, 1, 2)) == 0
+    assert dot(cls(0, 1, 2), cls(1, 0, 3)) == 0
 
 
 def test_build_string_k1():
     cfg = build_string((2,), (0,))
     assert cfg.m_total == 2
-    assert cfg.classes == ((1, 0, 0), (1, -1, -1))
+    assert cfg.classes == (LINE, cls(1, 0, 1, 2))
     assert dot(cfg.classes[1], cfg.classes[1]) == -1
 
 
@@ -69,22 +97,25 @@ def test_validate_hom_classes_on_builds():
 
 def test_validate_hom_classes_rejects_corruptions():
     good = build_string((2, 2, 2), (1, 2, 1))
-    # a class with two positive exceptional coefficients
-    bad = StringConfiguration(
-        b=good.b,
-        n=good.n,
-        m_total=good.m_total,
-        classes=good.classes[:2] + ((0, 1, 1, 0, 0),) + good.classes[3:],
-    )
-    assert not validate_hom_classes(bad)
-    # a repeated exceptional class inside one curve (coefficient -2)
-    bad = StringConfiguration(
-        b=good.b,
-        n=good.n,
-        m_total=good.m_total,
-        classes=((1, 0, 0, 0, 0), (1, -2, 0, 0, 0)) + good.classes[2:],
-    )
-    assert not validate_hom_classes(bad)
+    # l - f1 - f3, f1 - f2, f2 - f4
+    assert good.classes == (LINE, cls(1, 0, 1, 3), cls(0, 1, 2), cls(0, 2, 4))
+
+    def with_class(i, c):
+        classes = good.classes[:i] + (c,) + good.classes[i + 1 :]
+        return StringConfiguration(b=good.b, n=good.n, m_total=good.m_total, classes=classes)
+
+    assert validate_hom_classes(with_class(2, cls(0, 1, 2)))
+    # the lead inside the tails: f1 - f1 is the zero class, not a sphere
+    assert not validate_hom_classes(with_class(2, cls(0, 1, 1)))
+    # a lead on C_1, which must be l minus exceptionals only
+    assert not validate_hom_classes(with_class(1, cls(1, 4, 1, 3)))
+    # a wrong tail count for C_1 (b_1 = 2) and for C_3 (b_3 - 1 = 1)
+    assert not validate_hom_classes(with_class(1, cls(1, 0, 1)))
+    assert not validate_hom_classes(with_class(3, cls(0, 2, 3, 4)))
+    # an index outside 1..M, in the tails and as the lead
+    assert not validate_hom_classes(with_class(3, cls(0, 2, 5)))
+    assert not validate_hom_classes(with_class(2, cls(0, 1, 0)))
+    assert not validate_hom_classes(with_class(3, cls(0, 5, 4)))
 
 
 def test_validate_string_lemma_on_builds():
@@ -101,7 +132,7 @@ def test_validate_string_lemma_rejects_counterexamples_to_checker():
         b=(2, 2),
         n=(1, 1),
         m_total=3,
-        classes=((1, 0, 0, 0), (1, -1, -1, 0), (0, 0, -1, 1)),
+        classes=(LINE, cls(1, 0, 1, 2), cls(0, 3, 2)),
     )
     # C_2 leads with f_3, which lies in no earlier tail: claim (1) fails
     assert not validate_string_lemma(cfg)
@@ -110,7 +141,7 @@ def test_validate_string_lemma_rejects_counterexamples_to_checker():
         b=(2, 3),
         n=(1, 1),
         m_total=4,
-        classes=((1, 0, 0, 0, 0), (1, -1, -1, 0, 0), (0, 1, -1, -1, 0)),
+        classes=(LINE, cls(1, 0, 1, 2), cls(0, 1, 2, 3)),
     )
     # A^1 cap A^2 = {2} and f_2 is not a leading class: claim (2) fails
     assert not validate_string_lemma(cfg)
@@ -178,11 +209,32 @@ def test_no_minus_one_class_orthogonal_to_string():
             assert orthogonal_minus_one_classes(build_string(pr.b, n)) == []
 
 
+def test_sparse_pairing_matches_dense_for_every_filling_up_to_60():
+    fillings = 0
+    for p, q in coprime_pairs(60):
+        pr = make_params(p, q)
+        types = [1, 1 - pr.b[0]] + [-x for x in pr.b[1:]]
+        for n in zset(pr):
+            cfg = build_string(pr.b, n)
+            rows = [dense(c, cfg.m_total) for c in cfg.classes]
+            gram = [[dense_dot(u, v) for v in rows] for u in rows]
+            chain = [
+                [types[i] if i == j else int(abs(i - j) == 1) for j in range(len(rows))]
+                for i in range(len(rows))
+            ]
+            assert gram == chain, (p, q, n)
+            sparse = [[dot(u, v) for v in cfg.classes] for u in cfg.classes]
+            assert sparse == gram, (p, q, n)
+            fillings += 1
+    assert fillings == 1972
+
+
 # Reference: the Gram-bounded walk that counted (-1)-classes before the
-# direct column count, kept here to check the count against.
+# direct column count, kept here to check the count against.  It works on
+# dense rows, independently of the sparse pairing.
 def reference_minus_one_in_f_span(m):
     basis = [tuple(int(i == j) for i in range(m + 1)) for j in range(1, m + 1)]
-    gram_neg = [-dot(e, e) for e in basis]
+    gram_neg = [-dense_dot(e, e) for e in basis]
     bounds = [isqrt(1 // g) for g in gram_neg]
     out = []
     coeffs = [0] * m
@@ -201,15 +253,16 @@ def reference_minus_one_in_f_span(m):
         coeffs[j] = 0
 
     walk(0, 1)
-    assert all(dot(e, e) == -1 for e in out)
+    assert all(dense_dot(e, e) == -1 for e in out)
     return out
 
 
 def reference_si_counts(cfg):
     k = len(cfg.b)
     counts = [0] * k
+    rows = [dense(c, cfg.m_total) for c in cfg.classes]
     for e in reference_minus_one_in_f_span(cfg.m_total):
-        profile = [dot(e, c) for c in cfg.classes]
+        profile = [dense_dot(e, c) for c in rows]
         if profile[0] != 0:
             continue
         nz = [i for i in range(1, k + 1) if profile[i]]
@@ -220,11 +273,17 @@ def reference_si_counts(cfg):
 
 
 def reference_orthogonal(cfg):
+    """Dense rows of the (-1)-classes orthogonal to every class."""
+    rows = [dense(c, cfg.m_total) for c in cfg.classes]
     return [
         e
         for e in reference_minus_one_in_f_span(cfg.m_total)
-        if all(dot(e, c) == 0 for c in cfg.classes)
+        if all(dense_dot(e, c) == 0 for c in rows)
     ]
+
+
+def dense_orthogonal(cfg):
+    return [dense(e, cfg.m_total) for e in orthogonal_minus_one_classes(cfg)]
 
 
 def test_counts_match_reference_walk_for_every_filling_up_to_60():
@@ -234,16 +293,16 @@ def test_counts_match_reference_walk_for_every_filling_up_to_60():
         for n in zset(pr):
             cfg = build_string(pr.b, n)
             assert minimal_si_counts(cfg) == reference_si_counts(cfg), (p, q, n)
-            assert orthogonal_minus_one_classes(cfg) == reference_orthogonal(cfg) == []
+            assert dense_orthogonal(cfg) == reference_orthogonal(cfg) == []
             fillings += 1
     assert fillings == 1972
 
 
 def _padded(cfg, extra, n=None, c0=None):
     """cfg with `extra` exceptional indices that no class uses."""
-    classes = tuple(c + (0,) * extra for c in cfg.classes)
+    classes = cfg.classes
     if c0 is not None:
-        classes = (c0 + (0,) * extra,) + classes[1:]
+        classes = (c0,) + classes[1:]
     return StringConfiguration(
         b=cfg.b, n=n or cfg.n, m_total=cfg.m_total + extra, classes=classes
     )
@@ -252,10 +311,11 @@ def _padded(cfg, extra, n=None, c0=None):
 def test_unused_index_gives_plus_minus_f():
     good = build_string((2, 2, 2), (1, 2, 1))
     one = _padded(good, 1)
-    assert orthogonal_minus_one_classes(one) == [(0, 0, 0, 0, 0, -1), (0, 0, 0, 0, 0, 1)]
+    assert orthogonal_minus_one_classes(one) == [cls(0, 0, 5), cls(0, 5)]
     assert minimal_si_counts(one) == (1, 0, 1)
     two = _padded(good, 2)
-    assert orthogonal_minus_one_classes(two) == reference_orthogonal(two) == [
+    assert orthogonal_minus_one_classes(two) == [cls(0, 0, 5), cls(0, 0, 6), cls(0, 6), cls(0, 5)]
+    assert dense_orthogonal(two) == reference_orthogonal(two) == [
         (0, 0, 0, 0, 0, -1, 0),
         (0, 0, 0, 0, 0, 0, -1),
         (0, 0, 0, 0, 0, 0, 1),
@@ -267,13 +327,13 @@ def test_unused_index_gives_plus_minus_f():
 def test_line_class_with_f_coefficient_is_counted():
     good = build_string((2, 2, 2), (1, 2, 1))
     # f_3 is used by C_1 alone; giving C_0 an f_3 term takes it from s_1
-    cfg = _padded(good, 0, n=(2, 2, 1), c0=(1, 0, 0, -1, 0))
+    cfg = _padded(good, 0, n=(2, 2, 1), c0=cls(1, 0, 3))
     assert minimal_si_counts(cfg) == reference_si_counts(cfg) == (0, 0, 1)
-    assert orthogonal_minus_one_classes(cfg) == reference_orthogonal(cfg) == []
+    assert dense_orthogonal(cfg) == reference_orthogonal(cfg) == []
     # with an unused index, C_0 still hides f_3 but not the new one
-    cfg = _padded(good, 1, n=(2, 2, 1), c0=(1, 0, 0, -1, 0))
+    cfg = _padded(good, 1, n=(2, 2, 1), c0=cls(1, 0, 3))
     assert minimal_si_counts(cfg) == reference_si_counts(cfg) == (0, 0, 1)
-    assert orthogonal_minus_one_classes(cfg) == reference_orthogonal(cfg)
+    assert dense_orthogonal(cfg) == reference_orthogonal(cfg)
     assert len(orthogonal_minus_one_classes(cfg)) == 2
 
 
