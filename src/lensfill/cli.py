@@ -185,8 +185,7 @@ def cmd_sweep(args) -> str:
 
 def cmd_verify(args) -> tuple[str, int]:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    lines = []
-    failed = False
+    runs = []  # every bound is checked before any suite runs
     for name in names:
         suite = resolve_suite(name)
         accepted = inspect.signature(suite).parameters
@@ -195,8 +194,21 @@ def cmd_verify(args) -> tuple[str, int]:
             for key, value in (("pmax", args.pmax), ("kmax", args.kmax))
             if value is not None and key in accepted
         }
+        if "pmax" in kwargs:
+            default = accepted["pmax"].default
+            if not 2 <= args.pmax <= 2 * default:
+                raise LensfillError(
+                    f"verify {name} --pmax {args.pmax} is outside 2..{2 * default} "
+                    f"(twice its default {default})"
+                )
         if "kmax" in kwargs:
+            if args.kmax < 2:
+                raise LensfillError(f"verify {name} --kmax {args.kmax} is below 2")
             _zero_tuple_count(args.kmax, f"verify {name} --kmax {args.kmax} would enumerate")
+        runs.append((suite, kwargs))
+    lines = []
+    failed = False
+    for suite, kwargs in runs:
         res = suite(**kwargs)
         status = "pass" if res.ok else "FAIL"
         line = f"{res.name}: {status} ({res.cases} cases; {res.detail})"
@@ -263,8 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=_SUITE_CHOICES)
-    sp.add_argument("--pmax", type=int, default=None)
-    sp.add_argument("--kmax", type=int, default=None)
+    sp.add_argument("--pmax", type=int, default=None,
+                    help="2 up to twice the suite's default")
+    sp.add_argument("--kmax", type=int, default=None,
+                    help="2 up to the zeroseq Catalan limit")
     sp.add_argument("--out", metavar="FILE")
     sp.set_defaults(func=cmd_verify)
 

@@ -9,8 +9,10 @@ intersection form diag(+1, -1, ..., -1); the configuration has type
 (1, 1-b_1, -b_2, ..., -b_k).  Its classes have forced shapes, [C_0] = l,
 [C_1] = l - sum_{j in T} f_j and [C_i] = f_a - sum_{j in T} f_j for i >= 2,
 so each is stored as SphereClass(line, lead, tails): the coefficient of l,
-the index a (0 for none) and the set T.  Pairings are set intersections;
-dense coefficient rows are built only for the Smith form.
+the index a (0 for none) and the set T.  Pairings are set intersections.
+No dense coefficient row is built: the Smith form of the pairing matrix
+runs only on its core, the classes that use no index alone over the line
+column and the shared indices (see complement_homology).
 
 The functions here rebuild that configuration explicitly and verify, by
 direct integer computation, the structural facts the classification rests
@@ -205,22 +207,28 @@ def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
     """Second Betti number and H_1 torsion of the complement of the string.
 
     The pairing matrix (rows = classes, columns = ambient basis) has
-    cokernel H_1(complement) and corank b_2(complement).  Asserts
-    b_2 = sum(b_i - n_i) - 1, and that the string's Gram determinant has
-    absolute value K(b) - the order of the boundary's first homology.
-    Returns (b_2, nontrivial elementary divisors of H_1).
+    cokernel H_1(complement) and corank b_2(complement).  Unit pivots:
+    if [C_i] alone uses the index j, column j is +-1 in row i and zero
+    elsewhere, so row i and column j split off as an invariant factor 1.
+    These solo classes drop out; their other private columns and the
+    unused indices are then zero, and smith_diagonal gets only the core:
+    the other classes over l and the indices with two or more users.  In
+    a build only the k - 1 replay indices are shared, so the core is at
+    most (k + 1) x k whatever M is.  Asserts b_2 = sum(b_i - n_i) - 1, and
+    that the string's Gram determinant has absolute value K(b) - the
+    order of the boundary's first homology.  Returns (b_2, nontrivial
+    elementary divisors of H_1).
     """
-    width = cfg.m_total + 1
-    rows = []
-    for c in cfg.classes:  # [C_i] paired with l, f_1, ..., f_M
-        row = [c.line] + [0] * cfg.m_total
-        for j in c.tails:
-            row[j] = 1
-        if c.lead:
-            row[c.lead] = -1
-        rows.append(row)
-    diag = smith_diagonal(rows)
-    b2 = width - sum(1 for d in diag if d)  # corank
+    users = _index_users(cfg)
+    solo = {us[0] for us in users if len(us) == 1}
+    shared = [j for j, us in enumerate(users, 1) if len(us) > 1]
+    core = [  # [C_i] paired with l and the shared f_j
+        [c.line] + [(j in c.tails) - (j == c.lead) for j in shared]
+        for i, c in enumerate(cfg.classes)
+        if i not in solo
+    ]
+    diag = [1] * len(solo) + smith_diagonal(core)
+    b2 = cfg.m_total + 1 - sum(1 for d in diag if d)  # corank
     expected_b2 = sum(bi - ni for bi, ni in zip(cfg.b, cfg.n)) - 1
     if b2 != expected_b2:
         raise ConsistencyViolated(f"complement b2 = {b2} but handle count gives {expected_b2}")
@@ -236,13 +244,15 @@ def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
 def _index_users(cfg: StringConfiguration) -> list[list[int]]:
     """users[j - 1] lists, in order, the i whose [C_i] uses the index j as
     its lead or in its tails; [C_0] is included, so hand-built
-    configurations whose C_0 is not the line class are counted faithfully."""
-    users: list[list[int]] = [[] for _ in range(cfg.m_total)]
+    configurations whose C_0 is not the line class are counted faithfully.
+    Raises ValueError on an index outside 1..M."""
+    m = cfg.m_total
+    users: list[list[int]] = [[] for _ in range(m)]
     for i, c in enumerate(cfg.classes):
-        for j in c.tails:
+        for j in [*c.tails, c.lead] if c.lead else c.tails:
+            if not 1 <= j <= m:
+                raise ValueError(f"[C_{i}] uses index {j}, outside 1..{m}")
             users[j - 1].append(i)
-        if c.lead:
-            users[c.lead - 1].append(i)
     return users
 
 

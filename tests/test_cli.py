@@ -229,6 +229,24 @@ def test_verify_refuses_catalan_sized_kmax():
         assert "Catalan(15) = 9694845 tuples" in res.stderr
 
 
+def test_verify_refuses_bounds_outside_twice_the_default():
+    lattice_range = "is outside 2..120 (twice its default 60)"
+    cases = [
+        (("lattice", "--pmax", "-5"), f"verify lattice --pmax -5 {lattice_range}"),
+        (("catalan", "--kmax", "1"), "verify catalan --kmax 1 is below 2"),
+        (
+            ("mcduff", "--pmax", "201"),
+            "verify mcduff --pmax 201 is outside 2..200 (twice its default 100)",
+        ),
+        (("all", "--pmax", "121"), f"verify lattice --pmax 121 {lattice_range}"),
+    ]
+    for argv, message in cases:
+        res = run_cli("verify", *argv)
+        assert res.returncode == 1, argv
+        assert res.stdout == ""
+        assert res.stderr == f"lensfill: error: {message}\n"
+
+
 def test_table_output_mentions_key_facts():
     res = run_cli("fillings", "4", "1")
     assert "L(4,1)" in res.stdout

@@ -4,6 +4,7 @@ import pytest
 
 from lensfill import cli, lattice
 from lensfill.errors import ConsistencyViolated
+from lensfill.exact import smith_diagonal
 from lensfill.fillings import invariants, make_params, zset
 from lensfill.lattice import (
     SphereClass,
@@ -159,6 +160,81 @@ def test_complement_homology_examples():
 
     b2, div = complement_homology(build_string((2,), (0,)))
     assert b2 == 1 and div == []
+
+
+def dense_homology(cfg):
+    """(corank, divisors > 1) of the full pairing matrix: dense rows over
+    (l, f_1, ..., f_M) paired with each basis vector, M + 1 columns."""
+    m = cfg.m_total
+    rows = [dense(c, m) for c in cfg.classes]
+    diag = smith_diagonal([[r[0]] + [-x for x in r[1:]] for r in rows])
+    return m + 1 - sum(1 for d in diag if d), [d for d in diag if d > 1]
+
+
+def build_fillings(pairs):
+    for p, q in pairs:
+        pr = make_params(p, q)
+        for n in zset(pr):
+            yield build_string(pr.b, n)
+
+
+def test_complement_homology_matches_dense_smith_up_to_60():
+    cfgs = list(build_fillings(coprime_pairs(60)))
+    assert len(cfgs) == 1972
+    for cfg in cfgs:
+        assert complement_homology(cfg) == dense_homology(cfg), (cfg.b, cfg.n)
+
+
+def test_complement_homology_matches_dense_smith_on_long_chains():
+    cfgs = list(build_fillings([(1372105, 1136689), (151316, 110771)]))
+    assert len(cfgs) == 925
+    for cfg in cfgs:
+        assert complement_homology(cfg) == dense_homology(cfg), (cfg.b, cfg.n)
+
+
+def test_complement_homology_matches_dense_smith_on_hand_built():
+    def config(b, n, m, *classes):
+        return StringConfiguration(b=b, n=n, m_total=m, classes=classes)
+
+    l_f3 = cls(1, 0, 3)  # an f-term on C_0 shares f_3 with C_1
+    string = (cls(1, 0, 1, 3), cls(0, 1, 2), cls(0, 2, 4))
+    wide = (cls(1, 0, 1, 3, 5), cls(0, 1, 2), cls(0, 2, 4))  # C_1 keeps f_3, f_5
+    cases = [
+        (config((2, 2, 2), (1, 2, 1), 4, l_f3, *string), (1, [])),
+        (config((2, 2, 2), (1, 1, 1), 5, LINE, *string), (2, [])),  # f_5 unused
+        (config((3, 2, 2), (1, 2, 1), 5, LINE, *wide), (2, [])),
+        (config((3, 2, 2), (1, 1, 1), 6, l_f3, *wide), (3, [])),
+        # no class uses an index alone: the core is the whole 5 x 5 matrix
+        (config((2, 2, 2, 3), (2, 2, 1, 3), 4, cls(1, 0, 4), cls(1, 0, 1, 2),
+                cls(0, 2, 3), cls(0, 3, 4), cls(0, 1, 2, 3)), (0, [2])),
+    ]
+    for cfg, want in cases:
+        assert complement_homology(cfg) == dense_homology(cfg) == want, cfg
+
+
+def test_smith_core_is_at_most_k_plus_1_by_k(monkeypatch):
+    seen = []
+
+    def recording(matrix):
+        seen.append([len(row) for row in matrix])
+        return smith_diagonal(matrix)
+
+    monkeypatch.setattr(lattice, "smith_diagonal", recording)
+    for cfg in build_fillings(coprime_pairs(60)):
+        seen.clear()
+        complement_homology(cfg)
+        k = len(cfg.b)
+        assert len(seen) == 1 and len(seen[0]) <= k + 1, (cfg.b, cfg.n)
+        assert all(width <= k for width in seen[0]), (cfg.b, cfg.n)
+
+
+def test_index_outside_range_raises():
+    good = build_string((2, 2, 2), (1, 2, 1))
+    classes = (LINE, cls(1, 0, 0, 1)) + good.classes[2:]  # C_1 with tails {0, 1}
+    bad = StringConfiguration(b=good.b, n=good.n, m_total=good.m_total, classes=classes)
+    for check in (orthogonal_minus_one_classes, minimal_si_counts, complement_homology):
+        with pytest.raises(ValueError, match=r"\[C_1\] uses index 0"):
+            check(bad)
 
 
 def test_complement_b2_matches_handle_count():
