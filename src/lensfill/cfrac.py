@@ -82,16 +82,21 @@ def eval_cf(t: Sequence[int]) -> CFValue:
     return CFValue(True, Fraction(t[0] * s1 - s2, s1))
 
 
+def _check_pair(p: int, q: int) -> None:
+    """Raise InvalidPair unless p and q are coprime ints with p > q >= 1."""
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise InvalidPair(f"p, q must be ints, got {p!r}, {q!r}")
+    if q < 1 or p <= q or gcd(p, q) != 1:
+        raise InvalidPair(f"need coprime p > q >= 1, got ({p}, {q})")
+
+
 def hj_expand(p: int, q: int) -> CFTuple:
     """The unique expansion of p/q with all entries >= 2.
 
     Requires coprime p > q >= 1.  Each step takes the ceiling and recurses
     on the reciprocal remainder.
     """
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise InvalidPair(f"p, q must be ints, got {p!r}, {q!r}")
-    if q < 1 or p <= q or gcd(p, q) != 1:
-        raise InvalidPair(f"need coprime p > q >= 1, got ({p}, {q})")
+    _check_pair(p, q)
     out = []
     while q:
         a = -(-p // q)

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .cfrac import CFTuple, bounded_zero_cf, eval_cf, hj_expand, reverse
+from .cfrac import CFTuple, _check_pair, bounded_zero_cf, eval_cf, hj_expand, reverse
 from .errors import (
     ConsistencyViolated,
     HypothesisViolated,
-    InvalidPair,
     NotAFilling,
     PreconditionViolated,
     TheoremViolation,
@@ -81,10 +80,7 @@ class FillingClass:
 
 def make_params(p: int, q: int) -> LensParams:
     """Validate the pair and populate the chain data for L(p, q)."""
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise InvalidPair(f"p, q must be ints, got {p!r}, {q!r}")
-    if q < 1 or p <= q or gcd(p, q) != 1:
-        raise InvalidPair(f"need coprime p > q >= 1, got ({p}, {q})")
+    _check_pair(p, q)
     return LensParams(p=p, q=q, b=hj_expand(p, p - q), qbar=mod_inverse(q, p))
 
 
@@ -232,8 +228,7 @@ def rational_ball_criterion(p: int, q: int) -> Optional[tuple[int, int]]:
     equivalence with the handle count is checked by the test suite rather
     than assumed here.
     """
-    if q < 1 or p <= q or gcd(p, q) != 1:
-        raise InvalidPair(f"need coprime p > q >= 1, got ({p}, {q})")
+    _check_pair(p, q)
     m = isqrt(p)
     if m * m != p or (q + 1) % m:
         return None

@@ -31,6 +31,7 @@ classes use each exceptional index; no search over the lattice is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .cfrac import CFTuple, strict_blowup_sequence
@@ -84,6 +85,19 @@ class StringConfiguration:
     n: CFTuple
     m_total: int
     classes: tuple[SphereClass, ...]
+
+    @cached_property
+    def index_users(self) -> list[list[int]]:
+        """index_users[j - 1]: the i, in order, whose [C_i] (C_0 included) uses
+        f_j as lead or tail.  Built once; ValueError on an index outside 1..M."""
+        m = self.m_total
+        users: list[list[int]] = [[] for _ in range(m)]
+        for i, c in enumerate(self.classes):
+            for j in [*c.tails, c.lead] if c.lead else c.tails:
+                if not 1 <= j <= m:
+                    raise ValueError(f"[C_{i}] uses index {j}, outside 1..{m}")
+                users[j - 1].append(i)
+        return users
 
 
 def _expected_types(b: Sequence[int]) -> list[int]:
@@ -219,7 +233,7 @@ def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
     order of the boundary's first homology.  Returns (b_2, nontrivial
     elementary divisors of H_1).
     """
-    users = _index_users(cfg)
+    users = cfg.index_users
     solo = {us[0] for us in users if len(us) == 1}
     shared = [j for j, us in enumerate(users, 1) if len(us) > 1]
     core = [  # [C_i] paired with l and the shared f_j
@@ -241,21 +255,6 @@ def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
     return b2, [d for d in diag if d > 1]
 
 
-def _index_users(cfg: StringConfiguration) -> list[list[int]]:
-    """users[j - 1] lists, in order, the i whose [C_i] uses the index j as
-    its lead or in its tails; [C_0] is included, so hand-built
-    configurations whose C_0 is not the line class are counted faithfully.
-    Raises ValueError on an index outside 1..M."""
-    m = cfg.m_total
-    users: list[list[int]] = [[] for _ in range(m)]
-    for i, c in enumerate(cfg.classes):
-        for j in [*c.tails, c.lead] if c.lead else c.tails:
-            if not 1 <= j <= m:
-                raise ValueError(f"[C_{i}] uses index {j}, outside 1..{m}")
-            users[j - 1].append(i)
-    return users
-
-
 def minimal_si_counts(cfg: StringConfiguration) -> tuple[int, ...]:
     """Recover n from ambient (-1)-classes touching a single curve.
 
@@ -265,7 +264,7 @@ def minimal_si_counts(cfg: StringConfiguration) -> tuple[int, ...]:
     indices j, and b_i - s_i must reproduce n_i.  The recovery is asserted.
     """
     counts = [0] * len(cfg.b)
-    for users in _index_users(cfg):
+    for users in cfg.index_users:
         if len(users) == 1 and users[0] >= 1:
             counts[users[0] - 1] += 1
     s = tuple(counts)
@@ -286,7 +285,7 @@ def orthogonal_minus_one_classes(cfg: StringConfiguration) -> list[SphereClass]:
     complement; the complements realized here are minimal, so builds must
     return [].
     """
-    unused = [j for j, users in enumerate(_index_users(cfg), 1) if not users]
+    unused = [j for j, users in enumerate(cfg.index_users, 1) if not users]
     return [SphereClass(0, 0, frozenset((j,))) for j in unused] + [
         SphereClass(0, j, frozenset()) for j in reversed(unused)
     ]

@@ -9,11 +9,10 @@ functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import Callable, Optional
 
-from .cfrac import bounded_zero_cf, enumerate_zero_cf, eval_cf, reverse
+from .cfrac import bounded_zero_cf, enumerate_zero_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
 from .errors import TheoremViolation
 from .homology import rotation_numbers
@@ -43,31 +42,39 @@ def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def suite_catalan(kmax: int = 12, brute_kmax: int = 7) -> SuiteResult:
-    """Zero-tuple census: counts are Catalan numbers, and the generated
-    sets equal brute-force filtration for small lengths."""
-    cases = 0
-    brute_kmax = min(brute_kmax, kmax)
+def _triangulation_tuples(k: int):
+    """Triangle counts at v_1..v_k, once per triangulation of the polygon
+    v_0..v_k (k >= 2).  The triangle on the edge v_0 v_k has its apex at
+    some v_j and splits off the smaller polygons v_0..v_j and v_j..v_k."""
+    fans = {1: [(0, 0)]}  # counts at both ends; an edge bounds no triangle
+
+    def splits(m):
+        for j in range(1, m):
+            for a in fans[j]:
+                for c in fans[m - j]:
+                    yield (a[0] + 1, *a[1:-1], a[-1] + c[0] + 1, *c[1:-1], c[-1] + 1)
+
+    for m in range(2, k):
+        fans[m] = list(splits(m))  # small; the top level is streamed
+    return (t[1:] for t in splits(k))
+
+
+def suite_catalan(kmax: int = 12) -> SuiteResult:
+    """Zero tuples of length k >= 2 are the triangle counts at v_1..v_k, one
+    per triangulation of the polygon v_0..v_k (Conway-Coxeter), so Catalan(k-1)
+    of them: each k's search set must lose each such tuple once and end empty."""
     for k in range(2, kmax + 1):
         got = enumerate_zero_cf(k)
-        want = _catalan(k - 1)
-        cases += 1
-        if len(got) != want:
-            return SuiteResult(
-                "catalan", False, cases, f"k={k}", f"|set| = {len(got)}, Catalan = {want}"
-            )
-    for k in range(2, brute_kmax + 1):
-        brute = {
-            t
-            for t in product(range(1, k + 1), repeat=k)
-            if (v := eval_cf(t)).admissible and v.value == 0
-        }
-        cases += 1
-        if enumerate_zero_cf(k) != brute:
-            return SuiteResult("catalan", False, cases, f"k={k}", "set != brute force")
-    return SuiteResult(
-        "catalan", True, cases, f"counts to k={kmax}, brute force to k={brute_kmax}"
-    )
+        size, want = len(got), _catalan(k - 1)
+        try:
+            for t in _triangulation_tuples(k):
+                got.remove(t)
+        except KeyError as exc:
+            return SuiteResult("catalan", False, k - 2, f"k={k}", f"{exc} missing or repeated")
+        if got or size != want:
+            extra = f"|set| = {size}, Catalan = {want}, {len(got)} not from a triangulation"
+            return SuiteResult("catalan", False, k - 2, f"k={k}", extra)
+    return SuiteResult("catalan", True, kmax - 1, f"search = triangulation census for k <= {kmax}")
 
 
 def suite_duality(pmax: int = 300) -> SuiteResult:
@@ -150,14 +157,8 @@ def suite_mcduff(pmax: int = 100) -> SuiteResult:
 def suite_rational_ball(pmax: int = 500) -> SuiteResult:
     """A filling with b2 = 0 exists iff (p, q) = (m^2, m h - 1) with m, h
     coprime; the witness pairs are enumerated independently."""
-    expected = set()
-    m = 2
-    while m * m <= pmax:
-        for h in range(1, m + 1):
-            q = m * h - 1
-            if 1 <= q < m * m and gcd(m, h) == 1:
-                expected.add((m * m, q))
-        m += 1
+    roots = range(2, isqrt(pmax) + 1)  # 1 <= h < m keeps 1 <= q < m^2; h = m is not coprime
+    expected = {(m * m, m * h - 1) for m in roots for h in range(1, m) if gcd(m, h) == 1}
     cases = 0
     found = set()
     for p, q in _coprime_pairs(pmax):

@@ -58,8 +58,8 @@ def test_criterion_03_zero_tuple_census():
     _timed(
         3,
         60.0,
-        "zero-tuple counts are Catalan for k <= 12 and match brute force for k <= 7",
-        lambda: _assert_suite(suite_catalan(kmax=12, brute_kmax=7)),
+        "zero-tuple sets equal the polygon-triangulation census, of size Catalan(k-1), for k <= 12",
+        lambda: _assert_suite(suite_catalan(kmax=12)),
     )
 
 

@@ -19,9 +19,10 @@ from lensfill.cfrac import (
     reverse,
     strict_blowup_sequence,
 )
-from lensfill import cfrac
+from lensfill import cfrac, suites
 from lensfill.errors import ConsistencyViolated, InvalidInput, InvalidPair, NotBlowdownable
 from lensfill.exact import continuant, mod_inverse
+from lensfill.fillings import make_params, zset
 
 
 def eval_oracle(t):
@@ -418,6 +419,76 @@ def test_bounded_zero_cf_equals_unpruned_search_all_pairs():
             if gcd(p, q) == 1:
                 b = hj_expand(p, p - q)
                 assert bounded_zero_cf(b) == unpruned_bounded_zero_cf(b), (p, q)
+
+
+# The polygon-triangulation census (Conway-Coxeter) from lensfill.suites is
+# an oracle for the bounded search that never evaluates a continued fraction.
+def triangulation_bounded(bounds):
+    return sorted(
+        t
+        for t in suites._triangulation_tuples(len(bounds))
+        if all(x <= b for x, b in zip(t, bounds))
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 9), min_size=2, max_size=9))
+@example([1, 1, 1])
+@example([9] * 9)
+def test_bounded_zero_cf_equals_triangulation_census(bounds):
+    assert bounded_zero_cf(bounds) == triangulation_bounded(bounds)
+
+
+def test_zset_equals_triangulation_census_all_pairs():
+    checked = 0
+    for p in range(2, 60):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                pr = make_params(p, q)
+                if 2 <= len(pr.b) <= 9:
+                    assert zset(pr) == triangulation_bounded(pr.b), (p, q)
+                    checked += 1
+    assert checked == 824
+
+
+def test_suite_catalan_fails_on_a_swapped_tuple(monkeypatch):
+    staircase, fake = (1,) + (2,) * 7 + (1,), (2,) * 9
+    assert eval_cf(fake).value != 0
+    search = suites.enumerate_zero_cf
+
+    def swapped(k):
+        got = search(k)
+        if k == 9:  # same length, same count, one tuple wrong
+            got.remove(staircase)
+            got.add(fake)
+        return got
+
+    monkeypatch.setattr(suites, "enumerate_zero_cf", swapped)
+    res = suites.suite_catalan(kmax=9)
+    assert not res.ok and res.detail == "k=9" and res.cases == 7
+    assert str(staircase) in res.counterexample
+
+
+def test_suite_catalan_fails_on_a_repeated_triangulation_tuple(monkeypatch):
+    census = suites._triangulation_tuples
+
+    def repeating(k):
+        yield from census(k)
+        if k == 5:
+            yield (1, 2, 2, 2, 1)
+
+    monkeypatch.setattr(suites, "_triangulation_tuples", repeating)
+    res = suites.suite_catalan(kmax=9)
+    assert not res.ok and res.detail == "k=5" and res.cases == 3
+    assert res.counterexample == "(1, 2, 2, 2, 1) missing or repeated"
+
+
+def test_suite_catalan_fails_on_an_extra_tuple(monkeypatch):
+    search = suites.enumerate_zero_cf
+    monkeypatch.setattr(suites, "enumerate_zero_cf", lambda k: search(k) | {(2,) * k})
+    res = suites.suite_catalan(kmax=9)
+    assert not res.ok and res.detail == "k=2"
+    assert res.counterexample == "|set| = 2, Catalan = 1, 1 not from a triangulation"
 
 
 def test_dual_expansion_examples():

@@ -236,6 +236,8 @@ def test_rational_ball_criterion_examples():
     assert rational_ball_criterion(9, 5) == (3, 2)
     with pytest.raises(InvalidPair):
         rational_ball_criterion(6, 4)
+    with pytest.raises(InvalidPair, match=r"p, q must be ints, got 4\.0, 1"):
+        rational_ball_criterion(4.0, 1)  # not a TypeError from gcd
 
 
 def test_rational_ball_matches_handle_counts():

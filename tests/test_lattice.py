@@ -423,6 +423,14 @@ def test_check_filling_row():
     assert row["si_counts"] == [0, 0, 1, 0] and row["minimal"] is True
 
 
+def test_check_filling_builds_the_users_table_once(monkeypatch):
+    table = StringConfiguration.index_users  # the cached_property itself
+    build, builds = table.func, []
+    monkeypatch.setattr(table, "func", lambda cfg: builds.append(cfg) or build(cfg))
+    check_filling((2, 2, 2, 3), (2, 2, 1, 3))
+    assert len(builds) == 1
+
+
 def test_check_filling_forced_failure(monkeypatch, capsys):
     monkeypatch.setattr(lattice, "validate_string_lemma", lambda cfg: False)
     with pytest.raises(ConsistencyViolated) as info:
