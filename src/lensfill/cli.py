@@ -148,11 +148,14 @@ def cmd_lattice_check(args) -> str:
 
 
 def cmd_sweep(args) -> str:
-    if args.p_max is None:
+    if args.p_max is not None and args.p_max_flag is not None:
+        raise LensfillError(f"sweep takes one bound, got {args.p_max} and --pmax {args.p_max_flag}")
+    p_max = args.p_max if args.p_max_flag is None else args.p_max_flag
+    if p_max is None:
         raise LensfillError("sweep needs a bound: positional p_max or --pmax")
-    if args.p_max < 2:
-        raise LensfillError(f"sweep bound must be >= 2, got {args.p_max}")
-    reports = [build_report(p, q) for p, q in _coprime_pairs(args.p_max)]
+    if p_max < 2:
+        raise LensfillError(f"sweep bound must be >= 2, got {p_max}")
+    reports = [build_report(p, q) for p, q in _coprime_pairs(p_max)]
 
     def keep(r) -> bool:
         if args.rational_ball and not r["flags"]["rational_ball"]:
@@ -291,8 +294,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if getattr(args, "p_max_flag", None) is not None:
-        args.p_max = args.p_max_flag
     out = sys.stdout
     if args.out:
         # opened before the command runs, so an unwritable path fails at once;

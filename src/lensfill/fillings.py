@@ -116,26 +116,22 @@ def invariants(params: LensParams, n: Sequence[int]) -> FillingDescriptor:
 
 
 def _orbits(params: LensParams, zs: list[CFTuple]) -> list[list[CFTuple]]:
-    """The classes of classify, as tuples, from the already computed zset."""
+    """The classes of classify, as tuples, from the already computed zset.
+
+    zs is lexicographic, so the lesser of n and reverse(n) opens its class.
+    """
+    if (params.q * params.q) % params.p != 1:
+        return [[n] for n in zs]
     members = set(zs)
-    active = (params.q * params.q) % params.p == 1
     out = []
-    seen = set()
     for n in zs:
-        if n in seen:
-            continue
-        orbit = [n]
-        seen.add(n)
-        if active:
-            rn = reverse(n)
-            if rn != n:
-                if rn not in members:
-                    raise ConsistencyViolated(
-                        f"reversal of {n} escapes the bounded set of {params}"
-                    )
-                orbit.append(rn)
-                seen.add(rn)
-        out.append(orbit)
+        rn = reverse(n)
+        if rn not in members:
+            raise ConsistencyViolated(f"reversal of {n} escapes the bounded set of {params}")
+        if n == rn:
+            out.append([n])
+        elif n < rn:
+            out.append([n, rn])
     return out
 
 

@@ -4,7 +4,7 @@ from itertools import product
 from math import comb, gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lensfill.cfrac import (
@@ -237,6 +237,31 @@ def test_blowdown_then_blowup_identity():
                     assert blowup(down, s) == t
                     v = eval_cf(down)
                     assert v.admissible and v.value == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=9), st.data())
+def test_blowdown_undoes_blowup_on_any_tuple(t, data):
+    s = data.draw(st.integers(1, len(t) + 1), label="s")
+    assert blowdown(blowup(t, s), s) == tuple(t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=9), st.data())
+def test_strict_blowup_keeps_admissibility_and_value(t, data):
+    v = eval_cf(t)
+    assume(v.admissible)
+    s = data.draw(st.integers(2, len(t) + 1), label="s")
+    up = eval_cf(blowup(t, s))
+    assert up.admissible and up.value == v.value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=12))
+def test_value_is_the_ratio_of_consecutive_continuants(t):
+    v = eval_cf(t)
+    assume(v.admissible)
+    assert v.value == Fraction(continuant(t), continuant(t[1:]))
 
 
 def catalan(n):

@@ -3,6 +3,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensfill.errors import NotInvertible
 from lensfill.exact import continuant, mod_inverse, smith_diagonal
@@ -52,11 +54,18 @@ def test_continuant_examples():
     assert continuant((5, 2)) == 9
 
 
-def test_continuant_is_reversal_invariant():
-    rng = random.Random(7)
-    for _ in range(200):
-        t = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(0, 9)))
-        assert continuant(t) == continuant(t[::-1])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-9, 9), max_size=12))
+def test_continuant_is_reversal_invariant(t):
+    assert continuant(t) == continuant(t[::-1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=12))
+def test_string_type_continuant_is_signed_continuant(b):
+    # K(1, 1 - b_1, -b_2, ..., -b_k) = (-1)^k K(b) for every integer tuple:
+    # the Gram determinant of the sphere string is +-K(b) whatever b is
+    assert continuant([1, 1 - b[0]] + [-x for x in b[1:]]) == (-1) ** len(b) * continuant(b)
 
 
 def minor_gcd_diagonal(rows):

@@ -4,7 +4,9 @@ from math import gcd, isqrt
 import pytest
 
 from lensfill.cfrac import bounded_zero_cf, enumerate_zero_cf, eval_cf, hj_expand, reverse
+from lensfill import fillings
 from lensfill.errors import (
+    ConsistencyViolated,
     HypothesisViolated,
     InvalidPair,
     NotAFilling,
@@ -171,6 +173,16 @@ def test_classify_pairs_reversals_when_q_selfinverse():
         else:
             rn = reverse(ns[0])
             assert rn == ns[0] or (pr.q * pr.q) % pr.p != 1
+
+
+def test_orbits_reject_a_reversal_outside_the_set():
+    # L(15, 4): 4*4 = 1 mod 15, and (1,2,3,1,2), (2,1,3,2,1) form one class
+    pr = make_params(15, 4)
+    zs = zset(pr)
+    assert fillings._orbits(pr, zs) == [[(1, 2, 2, 2, 1)], [(1, 2, 3, 1, 2), (2, 1, 3, 2, 1)]]
+    for dropped in ((1, 2, 3, 1, 2), (2, 1, 3, 2, 1)):
+        with pytest.raises(ConsistencyViolated, match="escapes the bounded set"):
+            fillings._orbits(pr, [n for n in zs if n != dropped])
 
 
 def test_classify_counts_lens_p_1():

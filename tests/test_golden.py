@@ -5,7 +5,7 @@ Each case runs ``cli.main`` in-process and compares with the file
 the two streams as lists of lines.  A change that only restructures code
 must reproduce them byte for byte.
 
-    PYTHONPATH=src python tests/test_golden.py
+    python tests/test_golden.py
 
 writes the file of every case that has none yet and never overwrites an
 existing one, so a change that is meant to alter output has to delete the
@@ -20,6 +20,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":
+    # pytest puts src/ on the path from pyproject.toml; a script run does it here
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lensfill import cli
 
@@ -66,6 +70,7 @@ CASES = {
     "sweep-25-unique-rational-ball-json": ["sweep", "25", "--unique", "--rational-ball", "--json"],
     "sweep-1": ["sweep", "1"],
     "sweep-no-bound": ["sweep"],
+    "sweep-5-pmax-3": ["sweep", "5", "--pmax", "3"],
     "verify-catalan": ["verify", "catalan", "--kmax", "6"],
     "verify-duality": ["verify", "duality", "--pmax", "20"],
     "verify-gamma": ["verify", "gamma", "--pmax", "30"],

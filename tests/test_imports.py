@@ -1,6 +1,7 @@
 """Every name a lensfill module imports is used in that module, every
-module-level private name is used somewhere in the package, and no module
-holds an ``assert`` statement, since ``python -O`` strips those.
+module-level private name is used somewhere in the package, no module
+holds an ``assert`` statement, since ``python -O`` strips those, and the
+package exports exactly its modules' ``__all__`` lists.
 
 No linter ships with the package, so these are stdlib AST checks.  The
 package ``__init__.py`` is skipped by the import check, since its imports
@@ -11,6 +12,9 @@ import ast
 from pathlib import Path
 
 import lensfill
+from lensfill import cfrac, exact, fillings, homology, lattice, report
+
+EXPORTING_MODULES = (cfrac, exact, fillings, homology, lattice)
 
 PACKAGE = Path(lensfill.__file__).parent
 
@@ -103,3 +107,24 @@ def test_no_assert_statements_in_package():
         if (lines := assert_statements(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_package_exports_each_module_all_once():
+    exported = lensfill.__all__
+    assert len(exported) == len(set(exported))
+    declared = {name for module in EXPORTING_MODULES for name in module.__all__}
+    assert set(exported) == declared | {"build_report", "__version__"}
+
+
+def test_package_exports_are_the_defining_objects():
+    owner = {name: module for module in EXPORTING_MODULES for name in module.__all__}
+    owner["build_report"] = report
+    for name, module in owner.items():
+        assert getattr(lensfill, name) is getattr(module, name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from lensfill import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(lensfill.__all__)
