@@ -15,14 +15,15 @@ print("89/55 =", hj_expand(89, 55))
 
 # Evaluation is exact and reports each value as a reduced Fraction.
 v = eval_cf((2, 3, 3, 3, 3))
-print("[2,3,3,3,3] =", v.value, "(admissible:", v.admissible, ")")
-assert v.value == Fraction(89, 55)
+print("[2,3,3,3,3] =", v)
+assert v == Fraction(89, 55)
 
 # A tuple is admissible when every denominator met during evaluation is
-# positive.  (1, 0, 1) fails at position 2 because the tail [0, 1]
-# evaluates to -1:
+# positive; otherwise eval_cf returns None.  (1, 0, 1) is inadmissible
+# because the tail [0, 1] evaluates to -1:
 bad = eval_cf((1, 0, 1))
-print("(1,0,1) admissible:", bad.admissible, "- first bad tail at position", bad.position)
+print("(1,0,1) admissible:", bad is not None)
+assert bad is None
 
 # Riemenschneider duality: the expansions of p/q and p/(p-q) determine
 # each other through a staircase of dots.
@@ -33,6 +34,6 @@ assert a == hj_expand(36, 13)
 
 # Reading an expansion backwards swaps q for its inverse mod p:
 a = hj_expand(11, 4)
-back = eval_cf(reverse(a)).value
+back = eval_cf(reverse(a))
 print("11/4 =", a, "reversed evaluates to", back, "and 4 *", mod_inverse(4, 11), "= 1 mod 11")
 assert back == Fraction(11, mod_inverse(4, 11))

@@ -20,8 +20,7 @@ from lensfill import (
 
 for p, q in ((4, 1), (9, 2), (12, 5), (25, 4)):
     pr = make_params(p, q)
-    mb = mu_basis(pr.b, p)
-    print(f"L({p},{q}): chain {pr.b}, meridians c = {mb.coeffs} (mod {p})")
+    print(f"L({p},{q}): chain {pr.b}, meridians c = {mu_basis(pr.b, p)} (mod {p})")
     for s in spin_structures(pr.b, p):
         a = gamma_filling(pr.b, s)
         b = gamma_standard(pr.b, s)

@@ -16,7 +16,6 @@ singularities and lens spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -24,7 +23,6 @@ from typing import Optional, Sequence
 from .errors import ConsistencyViolated, InvalidInput, InvalidPair, NotBlowdownable
 
 __all__ = [
-    "CFValue",
     "eval_cf",
     "hj_expand",
     "is_admissible_matrix",
@@ -40,46 +38,31 @@ __all__ = [
 CFTuple = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CFValue:
-    """Outcome of evaluating a continued fraction.
-
-    ``admissible`` is False when some tail denominator is <= 0, in which
-    case ``position`` is the 1-based index where the first bad tail starts
-    (in bottom-up evaluation order).  The empty tuple is admissible with no
-    value, purely as the base of the recursion.
-    """
-
-    admissible: bool
-    value: Optional[Fraction] = None
-    position: Optional[int] = None
-
-
 def _check_entries(t: Sequence[int]) -> None:
     for x in t:
         if not isinstance(x, int) or x < 0:
             raise ValueError(f"tuple entries must be non-negative ints, got {x!r}")
 
 
-def eval_cf(t: Sequence[int]) -> CFValue:
+def eval_cf(t: Sequence[int]) -> Optional[Fraction]:
     """Evaluate [t_1, ..., t_k] exactly, bottom up.
 
-    Inadmissibility (a tail value <= 0 consumed as a denominator, zero
-    included) is reported as a value, not an error.  The denominator and
-    numerator are tracked through tail continuants, so a single integer
-    pass decides admissibility and yields the reduced rational.
+    Returns the reduced rational, or None when t is inadmissible (a tail
+    value <= 0, zero included, consumed as a denominator) or empty.  The
+    value 0 is falsy, so test with ``is None`` or ``== 0``.  Tracking tail
+    continuants makes one integer pass decide admissibility and the value.
     """
     _check_entries(t)
     k = len(t)
     if k == 0:
-        return CFValue(True)
+        return None
     # s1, s2 = K(t_{i+1}..t_k), K(t_{i+2}..t_k);  tail value = K_i / K_{i+1}
     s1, s2 = 1, 0
     for i in range(k, 1, -1):
         s1, s2 = t[i - 1] * s1 - s2, s1
         if s1 <= 0:
-            return CFValue(False, None, i)
-    return CFValue(True, Fraction(t[0] * s1 - s2, s1))
+            return None
+    return Fraction(t[0] * s1 - s2, s1)
 
 
 def _check_pair(p: int, q: int) -> None:
@@ -182,8 +165,7 @@ def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
     any length, unlike replaying the Catalan-sized generation.
     """
     n = tuple(n)
-    v = eval_cf(n)
-    if not v.admissible or v.value != 0:
+    if eval_cf(n) != 0:
         raise ValueError(f"{n} is not an admissible zero tuple")
     seq = []
     cur = n
@@ -309,9 +291,9 @@ def dual_expansion(b: Sequence[int]) -> CFTuple:
     a = tuple(c + 1 for c in counts)
 
     v = eval_cf(b)
-    if not v.admissible or v.value is None or v.value <= 1:
+    if v is None or v <= 1:
         raise InvalidInput(f"{b} does not present a pair p > p-q >= 1")
-    p, pq = v.value.numerator, v.value.denominator
+    p, pq = v.numerator, v.denominator
     if a != (direct := hj_expand(p, p - pq)):
         raise ConsistencyViolated(f"point diagram of b = {b} gives {a}, direct route {direct}")
     return a

@@ -29,7 +29,6 @@ from .exact import mod_inverse
 __all__ = [
     "LensParams",
     "FillingDescriptor",
-    "FillingClass",
     "make_params",
     "zset",
     "invariants",
@@ -64,18 +63,10 @@ class FillingDescriptor:
     handle_counts the per-component two-handle multiplicities b_i - n_i.
     """
 
-    params: LensParams
     n: CFTuple
     chi: int
     b2: int
     handle_counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FillingClass:
-    """Fillings identified up to orientation-preserving diffeomorphism."""
-
-    representatives: tuple[FillingDescriptor, ...]
 
 
 def make_params(p: int, q: int) -> LensParams:
@@ -98,8 +89,7 @@ def _check_member(params: LensParams, n: Sequence[int]) -> CFTuple:
     b = params.b
     if len(n) != len(b) or any(x < 0 or x > bi for x, bi in zip(n, b)):
         raise NotAFilling(f"{n} is not bounded by {b}")
-    v = eval_cf(n)
-    if not v.admissible or v.value != 0:
+    if eval_cf(n) != 0:
         raise NotAFilling(f"{n} is not an admissible zero tuple")
     return n
 
@@ -107,7 +97,7 @@ def _check_member(params: LensParams, n: Sequence[int]) -> CFTuple:
 def _describe(params: LensParams, n: CFTuple) -> FillingDescriptor:
     handles = tuple(bi - ni for bi, ni in zip(params.b, n))
     chi = sum(handles)
-    return FillingDescriptor(params=params, n=n, chi=chi, b2=chi - 1, handle_counts=handles)
+    return FillingDescriptor(n=n, chi=chi, b2=chi - 1, handle_counts=handles)
 
 
 def invariants(params: LensParams, n: Sequence[int]) -> FillingDescriptor:
@@ -135,17 +125,17 @@ def _orbits(params: LensParams, zs: list[CFTuple]) -> list[list[CFTuple]]:
     return out
 
 
-def classify(params: LensParams) -> list[FillingClass]:
+def classify(params: LensParams) -> list[tuple[FillingDescriptor, ...]]:
     """Partition the fillings by the diffeomorphism relation.
 
-    The reversal n ~ reverse(n) is active exactly when q^2 = 1 mod p (then
-    qbar = q and reversal preserves the bound b, which is a palindrome).
-    Classes are listed by their lexicographically least representative,
-    least first within each class.
+    Each class is a tuple of descriptors, one per member.  The reversal
+    n ~ reverse(n) is active exactly when q^2 = 1 mod p (then qbar = q and
+    reversal preserves the bound b, which is a palindrome).  Classes are
+    listed by their lexicographically least representative, least first
+    within each class.
     """
     return [
-        FillingClass(tuple(invariants(params, m) for m in orbit))
-        for orbit in _orbits(params, zset(params))
+        tuple(invariants(params, m) for m in orbit) for orbit in _orbits(params, zset(params))
     ]
 
 
@@ -195,8 +185,7 @@ def unique_one_value(n: Sequence[int]) -> tuple[int, int]:
     """
     n = tuple(n)
     k = len(n)
-    v = eval_cf(n)
-    if k < 3 or any(x < 1 for x in n) or not v.admissible or v.value != 0:
+    if k < 3 or any(x < 1 for x in n) or eval_cf(n) != 0:
         raise PreconditionViolated(f"{n} is not a positive zero tuple of length >= 3")
     ones = [i for i, x in enumerate(n) if x == 1]
     if len(ones) != 1:
@@ -204,9 +193,9 @@ def unique_one_value(n: Sequence[int]) -> tuple[int, int]:
     j = ones[0]
     bumped = n[:j] + (2,) + n[j + 1 :]
     w = eval_cf(bumped)
-    if not w.admissible or w.value is None:
+    if w is None:
         raise TheoremViolation(f"bumped tuple {bumped} is inadmissible")
-    num, den = w.value.numerator, w.value.denominator
+    num, den = w.numerator, w.denominator
     m = isqrt(num)
     if m * m != num or (den - 1) % m:
         raise TheoremViolation(f"[{bumped}] = {num}/{den} is not of the shape m^2/(m*nn+1)")

@@ -12,7 +12,6 @@ the rotation numbers of the chain of attaching circles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .cfrac import eval_cf
@@ -25,7 +24,6 @@ from .errors import (
 from .exact import continuant
 
 __all__ = [
-    "MuBasis",
     "mu_basis",
     "spin_structures",
     "is_valid_spin",
@@ -37,18 +35,11 @@ __all__ = [
 Bits = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MuBasis:
-    """Coefficients c_i with mu_i = c_i * mu_1 in Z/p, c_1 = 1."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-
-def mu_basis(b: Sequence[int], p: int) -> MuBasis:
+def mu_basis(b: Sequence[int], p: int) -> tuple[int, ...]:
     """Express every meridian class as a multiple of mu_1 modulo p.
 
-    The recursion c_1 = 1, c_2 = b_1, c_{i+1} = b_i c_i - c_{i-1} follows
+    Returns (c_1, ..., c_k) with mu_i = c_i * mu_1 in Z/p, c_1 = 1.  The
+    recursion c_1 = 1, c_2 = b_1, c_{i+1} = b_i c_i - c_{i-1} follows
     from the chain relations; the final relation b_k c_k = c_{k-1} must
     close modulo p, and the chain determinant K(b) must equal p.  Both are
     asserted: a failure means the inputs are mismatched or the code is
@@ -67,7 +58,7 @@ def mu_basis(b: Sequence[int], p: int) -> MuBasis:
         prev = coeffs[-2]
     if (b[k - 1] * coeffs[-1] - prev) % p:
         raise ClosureViolated(f"meridian recursion fails to close for {b} mod {p}")
-    return MuBasis(p=p, coeffs=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _parity_ok(b: Sequence[int], s: Sequence[int]) -> bool:
@@ -130,13 +121,13 @@ def gamma_filling(b: Sequence[int], s: Sequence[int]) -> int:
     if not is_valid_spin(b, s):
         raise InvalidSpin(f"{s} is not a spin structure for chain {b}")
     p = continuant(b)
-    mb = mu_basis(b, p)
+    mu = mu_basis(b, p)
     total = 0
     for i in range(1, k + 1):
         sm = s[i - 2] if i >= 2 else 0
         sp = s[i] if i <= k - 1 else 0
         coeff = (sm + sp + b[i - 1] * (1 - s[i - 1])) // 2 - (1 if i >= 2 else 0)
-        total += coeff * mb.coeffs[i - 1]
+        total += coeff * mu[i - 1]
     return total % p
 
 
@@ -160,7 +151,7 @@ def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
     if not is_valid_spin(b, s):
         raise InvalidSpin(f"{s} is not a spin structure for chain {b}")
     p = continuant(b)
-    mb = mu_basis(b, p)
+    mu = mu_basis(b, p)
     t = (1 - s[0],) + tuple(s)  # indices 0..k; t_{-1} = t_{k+1} = 0
     bprime = (1, 1 - b[0]) + tuple(-x for x in b[1:])
     g = []
@@ -171,9 +162,9 @@ def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
         if num % 2:
             raise InvalidSpin(f"odd coefficient at position {i} for {b}, {s}")
         g.append(num // 2)
-    total = (g[1] - g[0]) * mb.coeffs[0]
+    total = (g[1] - g[0]) * mu[0]
     for i in range(2, k + 1):
-        total += g[i] * mb.coeffs[i - 1]
+        total += g[i] * mu[i - 1]
     return (-total) % p
 
 
@@ -188,8 +179,7 @@ def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:
     beyond r_1 = 0.
     """
     n = tuple(n)
-    v = eval_cf(n)
-    if not v.admissible or v.value != 0:
+    if eval_cf(n) != 0:
         raise ValueError(f"{n} is not an admissible zero tuple")
     k = len(n)
     if k == 1:

@@ -111,8 +111,8 @@ def render_table(report: dict[str, Any]) -> str:
         f"  rational-ball filling: {ball}    unique filling certified: "
         f"{'yes' if fl['unique_filling_certified'] else 'no'}"
     )
-    mb = mu_basis(tuple(report["b"]), p)
-    lines.append(f"  meridian scale: mu_k = {mb.coeffs[-1]} mu_1 (mod {p})")
+    mu_k = mu_basis(tuple(report["b"]), p)[-1]
+    lines.append(f"  meridian scale: mu_k = {mu_k} mu_1 (mod {p})")
     lines.append(f"  fillings ({len(report['z_set'])}):")
     for i, f in enumerate(report["fillings"]):
         lines.append(

@@ -25,29 +25,6 @@ from lensfill.exact import continuant, mod_inverse
 from lensfill.fillings import make_params, zset
 
 
-def eval_oracle(t):
-    """Independent evaluation: top-down Fractions, denominators checked.
-
-    Returns (admissible, value, first bad position) like eval_cf but
-    computed the naive way.
-    """
-    k = len(t)
-    value = None
-    for i in range(k, 0, -1):
-        if i < k:
-            if value <= 0:
-                # scan deeper tails for the earliest failure bottom-up
-                return False, None, i + 1
-            value = Fraction(t[i - 1]) - 1 / value
-        else:
-            value = Fraction(t[i - 1])
-    if k >= 2 and value is not None:
-        # the last computed tail is [t_1..t_k]; the denominators were the
-        # deeper tails, all already checked, except [t_2..t_k]
-        pass
-    return True, value, None
-
-
 def eval_oracle_full(t):
     """All tail values as Fractions, None past the first failure."""
     tails = {}
@@ -64,22 +41,14 @@ def eval_oracle_full(t):
 
 
 def test_eval_examples():
-    v = eval_cf((1, 1))
-    assert v.admissible and v.value == 0
-    v = eval_cf((2, 1, 2))
-    assert v.admissible and v.value == 0
-    v = eval_cf((1, 0, 1))
-    assert not v.admissible and v.position == 2 and v.value is None
-    v = eval_cf((0,))
-    assert v.admissible and v.value == 0
-    v = eval_cf((7,))
-    assert v.admissible and v.value == 7
-    v = eval_cf(())
-    assert v.admissible and v.value is None and v.position is None
-    v = eval_cf((1, 0))
-    assert not v.admissible and v.position == 2
-    v = eval_cf((5, 2, 0))
-    assert not v.admissible and v.position == 3
+    assert eval_cf((1, 1)) == 0
+    assert eval_cf((2, 1, 2)) == 0
+    assert eval_cf((1, 0, 1)) is None
+    assert eval_cf((0,)) == 0
+    assert eval_cf((7,)) == 7
+    assert eval_cf(()) is None
+    assert eval_cf((1, 0)) is None
+    assert eval_cf((5, 2, 0)) is None
 
 
 def test_eval_rejects_negative_entries():
@@ -93,25 +62,12 @@ def test_eval_matches_fraction_oracle_exhaustively():
             got = eval_cf(t)
             tails = eval_oracle_full(t)
             if tails is None:
-                assert not got.admissible
-                # position = largest index whose tail is the first bottom-up failure
-                bad = None
-                value = None
-                for i in range(k, 0, -1):
-                    if value is None:
-                        value = Fraction(t[i - 1])
-                    else:
-                        value = Fraction(t[i - 1]) - 1 / value
-                    if i >= 2 and value <= 0:
-                        bad = i
-                        break
-                assert got.position == bad
+                assert got is None
             else:
-                assert got.admissible
-                assert got.value == tails[1]
+                assert got == tails[1]
                 assert all(tails[i] > 0 for i in range(2, k + 1))
                 # numerator and denominator are consecutive continuants
-                assert got.value == Fraction(continuant(t), continuant(t[1:]))
+                assert got == Fraction(continuant(t), continuant(t[1:]))
 
 
 def test_hj_expand_examples():
@@ -144,8 +100,7 @@ def test_hj_expand_round_trip_large_sweep():
     for p in range(2, 200):
         for q in range(1, p):
             if gcd(p, q) == 1:
-                v = eval_cf(hj_expand(p, q))
-                assert v.admissible and v.value == Fraction(p, q)
+                assert eval_cf(hj_expand(p, q)) == Fraction(p, q)
 
 
 def test_reversal_gives_inverse_denominator():
@@ -183,17 +138,16 @@ def test_admissibility_matrix_vs_evaluation_exhaustive():
             m = is_admissible_matrix(t)
             e = eval_cf(t)
             er = eval_cf(t[::-1])
-            assert m == (e.admissible and er.admissible), t
-            assert m == (e.admissible and e.value >= 0), t
-            if e.admissible and e.value == 0:
+            assert m == (e is not None and er is not None), t
+            assert m == (e is not None and e >= 0), t
+            if e == 0:
                 assert m, t
 
 
 def test_admissibility_matrix_separating_witness():
-    e = eval_cf((1, 1, 2))
-    assert e.admissible and e.value == -1
+    assert eval_cf((1, 1, 2)) == -1
     assert is_admissible_matrix((1, 1, 2)) is False
-    assert eval_cf((2, 1, 1)).admissible is False
+    assert eval_cf((2, 1, 1)) is None
 
 
 def test_blowdown_examples():
@@ -224,8 +178,7 @@ def test_blowup_blowdown_inverse_on_zero_tuples():
             for s in range(1, k + 2):
                 up = blowup(t, s)
                 assert blowdown(up, s) == t
-                v = eval_cf(up)
-                assert v.admissible and v.value == 0
+                assert eval_cf(up) == 0
 
 
 def test_blowdown_then_blowup_identity():
@@ -235,8 +188,7 @@ def test_blowdown_then_blowup_identity():
                 if t[s - 1] == 1:
                     down = blowdown(t, s)
                     assert blowup(down, s) == t
-                    v = eval_cf(down)
-                    assert v.admissible and v.value == 0
+                    assert eval_cf(down) == 0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -250,18 +202,17 @@ def test_blowdown_undoes_blowup_on_any_tuple(t, data):
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=9), st.data())
 def test_strict_blowup_keeps_admissibility_and_value(t, data):
     v = eval_cf(t)
-    assume(v.admissible)
+    assume(v is not None)
     s = data.draw(st.integers(2, len(t) + 1), label="s")
-    up = eval_cf(blowup(t, s))
-    assert up.admissible and up.value == v.value
+    assert eval_cf(blowup(t, s)) == v
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=12))
 def test_value_is_the_ratio_of_consecutive_continuants(t):
     v = eval_cf(t)
-    assume(v.admissible)
-    assert v.value == Fraction(continuant(t), continuant(t[1:]))
+    assume(v is not None)
+    assert v == Fraction(continuant(t), continuant(t[1:]))
 
 
 def catalan(n):
@@ -306,7 +257,7 @@ def test_enumerate_zero_cf_equals_brute_force():
         brute = {
             t
             for t in product(range(1, k + 1), repeat=k)
-            if (v := eval_cf(t)).admissible and v.value == 0
+            if eval_cf(t) == 0
         }
         assert enumerate_zero_cf(k) == brute
 
@@ -399,7 +350,7 @@ def brute_bounded_zero_cf(bounds):
     return [
         t
         for t in product(*(range(b + 1) for b in bounds))
-        if (v := eval_cf(t)).admissible and v.value == 0
+        if eval_cf(t) == 0
     ]
 
 
@@ -478,7 +429,7 @@ def test_zset_equals_triangulation_census_all_pairs():
 
 def test_suite_catalan_fails_on_a_swapped_tuple(monkeypatch):
     staircase, fake = (1,) + (2,) * 7 + (1,), (2,) * 9
-    assert eval_cf(fake).value != 0
+    assert eval_cf(fake) != 0
     search = suites.enumerate_zero_cf
 
     def swapped(k):

@@ -8,15 +8,19 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+
+from lensfill import build_report
+from test_fillings import coprime_pair
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "schema" / "report.schema.json").read_text())
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
+    # the child imports lensfill from this checkout, whatever PYTHONPATH holds
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "lensfill", *args],
         capture_output=True,
@@ -51,6 +55,14 @@ def test_fillings_json_l9_2():
     assert s["gamma_filling"] == s["gamma_standard"]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coprime_pair(2000))
+def test_report_matches_schema_on_random_pairs(pq):
+    # p <= 2000: jsonschema checks every array entry, so the chains of
+    # length ~p that q = 1 gives near p = 10^5 cost seconds each
+    jsonschema.validate(build_report(*pq), SCHEMA)
+
+
 def test_json_round_trips_losslessly():
     res = run_cli("fillings", "8", "3", "--json")
     report = json.loads(res.stdout)
@@ -64,6 +76,13 @@ def test_exit_code_on_bad_pair():
     assert res.returncode == 1
     res = run_cli("verify", "nosuchsuite")
     assert res.returncode == 1
+
+
+def test_runs_without_pythonpath(monkeypatch):
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    res = run_cli("expand", "9", "2")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout
 
 
 def test_byte_identical_runs():
@@ -138,12 +157,6 @@ def test_sweep_pmax_flag_spelling():
     flagged = run_cli("sweep", "--pmax", "8", "--json")
     assert positional.stdout == flagged.stdout
     assert run_cli("sweep").returncode == 1
-
-
-def test_sweep_threads_env_matches_sequential():
-    seq = run_cli("sweep", "15", "--json")
-    par = run_cli("sweep", "15", "--json", env_extra={"LENS_THREADS": "4"})
-    assert seq.stdout == par.stdout
 
 
 def test_expand_command():

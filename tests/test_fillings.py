@@ -2,6 +2,8 @@ from itertools import product
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensfill.cfrac import bounded_zero_cf, enumerate_zero_cf, eval_cf, hj_expand, reverse
 from lensfill import fillings
@@ -31,6 +33,15 @@ def coprime_pairs(pmax):
         for q in range(1, p):
             if gcd(p, q) == 1:
                 yield p, q
+
+
+def coprime_pair(pmax):
+    """Strategy for a coprime pair p > q >= 1 with p <= pmax."""
+    return (
+        st.integers(2, pmax)
+        .flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1)))
+        .filter(lambda pq: gcd(*pq) == 1)
+    )
 
 
 def test_make_params_examples():
@@ -70,7 +81,7 @@ def test_zset_matches_definition_brute_force():
         brute = sorted(
             t
             for t in product(*(range(x + 1) for x in b))
-            if (v := eval_cf(t)).admissible and v.value == 0
+            if eval_cf(t) == 0
         )
         assert zset(make_params(p, q)) == brute
         if k >= 2:
@@ -149,10 +160,10 @@ def test_invariants_rejects_non_members():
 
 def test_classify_examples():
     cls = classify(make_params(4, 1))
-    assert [[d.n for d in c.representatives] for c in cls] == [[(1, 2, 1)], [(2, 1, 2)]]
+    assert [[d.n for d in c] for c in cls] == [[(1, 2, 1)], [(2, 1, 2)]]
 
     cls = classify(make_params(9, 2))
-    assert [[d.n for d in c.representatives] for c in cls] == [
+    assert [[d.n for d in c] for c in cls] == [
         [(1, 2, 2, 1)],
         [(2, 2, 1, 3)],
     ]
@@ -164,9 +175,9 @@ def test_classify_pairs_reversals_when_q_selfinverse():
     assert (pr.q * pr.q) % pr.p == 1
     zs = zset(pr)
     cls = classify(pr)
-    assert sum(len(c.representatives) for c in cls) == len(zs)
+    assert sum(len(c) for c in cls) == len(zs)
     for c in cls:
-        ns = [d.n for d in c.representatives]
+        ns = [d.n for d in c]
         if len(ns) == 2:
             assert ns[1] == reverse(ns[0]) and ns[0] != ns[1]
             assert ns[0] < ns[1]
@@ -275,6 +286,16 @@ def test_reversal_symmetry_of_fillings():
         prbar = make_params(p, pr.qbar)
         assert prbar.b == reverse(pr.b)
         assert sorted(reverse(n) for n in zset(pr)) == zset(prbar)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coprime_pair(10**5))
+def test_reversal_duality_on_random_pairs(pq):
+    # qbar swaps with q under reversal, far past the exhaustive range above
+    pr = make_params(*pq)
+    prbar = make_params(pr.p, pr.qbar)
+    assert prbar.b == reverse(pr.b)
+    assert zset(prbar) == sorted(reverse(n) for n in zset(pr))
 
 
 def test_square_lens_spaces_have_two_fillings():
