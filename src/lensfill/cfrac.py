@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .errors import ConsistencyViolated, InvalidInput, InvalidPair, NotBlowdownable
+from .errors import LensfillError, TheoremViolation
 
 __all__ = [
     "eval_cf",
@@ -37,11 +37,16 @@ __all__ = [
 
 CFTuple = tuple[int, ...]
 
+# the most tuples one search may produce: bounded_zero_cf refuses to emit
+# more, and zeroseq and verify --kmax refuse lengths k whose Catalan(k-1)
+# zero tuples exceed it, so they admit k <= 14
+MAX_TUPLES = 10**6
+
 
 def _check_entries(t: Sequence[int]) -> None:
     for x in t:
         if not isinstance(x, int) or x < 0:
-            raise ValueError(f"tuple entries must be non-negative ints, got {x!r}")
+            raise LensfillError(f"tuple entries must be non-negative ints, got {x!r}")
 
 
 def eval_cf(t: Sequence[int]) -> Optional[Fraction]:
@@ -66,11 +71,11 @@ def eval_cf(t: Sequence[int]) -> Optional[Fraction]:
 
 
 def _check_pair(p: int, q: int) -> None:
-    """Raise InvalidPair unless p and q are coprime ints with p > q >= 1."""
+    """Raise LensfillError unless p and q are coprime ints with p > q >= 1."""
     if not (isinstance(p, int) and isinstance(q, int)):
-        raise InvalidPair(f"p, q must be ints, got {p!r}, {q!r}")
+        raise LensfillError(f"p, q must be ints, got {p!r}, {q!r}")
     if q < 1 or p <= q or gcd(p, q) != 1:
-        raise InvalidPair(f"need coprime p > q >= 1, got ({p}, {q})")
+        raise LensfillError(f"need coprime p > q >= 1, got ({p}, {q})")
 
 
 def hj_expand(p: int, q: int) -> CFTuple:
@@ -99,7 +104,7 @@ def is_admissible_matrix(t: Sequence[int]) -> bool:
     determinant non-negative.
     """
     if any(x < 1 for x in t):
-        raise ValueError("matrix admissibility test needs positive entries")
+        raise LensfillError("matrix admissibility test needs positive entries")
     k = len(t)
     prev2, prev = 0, 1
     for i in range(k - 1):
@@ -119,9 +124,9 @@ def blowdown(t: Sequence[int], s: int) -> CFTuple:
     t = tuple(t)
     k = len(t)
     if not (1 <= s <= k) or k < 2:
-        raise NotBlowdownable(f"position {s} out of range for length {k}")
+        raise LensfillError(f"position {s} out of range for length {k}")
     if t[s - 1] != 1:
-        raise NotBlowdownable(f"entry at position {s} is {t[s - 1]}, not 1")
+        raise LensfillError(f"entry at position {s} is {t[s - 1]}, not 1")
     left = t[: s - 2] + (t[s - 2] - 1,) if s >= 2 else ()
     right = ((t[s] - 1,) + t[s + 1 :]) if s <= k - 1 else ()
     return left + right
@@ -133,7 +138,7 @@ def blowup(t: Sequence[int], s: int) -> CFTuple:
     t = tuple(t)
     k = len(t)
     if not (1 <= s <= k + 1):
-        raise ValueError(f"insertion position {s} out of range for length {k}")
+        raise LensfillError(f"insertion position {s} out of range for length {k}")
     out = list(t[: s - 1]) + [1] + list(t[s - 1 :])
     if s >= 2:
         out[s - 2] += 1
@@ -152,7 +157,7 @@ def enumerate_zero_cf(k: int) -> set[CFTuple]:
     the Catalan number C(k-1).
     """
     if k < 1:
-        raise ValueError(f"length must be >= 1, got {k}")
+        raise LensfillError(f"length must be >= 1, got {k}")
     return set(bounded_zero_cf((k - 1,) * k))
 
 
@@ -166,7 +171,7 @@ def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
     """
     n = tuple(n)
     if eval_cf(n) != 0:
-        raise ValueError(f"{n} is not an admissible zero tuple")
+        raise LensfillError(f"{n} is not an admissible zero tuple")
     seq = []
     cur = n
     while len(cur) > 1:
@@ -176,7 +181,7 @@ def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
                 cur = blowdown(cur, s)
                 break
         else:
-            raise ValueError(f"{cur} has no strict entry equal to 1")
+            raise TheoremViolation(f"{cur} has no strict entry equal to 1")
     return tuple(reversed(seq))
 
 
@@ -205,6 +210,7 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     d <= m passes at once; otherwise it is run for at most m steps.  Under
     bounds (k-1,)*k, which never bind, every entered position is a prefix
     of an output tuple.  The explicit stack leaves the recursion limit alone.
+    Raises LensfillError rather than emit more than MAX_TUPLES tuples.
     """
     _check_entries(bounds)
     k = len(bounds)
@@ -219,6 +225,7 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
         caps[j] = t1
         t1, t0 = bounds[j + 1] * t1 - t0, t1
     out: list[CFTuple] = []
+    limit = MAX_TUPLES
     path = [0] * k
     frames: list[tuple[int, int, int]] = []  # (num, den, hi) per open position
     num, den = 0, 1
@@ -236,6 +243,11 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
             frames.append((num, den, hi))
             path[j] = v
         elif num <= bounds[last]:  # den == 1 here, so n_k = num
+            if len(out) == limit:
+                raise LensfillError(
+                    f"the zero tuples bounded by {tuple(bounds)} number more than "
+                    f"the limit of {limit}"
+                )
             path[last] = num
             out.append(tuple(path))
         # advance the deepest open position to its next value whose tail
@@ -274,11 +286,11 @@ def dual_expansion(b: Sequence[int]) -> CFTuple:
     the last dot of the previous one; the column counts plus one give the
     dual expansion.  The result is cross-checked against the direct route
     (recover p and q from the value, expand p/q); a mismatch raises
-    ConsistencyViolated.
+    TheoremViolation.
     """
     b = tuple(b)
     if not b or any(x < 2 for x in b):
-        raise InvalidInput(f"need a tuple with all entries >= 2, got {b}")
+        raise LensfillError(f"need a tuple with all entries >= 2, got {b}")
     counts: list[int] = []
     col = 0
     for x in b:
@@ -292,10 +304,10 @@ def dual_expansion(b: Sequence[int]) -> CFTuple:
 
     v = eval_cf(b)
     if v is None or v <= 1:
-        raise InvalidInput(f"{b} does not present a pair p > p-q >= 1")
+        raise LensfillError(f"{b} does not present a pair p > p-q >= 1")
     p, pq = v.numerator, v.denominator
     if a != (direct := hj_expand(p, p - pq)):
-        raise ConsistencyViolated(f"point diagram of b = {b} gives {a}, direct route {direct}")
+        raise TheoremViolation(f"point diagram of b = {b} gives {a}, direct route {direct}")
     return a
 
 

@@ -1,9 +1,10 @@
 """Command line surface.
 
-Exit codes: 0 success, 1 bad arguments or invalid input, 2 when a
-computation contradicts a structural guarantee (the most important signal
-the tool can emit).  Output is deterministic; identical invocations
-produce byte-identical output.
+Exit codes: 0 success; 1 for bad arguments or a LensfillError (an input
+outside the operation's domain); 2 for a TheoremViolation (a computation
+contradicting a proved statement, the most important signal the tool can
+emit).  Output is deterministic; identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import inspect
 import json
 import sys
 
-from .cfrac import bounded_zero_cf, hj_expand
+from .cfrac import MAX_TUPLES, bounded_zero_cf, hj_expand
 from .errors import LensfillError, TheoremViolation
 from .fillings import make_params, zset
 from .homology import rotation_numbers
@@ -22,10 +23,6 @@ from .report import build_report, render_csv, render_table, spin_rows
 from .suites import SUITES, _ALIASES, _catalan, _coprime_pairs, resolve_suite
 
 _SUITE_CHOICES = sorted(SUITES) + sorted(_ALIASES) + ["all"]
-
-# zeroseq and verify --kmax refuse lengths k whose Catalan(k-1) zero tuples
-# exceed this; they admit k <= 14
-ZEROSEQ_MAX_TUPLES = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,12 +36,12 @@ def _dump_json(payload) -> str:
 
 def _zero_tuple_count(k: int, action: str) -> int:
     """Catalan(k-1), the number of zero tuples of length k >= 1; refuses
-    counts above ZEROSEQ_MAX_TUPLES before anything is enumerated."""
+    counts above MAX_TUPLES before anything is enumerated."""
     count = _catalan(max(k - 1, 0))
-    if count > ZEROSEQ_MAX_TUPLES:
+    if count > MAX_TUPLES:
         raise LensfillError(
             f"{action} Catalan({k - 1}) = {count} tuples, "
-            f"more than the limit of {ZEROSEQ_MAX_TUPLES}"
+            f"more than the limit of {MAX_TUPLES}"
         )
     return count
 

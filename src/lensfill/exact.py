@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .errors import NotInvertible
+from .errors import LensfillError
 
 __all__ = ["mod_inverse", "continuant", "smith_diagonal"]
 
@@ -18,14 +18,13 @@ __all__ = ["mod_inverse", "continuant", "smith_diagonal"]
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of ``a`` modulo ``m``, normalized into ``[1, m-1]``.
 
-    Raises NotInvertible when gcd(a, m) != 1 or m < 2.
+    Raises LensfillError when gcd(a, m) != 1 or m < 2.
     """
     if m < 2:
-        raise NotInvertible(f"modulus must be at least 2, got {m}")
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise NotInvertible(f"{a} has no inverse mod {m}") from None
+        raise LensfillError(f"modulus must be at least 2, got {m}")
+    if gcd(a, m) != 1:
+        raise LensfillError(f"{a} has no inverse mod {m}")
+    return pow(a, -1, m)
 
 
 def continuant(t: Sequence[int]) -> int:
@@ -45,11 +44,11 @@ def continuant(t: Sequence[int]) -> int:
 def _as_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     a = [list(row) for row in matrix]
     if a and any(len(row) != len(a[0]) for row in a):
-        raise ValueError("matrix rows have unequal lengths")
+        raise LensfillError("matrix rows have unequal lengths")
     for row in a:
         for x in row:
             if not isinstance(x, int):
-                raise ValueError(f"matrix entries must be ints, got {x!r}")
+                raise LensfillError(f"matrix entries must be ints, got {x!r}")
     return a
 
 

@@ -17,13 +17,7 @@ from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .cfrac import CFTuple, _check_pair, bounded_zero_cf, eval_cf, hj_expand, reverse
-from .errors import (
-    ConsistencyViolated,
-    HypothesisViolated,
-    NotAFilling,
-    PreconditionViolated,
-    TheoremViolation,
-)
+from .errors import LensfillError, TheoremViolation
 from .exact import mod_inverse
 
 __all__ = [
@@ -88,9 +82,9 @@ def _check_member(params: LensParams, n: Sequence[int]) -> CFTuple:
     n = tuple(n)
     b = params.b
     if len(n) != len(b) or any(x < 0 or x > bi for x, bi in zip(n, b)):
-        raise NotAFilling(f"{n} is not bounded by {b}")
+        raise LensfillError(f"{n} is not bounded by {b}")
     if eval_cf(n) != 0:
-        raise NotAFilling(f"{n} is not an admissible zero tuple")
+        raise LensfillError(f"{n} is not an admissible zero tuple")
     return n
 
 
@@ -117,7 +111,7 @@ def _orbits(params: LensParams, zs: list[CFTuple]) -> list[list[CFTuple]]:
     for n in zs:
         rn = reverse(n)
         if rn not in members:
-            raise ConsistencyViolated(f"reversal of {n} escapes the bounded set of {params}")
+            raise TheoremViolation(f"reversal of {n} escapes the bounded set of {params}")
         if n == rn:
             out.append([n])
         elif n < rn:
@@ -154,17 +148,17 @@ def minimal_filling_family(params: LensParams, r: int) -> CFTuple:
     b = params.b
     k = len(b)
     if k < 4:
-        raise HypothesisViolated(f"need k >= 4, got k = {k}")
+        raise LensfillError(f"need k >= 4, got k = {k}")
     if any(b[i] < 3 for i in range(1, k - 2)):
-        raise HypothesisViolated(f"need b_2..b_{{k-2}} >= 3, got {b}")
+        raise LensfillError(f"need b_2..b_{{k-2}} >= 3, got {b}")
     if b[k - 1] < k - 2:
-        raise HypothesisViolated(f"need b_k >= k - 2, got b_k = {b[k-1]}")
+        raise LensfillError(f"need b_k >= k - 2, got b_k = {b[k-1]}")
     if not 0 <= r <= k - 4:
-        raise HypothesisViolated(f"need 0 <= r <= {k - 4}, got r = {r}")
+        raise LensfillError(f"need 0 <= r <= {k - 4}, got r = {r}")
     n = (1,) + (2,) * r + (3,) + (2,) * (k - 4 - r) + (1,) + (k - 2 - r,)
     try:
         desc = invariants(params, n)
-    except NotAFilling as exc:
+    except LensfillError as exc:
         raise TheoremViolation(f"family member {n} failed membership: {exc}") from exc
     expected_chi = 5 + sum(bi - 3 for bi in b) + r
     if desc.chi != expected_chi:
@@ -186,10 +180,10 @@ def unique_one_value(n: Sequence[int]) -> tuple[int, int]:
     n = tuple(n)
     k = len(n)
     if k < 3 or any(x < 1 for x in n) or eval_cf(n) != 0:
-        raise PreconditionViolated(f"{n} is not a positive zero tuple of length >= 3")
+        raise LensfillError(f"{n} is not a positive zero tuple of length >= 3")
     ones = [i for i, x in enumerate(n) if x == 1]
     if len(ones) != 1:
-        raise PreconditionViolated(f"{n} has {len(ones)} entries equal to 1, need exactly 1")
+        raise LensfillError(f"{n} has {len(ones)} entries equal to 1, need exactly 1")
     j = ones[0]
     bumped = n[:j] + (2,) + n[j + 1 :]
     w = eval_cf(bumped)

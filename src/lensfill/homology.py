@@ -15,12 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cfrac import eval_cf
-from .errors import (
-    ClosureViolated,
-    ConsistencyViolated,
-    InvalidSpin,
-    TerminalRelationViolated,
-)
+from .errors import LensfillError, TheoremViolation
 from .exact import continuant
 
 __all__ = [
@@ -48,16 +43,16 @@ def mu_basis(b: Sequence[int], p: int) -> tuple[int, ...]:
     b = tuple(b)
     k = len(b)
     if k == 0 or p < 2:
-        raise ClosureViolated(f"need a nonempty chain and p >= 2, got {b}, {p}")
+        raise TheoremViolation(f"need a nonempty chain and p >= 2, got {b}, {p}")
     if continuant(b) != p:
-        raise ClosureViolated(f"chain determinant {continuant(b)} != p = {p}")
+        raise TheoremViolation(f"chain determinant {continuant(b)} != p = {p}")
     coeffs = [1]
     prev = 0  # c_0, the zero class
     for i in range(k - 1):
         coeffs.append((b[i] * coeffs[-1] - prev) % p)
         prev = coeffs[-2]
     if (b[k - 1] * coeffs[-1] - prev) % p:
-        raise ClosureViolated(f"meridian recursion fails to close for {b} mod {p}")
+        raise TheoremViolation(f"meridian recursion fails to close for {b} mod {p}")
     return tuple(coeffs)
 
 
@@ -102,7 +97,7 @@ def spin_structures(b: Sequence[int], p: int) -> list[Bits]:
         if (sm + b[k - 1] * (1 - s[k - 1])) % 2 == 0:
             out.append(tuple(s))
     if len(out) != 2 - p % 2:
-        raise ConsistencyViolated(
+        raise TheoremViolation(
             f"found {len(out)} spin structures for {b}, expected {2 - p % 2}"
         )
     return out
@@ -119,7 +114,7 @@ def gamma_filling(b: Sequence[int], s: Sequence[int]) -> int:
     b = tuple(b)
     k = len(b)
     if not is_valid_spin(b, s):
-        raise InvalidSpin(f"{s} is not a spin structure for chain {b}")
+        raise LensfillError(f"{s} is not a spin structure for chain {b}")
     p = continuant(b)
     mu = mu_basis(b, p)
     total = 0
@@ -149,7 +144,7 @@ def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
     b = tuple(b)
     k = len(b)
     if not is_valid_spin(b, s):
-        raise InvalidSpin(f"{s} is not a spin structure for chain {b}")
+        raise LensfillError(f"{s} is not a spin structure for chain {b}")
     p = continuant(b)
     mu = mu_basis(b, p)
     t = (1 - s[0],) + tuple(s)  # indices 0..k; t_{-1} = t_{k+1} = 0
@@ -160,7 +155,7 @@ def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
         tp = t[i + 1] if i <= k - 1 else 0
         num = 2 + bprime[i] * (1 - t[i]) - tm - tp
         if num % 2:
-            raise InvalidSpin(f"odd coefficient at position {i} for {b}, {s}")
+            raise TheoremViolation(f"odd coefficient at position {i} for {b}, {s}")
         g.append(num // 2)
     total = (g[1] - g[0]) * mu[0]
     for i in range(2, k + 1):
@@ -180,7 +175,7 @@ def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:
     """
     n = tuple(n)
     if eval_cf(n) != 0:
-        raise ValueError(f"{n} is not an admissible zero tuple")
+        raise LensfillError(f"{n} is not an admissible zero tuple")
     k = len(n)
     if k == 1:
         return (0,)
@@ -188,7 +183,7 @@ def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:
     for i in range(2, k):
         r.append(n[i - 1] * r[i - 1] - r[i - 2])
     if r[k - 2] - n[k - 1] * r[k - 1] != -1:
-        raise TerminalRelationViolated(
+        raise TheoremViolation(
             f"rotation recursion for {n} ends at {r[k - 2] - n[k - 1] * r[k - 1]}, not -1"
         )
     return tuple(r)

@@ -35,8 +35,8 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .cfrac import CFTuple, strict_blowup_sequence
-from .errors import ConsistencyViolated
-from .exact import continuant, smith_diagonal
+from .errors import LensfillError, TheoremViolation
+from .exact import smith_diagonal
 
 __all__ = [
     "SphereClass",
@@ -89,13 +89,13 @@ class StringConfiguration:
     @cached_property
     def index_users(self) -> list[list[int]]:
         """index_users[j - 1]: the i, in order, whose [C_i] (C_0 included) uses
-        f_j as lead or tail.  Built once; ValueError on an index outside 1..M."""
+        f_j as lead or tail.  Built once; LensfillError on an index outside 1..M."""
         m = self.m_total
         users: list[list[int]] = [[] for _ in range(m)]
         for i, c in enumerate(self.classes):
             for j in [*c.tails, c.lead] if c.lead else c.tails:
                 if not 1 <= j <= m:
-                    raise ValueError(f"[C_{i}] uses index {j}, outside 1..{m}")
+                    raise LensfillError(f"[C_{i}] uses index {j}, outside 1..{m}")
                 users[j - 1].append(i)
         return users
 
@@ -119,9 +119,9 @@ def build_string(b: Sequence[int], n: Sequence[int]) -> StringConfiguration:
     b, n = tuple(b), tuple(n)
     k = len(b)
     if len(n) != k or k == 0:
-        raise ValueError(f"length mismatch: b = {b}, n = {n}")
+        raise LensfillError(f"length mismatch: b = {b}, n = {n}")
     if any(x < 1 for x in b) or any(x < 0 or x > y for x, y in zip(n, b)):
-        raise ValueError(f"need 0 <= n_i <= b_i and b_i >= 1, got b = {b}, n = {n}")
+        raise LensfillError(f"need 0 <= n_i <= b_i and b_i >= 1, got b = {b}, n = {n}")
     seq = strict_blowup_sequence(n)
 
     m_total = (k - 1) + sum(bi - ni for bi, ni in zip(b, n))
@@ -135,26 +135,26 @@ def build_string(b: Sequence[int], n: Sequence[int]) -> StringConfiguration:
         cur.insert(s, (0, nxt, set()))
         nxt += 1
     if len(cur) != k + 1:
-        raise ConsistencyViolated(f"replay of {n} produced {len(cur) - 1} curves, not {k}")
+        raise TheoremViolation(f"replay of {n} produced {len(cur) - 1} curves, not {k}")
 
     for i in range(1, k + 1):
         extra = b[i - 1] - n[i - 1]
         cur[i][2].update(range(nxt, nxt + extra))
         nxt += extra
     if nxt != m_total + 1:
-        raise ConsistencyViolated(f"used {nxt - 1} exceptional classes, expected {m_total}")
+        raise TheoremViolation(f"used {nxt - 1} exceptional classes, expected {m_total}")
 
     classes = tuple(SphereClass(line, lead, frozenset(t)) for line, lead, t in cur)
     types = _expected_types(b)
     for i, ci in enumerate(classes):
         if dot(ci, ci) != types[i]:
-            raise ConsistencyViolated(f"[C_{i}]^2 = {dot(ci, ci)}, expected {types[i]}")
+            raise TheoremViolation(f"[C_{i}]^2 = {dot(ci, ci)}, expected {types[i]}")
         for j in range(i + 1, k + 1):
             expected = 1 if j == i + 1 else 0
             if dot(ci, classes[j]) != expected:
-                raise ConsistencyViolated(f"[C_{i}].[C_{j}] != {expected}")
+                raise TheoremViolation(f"[C_{i}].[C_{j}] != {expected}")
     if classes[0] != _LINE:
-        raise ConsistencyViolated("[C_0] is not the line class")
+        raise TheoremViolation("[C_0] is not the line class")
     return StringConfiguration(b=b, n=n, m_total=m_total, classes=classes)
 
 
@@ -197,7 +197,7 @@ def validate_string_lemma(cfg: StringConfiguration) -> bool:
     Requires a shape-valid configuration.
     """
     if not validate_hom_classes(cfg):
-        raise ValueError("configuration fails the shape check")
+        raise LensfillError("configuration fails the shape check")
     k = len(cfg.b)
     c = cfg.classes
     leading_set = {ci.lead for ci in c[2:]}
@@ -228,10 +228,8 @@ def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
     unused indices are then zero, and smith_diagonal gets only the core:
     the other classes over l and the indices with two or more users.  In
     a build only the k - 1 replay indices are shared, so the core is at
-    most (k + 1) x k whatever M is.  Asserts b_2 = sum(b_i - n_i) - 1, and
-    that the string's Gram determinant has absolute value K(b) - the
-    order of the boundary's first homology.  Returns (b_2, nontrivial
-    elementary divisors of H_1).
+    most (k + 1) x k whatever M is.  Asserts b_2 = sum(b_i - n_i) - 1.
+    Returns (b_2, nontrivial elementary divisors of H_1).
     """
     users = cfg.index_users
     solo = {us[0] for us in users if len(us) == 1}
@@ -245,13 +243,7 @@ def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
     b2 = cfg.m_total + 1 - sum(1 for d in diag if d)  # corank
     expected_b2 = sum(bi - ni for bi, ni in zip(cfg.b, cfg.n)) - 1
     if b2 != expected_b2:
-        raise ConsistencyViolated(f"complement b2 = {b2} but handle count gives {expected_b2}")
-    det = continuant(_expected_types(cfg.b))
-    p = continuant(cfg.b)
-    if abs(det) != p:
-        raise ConsistencyViolated(
-            f"string Gram determinant {det} is not +-{p}, boundary order mismatch"
-        )
+        raise TheoremViolation(f"complement b2 = {b2} but handle count gives {expected_b2}")
     return b2, [d for d in diag if d > 1]
 
 
@@ -270,7 +262,7 @@ def minimal_si_counts(cfg: StringConfiguration) -> tuple[int, ...]:
     s = tuple(counts)
     recovered = tuple(bi - si for bi, si in zip(cfg.b, s))
     if recovered != cfg.n:
-        raise ConsistencyViolated(
+        raise TheoremViolation(
             f"counts {s} recover {recovered}, configuration was built from {cfg.n}"
         )
     return s
@@ -296,14 +288,14 @@ def check_filling(b: Sequence[int], n: Sequence[int]) -> dict:
 
     Builds the string, then checks class shapes, exceptional-set nesting,
     complement homology, count recovery and minimality, and returns the
-    lattice-check row for n.  A failed check raises ConsistencyViolated
+    lattice-check row for n.  A failed check raises TheoremViolation
     naming b, n and the check.
     """
     cfg = build_string(b, n)
 
     def require(ok: bool, check: str) -> bool:
         if not ok:
-            raise ConsistencyViolated(f"lattice check {check} failed for b={cfg.b}, n={cfg.n}")
+            raise TheoremViolation(f"lattice check {check} failed for b={cfg.b}, n={cfg.n}")
         return ok
 
     shapes = require(validate_hom_classes(cfg), "hom_classes")

@@ -16,7 +16,7 @@ import csv
 import io
 from typing import Any
 
-from .errors import ConsistencyViolated
+from .errors import TheoremViolation
 from .fillings import (
     LensParams,
     _certify_unique,
@@ -39,14 +39,14 @@ def spin_rows(params: LensParams) -> list[dict[str, Any]]:
     contact structure, on every spin structure of the boundary.
 
     The two formulas are independent derivations of the same invariant, so
-    they must agree exactly; ConsistencyViolated names the pair and the spin
+    they must agree exactly; TheoremViolation names the pair and the spin
     structure where they do not.
     """
     rows = []
     for s in spin_structures(params.b, params.p):
         gf, gs = gamma_filling(params.b, s), gamma_standard(params.b, s)
         if gf != gs:
-            raise ConsistencyViolated(
+            raise TheoremViolation(
                 f"L({params.p},{params.q}) gamma at s={s}: "
                 f"filling formula {gf}, standard formula {gs}"
             )

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .cfrac import bounded_zero_cf, enumerate_zero_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
-from .errors import TheoremViolation
+from .errors import LensfillError, TheoremViolation
 from .homology import rotation_numbers
 from .lattice import check_filling
 from .report import spin_rows
@@ -119,7 +119,7 @@ def suite_rotation(kmax: int = 10) -> SuiteResult:
         for n in bounded_zero_cf((k - 1,) * k):  # lexicographic, like zeroseq
             try:
                 rotation_numbers(n)
-            except Exception as exc:  # TerminalRelationViolated or worse
+            except LensfillError as exc:
                 return SuiteResult("rotation", False, cases, f"k={k}", f"{n}: {exc}")
             cases += 1
     return SuiteResult("rotation", True, cases, f"all zero tuples with k <= {kmax}")
@@ -134,7 +134,7 @@ def suite_lattice(pmax: int = 60) -> SuiteResult:
         for n in zset(pr):
             try:
                 check_filling(pr.b, n)
-            except Exception as exc:
+            except LensfillError as exc:
                 return SuiteResult("lattice", False, cases, f"(p,q)=({p},{q}), n={n}", str(exc))
             cases += 1
     return SuiteResult("lattice", True, cases, f"all fillings with p <= {pmax}")

@@ -20,7 +20,7 @@ from lensfill.cfrac import (
     strict_blowup_sequence,
 )
 from lensfill import cfrac, suites
-from lensfill.errors import ConsistencyViolated, InvalidInput, InvalidPair, NotBlowdownable
+from lensfill.errors import LensfillError, TheoremViolation
 from lensfill.exact import continuant, mod_inverse
 from lensfill.fillings import make_params, zset
 
@@ -52,7 +52,7 @@ def test_eval_examples():
 
 
 def test_eval_rejects_negative_entries():
-    with pytest.raises(ValueError):
+    with pytest.raises(LensfillError, match="tuple entries must be non-negative ints, got -1"):
         eval_cf((2, -1))
 
 
@@ -80,7 +80,7 @@ def test_hj_expand_examples():
 
 def test_hj_expand_rejects_bad_pairs():
     for p, q in ((6, 4), (3, 3), (2, 5), (5, 0), (0, 1), (-4, 1)):
-        with pytest.raises(InvalidPair):
+        with pytest.raises(LensfillError, match=f"need coprime p > q >= 1, got \\({p}, {q}\\)"):
             hj_expand(p, q)
 
 
@@ -121,7 +121,7 @@ def test_admissibility_matrix_examples():
     assert is_admissible_matrix((1, 1, 1)) is False
     assert is_admissible_matrix((2, 2)) is True
     assert is_admissible_matrix((1,)) is True
-    with pytest.raises(ValueError):
+    with pytest.raises(LensfillError, match="matrix admissibility test needs positive entries"):
         is_admissible_matrix((0, 2))
 
 
@@ -155,11 +155,11 @@ def test_blowdown_examples():
     assert blowdown((2, 1, 2), 2) == (1, 1)
     assert blowdown((1, 1), 1) == (0,)
     assert blowdown((1, 1), 2) == (0,)
-    with pytest.raises(NotBlowdownable):
+    with pytest.raises(LensfillError, match="entry at position 1 is 2, not 1"):
         blowdown((2, 1, 2), 1)
-    with pytest.raises(NotBlowdownable):
+    with pytest.raises(LensfillError, match="position 1 out of range for length 1"):
         blowdown((1,), 1)
-    with pytest.raises(NotBlowdownable):
+    with pytest.raises(LensfillError, match="position 5 out of range for length 2"):
         blowdown((1, 2), 5)
 
 
@@ -168,7 +168,7 @@ def test_blowup_examples():
     assert blowup((1, 1), 3) == (1, 2, 1)
     assert blowup((0,), 2) == (1, 1)
     assert blowup((0,), 1) == (1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(LensfillError, match="insertion position 4 out of range for length 2"):
         blowup((1, 1), 4)
 
 
@@ -234,7 +234,7 @@ def test_enumerate_zero_cf_equals_closure():
 
 
 def test_enumerate_zero_cf_rejects_empty_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(LensfillError, match="length must be >= 1, got 0"):
         enumerate_zero_cf(0)
 
 
@@ -282,7 +282,7 @@ def test_strict_blowup_sequence_rebuilds():
                 assert s >= 2
                 cur = blowup(cur, s)
             assert cur == t
-    with pytest.raises(ValueError):
+    with pytest.raises(LensfillError, match=r"\(2, 2\) is not an admissible zero tuple"):
         strict_blowup_sequence((2, 2))
 
 
@@ -308,6 +308,13 @@ def test_bounded_zero_cf_large_length():
     # far beyond Catalan reach: 99 twos bound only the single staircase tuple
     bounds = (2,) * 99
     assert bounded_zero_cf(bounds) == [(1,) + (2,) * 97 + (1,)]
+
+
+def test_bounded_zero_cf_refuses_more_than_the_tuple_limit(monkeypatch):
+    monkeypatch.setattr(cfrac, "MAX_TUPLES", 5)
+    assert len(bounded_zero_cf((3,) * 4)) == 5  # Catalan(3) = 5, exactly the limit
+    with pytest.raises(LensfillError, match=r"bounded by \(4, 4, 4, 4, 4\) number more than the limit of 5$"):
+        bounded_zero_cf((4,) * 5)  # Catalan(4) = 14
 
 
 def test_bounded_zero_cf_leaves_recursion_limit_alone():
@@ -472,9 +479,9 @@ def test_dual_expansion_examples():
     assert dual_expansion((2, 2, 2, 3)) == (5, 2)
     for p in range(2, 30):
         assert dual_expansion((p,)) == (2,) * (p - 1)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(LensfillError, match=r"need a tuple with all entries >= 2, got \(2, 1, 2\)"):
         dual_expansion((2, 1, 2))
-    with pytest.raises(InvalidInput):
+    with pytest.raises(LensfillError, match=r"need a tuple with all entries >= 2, got \(\)"):
         dual_expansion(())
 
 
@@ -495,7 +502,7 @@ def test_dual_expansion_sweep_and_length_duality():
 def test_dual_expansion_raises_when_the_routes_disagree(monkeypatch):
     # a wrong direct route must raise even under python -O, so no assert
     monkeypatch.setattr(cfrac, "hj_expand", lambda p, q: (4, 2))
-    with pytest.raises(ConsistencyViolated) as info:
+    with pytest.raises(TheoremViolation, match="point diagram of b") as info:
         dual_expansion((2, 2, 2, 3))
     assert str(info.value) == "point diagram of b = (2, 2, 2, 3) gives (5, 2), direct route (4, 2)"
 

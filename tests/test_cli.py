@@ -298,3 +298,43 @@ def test_gamma_and_expand_never_enumerate_fillings(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["p"] == 1583407981
     with pytest.raises(AssertionError):
         cli.main(["rot", "1583407981", "1311738121"])
+
+
+def test_searches_past_the_tuple_limit_exit_1(monkeypatch, capsys):
+    from lensfill import cfrac, cli
+
+    monkeypatch.setattr(cfrac, "MAX_TUPLES", 1)  # L(4,1) has two fillings
+    for argv in (
+        ["fillings", "4", "1"],
+        ["classify", "4", "1"],
+        ["rot", "4", "1"],
+        ["lattice-check", "4", "1"],
+        ["sweep", "10"],
+    ):
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == "lensfill: error: the zero tuples bounded by (2, 2, 2) number more than the limit of 1\n"
+
+
+def test_escaped_reversal_exits_2(monkeypatch, capsys):
+    from lensfill import cli, fillings
+
+    # L(21,8) has b = (2, 3, 3, 2) and 8^2 = 1 mod 21, so the reversal of each
+    # filling must be a filling; drop (2, 1, 3, 1), the reversal of (1, 3, 1, 2)
+    search = fillings.bounded_zero_cf
+
+    def lossy(bounds):
+        drop = (2, 1, 3, 1) if tuple(bounds) == (2, 3, 3, 2) else None
+        return [n for n in search(bounds) if n != drop]
+
+    monkeypatch.setattr(fillings, "bounded_zero_cf", lossy)
+    message = (
+        "lensfill: theorem violation: reversal of (1, 3, 1, 2) escapes the bounded set of "
+        "LensParams(p=21, q=8, b=(2, 3, 3, 2), qbar=8)\n"
+    )
+    for argv in (["fillings", "21", "8"], ["classify", "21", "8"], ["sweep", "21"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == message, argv

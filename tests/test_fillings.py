@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from lensfill.cfrac import bounded_zero_cf, enumerate_zero_cf, eval_cf, hj_expand, reverse
 from lensfill import fillings
-from lensfill.errors import (
-    ConsistencyViolated,
-    HypothesisViolated,
-    InvalidPair,
-    NotAFilling,
-    PreconditionViolated,
-)
+from lensfill.errors import LensfillError, TheoremViolation
 from lensfill.exact import continuant
 from lensfill.fillings import (
     classify,
@@ -55,7 +49,7 @@ def test_make_params_examples():
 
 def test_make_params_rejects_bad_pairs():
     for p, q in ((6, 4), (3, 3), (2, 5), (1, 1)):
-        with pytest.raises(InvalidPair):
+        with pytest.raises(LensfillError, match=f"need coprime p > q >= 1, got \\({p}, {q}\\)"):
             make_params(p, q)
 
 
@@ -150,11 +144,11 @@ def test_invariants_examples():
 
 def test_invariants_rejects_non_members():
     pr = make_params(9, 2)
-    with pytest.raises(NotAFilling):
+    with pytest.raises(LensfillError, match="is not bounded by"):
         invariants(pr, (1, 2, 1))  # wrong length
-    with pytest.raises(NotAFilling):
+    with pytest.raises(LensfillError, match="is not bounded by"):
         invariants(pr, (3, 1, 2, 2))  # exceeds bound at position 1
-    with pytest.raises(NotAFilling):
+    with pytest.raises(LensfillError, match="is not an admissible zero tuple"):
         invariants(pr, (2, 2, 2, 3))  # value is not 0
 
 
@@ -192,7 +186,7 @@ def test_orbits_reject_a_reversal_outside_the_set():
     zs = zset(pr)
     assert fillings._orbits(pr, zs) == [[(1, 2, 2, 2, 1)], [(1, 2, 3, 1, 2), (2, 1, 3, 2, 1)]]
     for dropped in ((1, 2, 3, 1, 2), (2, 1, 3, 2, 1)):
-        with pytest.raises(ConsistencyViolated, match="escapes the bounded set"):
+        with pytest.raises(TheoremViolation, match="escapes the bounded set"):
             fillings._orbits(pr, [n for n in zs if n != dropped])
 
 
@@ -209,9 +203,9 @@ def test_minimal_filling_family_examples():
     chi0 = invariants(pr, minimal_filling_family(pr, 0)).chi
     chi1 = invariants(pr, minimal_filling_family(pr, 1)).chi
     assert chi1 - chi0 == 1
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(LensfillError, match="need 0 <= r <= 1, got r = 2"):
         minimal_filling_family(pr, 2)
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(LensfillError, match=r"need b_2\.\.b_\{k-2\} >= 3"):
         minimal_filling_family(make_params(9, 2), 0)  # b_2 = 2 < 3
 
 
@@ -231,11 +225,11 @@ def test_unique_one_value_examples():
 
 
 def test_unique_one_value_preconditions():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(LensfillError, match="is not a positive zero tuple of length >= 3"):
         unique_one_value((1, 1))  # too short
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(LensfillError, match="has 2 entries equal to 1, need exactly 1"):
         unique_one_value((1, 2, 2, 1))  # two entries equal to 1
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(LensfillError, match="is not a positive zero tuple of length >= 3"):
         unique_one_value((2, 2, 2))  # not a zero tuple
 
 
@@ -257,9 +251,9 @@ def test_rational_ball_criterion_examples():
     assert rational_ball_criterion(5, 1) is None
     assert rational_ball_criterion(4, 3) is None  # h = 2 shares a factor with m = 2
     assert rational_ball_criterion(9, 5) == (3, 2)
-    with pytest.raises(InvalidPair):
+    with pytest.raises(LensfillError, match=r"need coprime p > q >= 1, got \(6, 4\)"):
         rational_ball_criterion(6, 4)
-    with pytest.raises(InvalidPair, match=r"p, q must be ints, got 4\.0, 1"):
+    with pytest.raises(LensfillError, match=r"p, q must be ints, got 4\.0, 1"):
         rational_ball_criterion(4.0, 1)  # not a TypeError from gcd
 
 

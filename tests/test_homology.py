@@ -4,11 +4,7 @@ from math import gcd
 import pytest
 
 from lensfill.cfrac import enumerate_zero_cf, hj_expand
-from lensfill.errors import (
-    ClosureViolated,
-    InvalidSpin,
-    TerminalRelationViolated,
-)
+from lensfill.errors import LensfillError, TheoremViolation
 from lensfill.exact import continuant
 from lensfill.homology import (
     gamma_filling,
@@ -38,7 +34,7 @@ def test_mu_basis_examples():
 
 
 def test_mu_basis_rejects_mismatched_p():
-    with pytest.raises(ClosureViolated):
+    with pytest.raises(TheoremViolation, match=r"chain determinant 4 != p = 5"):
         mu_basis((2, 2, 2), 5)
 
 
@@ -80,7 +76,7 @@ def test_spin_structures_brute_force_small_k():
             gamma_filling(b, s)  # must not raise
         for s in product((0, 1), repeat=len(b)):
             if s not in brute:
-                with pytest.raises(InvalidSpin):
+                with pytest.raises(LensfillError, match="is not a spin structure for chain"):
                     gamma_filling(b, s)
 
 
@@ -93,9 +89,9 @@ def test_spin_structure_counts():
 def test_gamma_filling_examples():
     assert gamma_filling((2, 2, 2), (0, 0, 0)) == 1
     assert gamma_filling((2, 2, 2), (1, 0, 1)) == 3
-    with pytest.raises(InvalidSpin):
+    with pytest.raises(LensfillError, match=r"\(1, 1, 1\) is not a spin structure"):
         gamma_filling((2, 2, 2), (1, 1, 1))
-    with pytest.raises(InvalidSpin):
+    with pytest.raises(LensfillError, match=r"\(0, 0\) is not a spin structure"):
         gamma_filling((2, 2, 2), (0, 0))
 
 
@@ -120,7 +116,7 @@ def test_rotation_examples():
     assert rotation_numbers((2, 1, 2)) == (0, 1, 1)
     assert rotation_numbers((1, 2, 1)) == (0, 1, 2)
     assert rotation_numbers((0,)) == (0,)
-    with pytest.raises(ValueError):
+    with pytest.raises(LensfillError, match=r"\(2, 2\) is not an admissible zero tuple"):
         rotation_numbers((2, 2))
 
 
@@ -135,5 +131,5 @@ def test_rotation_terminal_relation_exhaustive():
 
 
 def test_rotation_rejects_non_zero_tuples():
-    with pytest.raises(ValueError):
+    with pytest.raises(LensfillError, match=r"\(2, 2, 2\) is not an admissible zero tuple"):
         rotation_numbers((2, 2, 2))

@@ -1,6 +1,7 @@
 """Every name a lensfill module imports is used in that module, every
 module-level private name is used somewhere in the package, no module
-holds an ``assert`` statement, since ``python -O`` strips those, and the
+holds an ``assert`` statement, since ``python -O`` strips those, every
+``raise`` names one of the package's two exception classes, and the
 package exports exactly its modules' ``__all__`` lists.
 
 No linter ships with the package, so these are stdlib AST checks.  The
@@ -12,7 +13,7 @@ import ast
 from pathlib import Path
 
 import lensfill
-from lensfill import cfrac, exact, fillings, homology, lattice, report
+from lensfill import cfrac, errors, exact, fillings, homology, lattice, report
 
 EXPORTING_MODULES = (cfrac, exact, fillings, homology, lattice)
 
@@ -107,6 +108,45 @@ def test_no_assert_statements_in_package():
         if (lines := assert_statements(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+ERROR_CLASSES = ("LensfillError", "TheoremViolation")
+
+
+def stray_raises(source):
+    """Line numbers of the ``raise`` statements in source that are neither a
+    bare re-raise nor a raise of LensfillError or TheoremViolation."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in ERROR_CLASSES):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_stray_raises_detected():
+    source = (
+        "try:\n    x = 1\nexcept KeyError:\n    raise\n"
+        "raise LensfillError('a')\nraise TheoremViolation('b') from None\n"
+        "raise ValueError('x')\nraise KeyError\nraise errors.LensfillError('c')\n"
+    )
+    assert stray_raises(source) == [7, 8, 9]
+
+
+def test_every_raise_names_a_package_error():
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := stray_raises(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_errors_defines_exactly_two_classes():
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    assert tuple(node.name for node in tree.body if isinstance(node, ast.ClassDef)) == ERROR_CLASSES
+    assert issubclass(errors.TheoremViolation, errors.LensfillError)
 
 
 def test_package_exports_each_module_all_once():

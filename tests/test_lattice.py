@@ -3,7 +3,7 @@ from math import gcd, isqrt
 import pytest
 
 from lensfill import cli, lattice
-from lensfill.errors import ConsistencyViolated
+from lensfill.errors import LensfillError, TheoremViolation
 from lensfill.exact import smith_diagonal
 from lensfill.fillings import invariants, make_params, zset
 from lensfill.lattice import (
@@ -81,11 +81,11 @@ def test_build_string_examples():
 
 
 def test_build_string_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(LensfillError, match="length mismatch"):
         build_string((2, 2), (1, 2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(LensfillError, match="need 0 <= n_i <= b_i"):
         build_string((2, 2, 2), (3, 1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(LensfillError, match="is not an admissible zero tuple"):
         build_string((2, 2, 2), (2, 2, 2))  # not a zero tuple
 
 
@@ -233,7 +233,7 @@ def test_index_outside_range_raises():
     classes = (LINE, cls(1, 0, 0, 1)) + good.classes[2:]  # C_1 with tails {0, 1}
     bad = StringConfiguration(b=good.b, n=good.n, m_total=good.m_total, classes=classes)
     for check in (orthogonal_minus_one_classes, minimal_si_counts, complement_homology):
-        with pytest.raises(ValueError, match=r"\[C_1\] uses index 0"):
+        with pytest.raises(LensfillError, match=r"\[C_1\] uses index 0"):
             check(bad)
 
 
@@ -433,7 +433,7 @@ def test_check_filling_builds_the_users_table_once(monkeypatch):
 
 def test_check_filling_forced_failure(monkeypatch, capsys):
     monkeypatch.setattr(lattice, "validate_string_lemma", lambda cfg: False)
-    with pytest.raises(ConsistencyViolated) as info:
+    with pytest.raises(TheoremViolation, match="lattice check string_lemma failed") as info:
         check_filling((2, 2, 2, 3), (2, 2, 1, 3))
     assert "string_lemma" in str(info.value)
     assert "n=(2, 2, 1, 3)" in str(info.value)
