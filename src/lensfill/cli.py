@@ -3,8 +3,10 @@
 Exit codes: 0 success; 1 for bad arguments or a LensfillError (an input
 outside the operation's domain); 2 for a TheoremViolation (a computation
 contradicting a proved statement, the most important signal the tool can
-emit).  Output is deterministic; identical invocations produce
-byte-identical output.
+emit).  `verify` does not stop at a failed suite: it prints FAIL and the
+suite's exception message as the first counterexample, runs the remaining
+suites, and exits 2 if any failed.  Output is deterministic; identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .fillings import make_params, zset
 from .homology import rotation_numbers
 from .lattice import check_filling
 from .report import build_report, render_csv, render_table, spin_rows
-from .suites import SUITES, _ALIASES, _catalan, _coprime_pairs, resolve_suite
+from .suites import SUITES, _ALIASES, _catalan, _coprime_pairs
 
 _SUITE_CHOICES = sorted(SUITES) + sorted(_ALIASES) + ["all"]
 
@@ -184,38 +186,34 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    names = sorted(SUITES) if args.suite == "all" else [_ALIASES.get(args.suite, args.suite)]
     runs = []  # every bound is checked before any suite runs
     for name in names:
-        suite = resolve_suite(name)
-        accepted = inspect.signature(suite).parameters
-        kwargs = {
-            key: value
-            for key, value in (("pmax", args.pmax), ("kmax", args.kmax))
-            if value is not None and key in accepted
-        }
-        if "pmax" in kwargs:
-            default = accepted["pmax"].default
-            if not 2 <= args.pmax <= 2 * default:
-                raise LensfillError(
-                    f"verify {name} --pmax {args.pmax} is outside 2..{2 * default} "
-                    f"(twice its default {default})"
-                )
-        if "kmax" in kwargs:
-            if args.kmax < 2:
-                raise LensfillError(f"verify {name} --kmax {args.kmax} is below 2")
-            _zero_tuple_count(args.kmax, f"verify {name} --kmax {args.kmax} would enumerate")
-        runs.append((suite, kwargs))
+        suite = SUITES[name]
+        # each suite takes one bound, pmax or kmax, with a default >= 2
+        (param,) = inspect.signature(suite).parameters.values()
+        bound = getattr(args, param.name)
+        if bound is None:
+            bound = param.default
+        elif param.name == "pmax" and not 2 <= bound <= 2 * param.default:
+            raise LensfillError(
+                f"verify {name} --pmax {bound} is outside 2..{2 * param.default} "
+                f"(twice its default {param.default})"
+            )
+        elif param.name == "kmax":
+            if bound < 2:
+                raise LensfillError(f"verify {name} --kmax {bound} is below 2")
+            _zero_tuple_count(bound, f"verify {name} --kmax {bound} would enumerate")
+        runs.append((name, suite, bound))
     lines = []
     failed = False
-    for suite, kwargs in runs:
-        res = suite(**kwargs)
-        status = "pass" if res.ok else "FAIL"
-        line = f"{res.name}: {status} ({res.cases} cases; {res.detail})"
-        if not res.ok:
-            line += f"\n  first counterexample: {res.counterexample}"
+    for name, suite, bound in runs:
+        try:
+            cases, detail = suite(bound)
+            lines.append(f"{name}: pass ({cases} cases; {detail})")
+        except LensfillError as exc:
+            lines.append(f"{name}: FAIL\n  first counterexample: {exc}")
             failed = True
-        lines.append(line)
     return "\n".join(lines) + "\n", 2 if failed else 0
 
 

@@ -73,9 +73,13 @@ def zset(params: LensParams) -> list[CFTuple]:
     """The admissible zero tuples bounded entrywise by b, lexicographic.
 
     These index the minimal symplectic fillings of L(p, q).  For k = 1
-    (q = p - 1) the set is {(0,)}.
+    (q = p - 1) the set is {(0,)}.  A refusal from the search (the tuple
+    limit) is re-raised naming the pair.
     """
-    return bounded_zero_cf(params.b)
+    try:
+        return bounded_zero_cf(params.b)
+    except LensfillError as exc:
+        raise LensfillError(f"L({params.p},{params.q}): {exc}") from None
 
 
 def _check_member(params: LensParams, n: Sequence[int]) -> CFTuple:

@@ -38,9 +38,10 @@ def spin_rows(params: LensParams) -> list[dict[str, Any]]:
     """The spin section: Gamma from the handle picture and from the standard
     contact structure, on every spin structure of the boundary.
 
-    The two formulas are independent derivations of the same invariant, so
-    they must agree exactly; TheoremViolation names the pair and the spin
-    structure where they do not.
+    The two formulas must agree exactly; TheoremViolation names the pair and
+    the spin structure where they do not.  They are not independent: both
+    expand to the same polynomial in the meridian classes (see homology),
+    so the check guards the two implementations against each other.
     """
     rows = []
     for s in spin_structures(params.b, params.p):

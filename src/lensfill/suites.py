@@ -1,16 +1,17 @@
 """Named verification sweeps over the package's structural claims.
 
-Each suite re-derives a family of facts two independent ways and compares,
-returning a SuiteResult instead of raising, so the command line tool can
-print counts and the first counterexample.  The test suite drives the same
-functions.
+Each suite checks one family of facts from Lisca's classification over a
+range of pairs, lengths or p, and returns (cases, detail) when every case
+holds.  At the first case that fails it raises TheoremViolation naming the
+location (the pair, k or p) and what disagreed; the command line tool
+prints that message as the suite's first counterexample.  The test suite
+drives the same functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd, isqrt
-from typing import Callable, Optional
+from typing import Callable
 
 from .cfrac import bounded_zero_cf, enumerate_zero_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
@@ -19,16 +20,7 @@ from .homology import rotation_numbers
 from .lattice import check_filling
 from .report import spin_rows
 
-__all__ = ["SuiteResult", "SUITES", "resolve_suite"]
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    ok: bool
-    cases: int
-    detail: str
-    counterexample: Optional[str] = None
+__all__ = ["SUITES"]
 
 
 def _coprime_pairs(pmax):
@@ -59,7 +51,7 @@ def _triangulation_tuples(k: int):
     return (t[1:] for t in splits(k))
 
 
-def suite_catalan(kmax: int = 12) -> SuiteResult:
+def suite_catalan(kmax: int = 12) -> tuple[int, str]:
     """Zero tuples of length k >= 2 are the triangle counts at v_1..v_k, one
     per triangulation of the polygon v_0..v_k (Conway-Coxeter), so Catalan(k-1)
     of them: each k's search set must lose each such tuple once and end empty."""
@@ -70,62 +62,56 @@ def suite_catalan(kmax: int = 12) -> SuiteResult:
             for t in _triangulation_tuples(k):
                 got.remove(t)
         except KeyError as exc:
-            return SuiteResult("catalan", False, k - 2, f"k={k}", f"{exc} missing or repeated")
+            raise TheoremViolation(f"k={k}: {exc} missing or repeated") from None
         if got or size != want:
-            extra = f"|set| = {size}, Catalan = {want}, {len(got)} not from a triangulation"
-            return SuiteResult("catalan", False, k - 2, f"k={k}", extra)
-    return SuiteResult("catalan", True, kmax - 1, f"search = triangulation census for k <= {kmax}")
+            raise TheoremViolation(
+                f"k={k}: |set| = {size}, Catalan = {want}, {len(got)} not from a triangulation"
+            )
+    return kmax - 1, f"search = triangulation census for k <= {kmax}"
 
 
-def suite_duality(pmax: int = 300) -> SuiteResult:
+def suite_duality(pmax: int = 300) -> tuple[int, str]:
     """Reversal symmetry: the inverse-parameter lens space has the
     reversed chain and the reversed fillings."""
     cases = 0
     for p, q in _coprime_pairs(pmax):
         pr = make_params(p, q)
         prbar = make_params(p, pr.qbar)
-        cases += 1
         if prbar.b != reverse(pr.b):
-            return SuiteResult("duality", False, cases, f"(p,q)=({p},{q})", "chain not reversed")
+            raise TheoremViolation(f"(p,q)=({p},{q}): chain not reversed")
         if sorted(reverse(n) for n in zset(pr)) != zset(prbar):
-            return SuiteResult(
-                "duality", False, cases, f"(p,q)=({p},{q})", "fillings not reversed"
-            )
-    return SuiteResult("duality", True, cases, f"all pairs with p <= {pmax}")
+            raise TheoremViolation(f"(p,q)=({p},{q}): fillings not reversed")
+        cases += 1
+    return cases, f"all pairs with p <= {pmax}"
 
 
-def suite_gamma(pmax: int = 100) -> SuiteResult:
+def suite_gamma(pmax: int = 100) -> tuple[int, str]:
     """The two plane-field invariant formulas agree exactly on every spin
-    structure; the report's spin section raises where they differ."""
+    structure; spin_rows raises, naming L(p,q) and s, where they differ.
+    Both expand to the same polynomial in the meridian classes (see
+    homology), so this checks the two implementations, not two
+    derivations."""
     cases = pairs = 0
     for p, q in _coprime_pairs(pmax):
-        try:
-            cases += len(spin_rows(make_params(p, q)))
-        except TheoremViolation as exc:
-            return SuiteResult("gamma", False, cases, f"(p,q)=({p},{q})", str(exc))
+        cases += len(spin_rows(make_params(p, q)))
         pairs += 1
     # "negated for 0" keeps the published detail format: no pair may pass with
     # the formulas of opposite sign
-    return SuiteResult(
-        "gamma", True, cases, f"p <= {pmax}; convention: direct for {pairs} pairs, negated for 0"
-    )
+    return cases, f"p <= {pmax}; convention: direct for {pairs} pairs, negated for 0"
 
 
-def suite_rotation(kmax: int = 10) -> SuiteResult:
+def suite_rotation(kmax: int = 10) -> tuple[int, str]:
     """Terminal relation of the rotation recursion on every zero tuple of
-    length 2..kmax."""
+    length 2..kmax; rotation_numbers raises, naming n, where it fails."""
     cases = 0
     for k in range(2, kmax + 1):
         for n in bounded_zero_cf((k - 1,) * k):  # lexicographic, like zeroseq
-            try:
-                rotation_numbers(n)
-            except LensfillError as exc:
-                return SuiteResult("rotation", False, cases, f"k={k}", f"{n}: {exc}")
+            rotation_numbers(n)
             cases += 1
-    return SuiteResult("rotation", True, cases, f"all zero tuples with k <= {kmax}")
+    return cases, f"all zero tuples with k <= {kmax}"
 
 
-def suite_lattice(pmax: int = 60) -> SuiteResult:
+def suite_lattice(pmax: int = 60) -> tuple[int, str]:
     """Geometric cross-checks: class shapes, exceptional-set nesting,
     complement homology, count recovery, and minimality."""
     cases = 0
@@ -134,27 +120,23 @@ def suite_lattice(pmax: int = 60) -> SuiteResult:
         for n in zset(pr):
             try:
                 check_filling(pr.b, n)
-            except LensfillError as exc:
-                return SuiteResult("lattice", False, cases, f"(p,q)=({p},{q}), n={n}", str(exc))
+            except LensfillError as exc:  # n came from zset, so any refusal is a violation
+                raise TheoremViolation(f"(p,q)=({p},{q}): {exc}") from None
             cases += 1
-    return SuiteResult("lattice", True, cases, f"all fillings with p <= {pmax}")
+    return cases, f"all fillings with p <= {pmax}"
 
 
-def suite_mcduff(pmax: int = 100) -> SuiteResult:
+def suite_mcduff(pmax: int = 100) -> tuple[int, str]:
     """Classification counts for L(p, 1): one class except two at p = 4."""
-    cases = 0
     for p in range(2, pmax + 1):
         got = len(classify(make_params(p, 1)))
         want = 2 if p == 4 else 1
-        cases += 1
         if got != want:
-            return SuiteResult(
-                "mcduff", False, cases, f"p={p}", f"{got} classes, expected {want}"
-            )
-    return SuiteResult("mcduff", True, cases, f"L(p,1) for p <= {pmax}")
+            raise TheoremViolation(f"p={p}: {got} classes, expected {want}")
+    return pmax - 1, f"L(p,1) for p <= {pmax}"
 
 
-def suite_rational_ball(pmax: int = 500) -> SuiteResult:
+def suite_rational_ball(pmax: int = 500) -> tuple[int, str]:
     """A filling with b2 = 0 exists iff (p, q) = (m^2, m h - 1) with m, h
     coprime; the witness pairs are enumerated independently."""
     roots = range(2, isqrt(pmax) + 1)  # 1 <= h < m keeps 1 <= q < m^2; h = m is not coprime
@@ -165,28 +147,19 @@ def suite_rational_ball(pmax: int = 500) -> SuiteResult:
         pr = make_params(p, q)
         has_ball = any(sum(pr.b) - sum(n) == 1 for n in zset(pr))
         witness = rational_ball_criterion(p, q)
-        cases += 1
         if has_ball != (witness is not None):
-            return SuiteResult(
-                "rational-ball",
-                False,
-                cases,
-                f"(p,q)=({p},{q})",
-                f"b2=0 filling: {has_ball}, witness: {witness}",
+            raise TheoremViolation(
+                f"(p,q)=({p},{q}): b2=0 filling: {has_ball}, witness: {witness}"
             )
         if has_ball:
             found.add((p, q))
+        cases += 1
     if found != expected:
-        diff = sorted(found ^ expected)[:5]
-        return SuiteResult(
-            "rational-ball", False, cases, "pair census", f"symmetric difference {diff}"
-        )
-    return SuiteResult(
-        "rational-ball", True, cases, f"p <= {pmax}; {len(found)} rational-ball pairs"
-    )
+        raise TheoremViolation(f"pair census: symmetric difference {sorted(found ^ expected)[:5]}")
+    return cases, f"p <= {pmax}; {len(found)} rational-ball pairs"
 
 
-SUITES: dict[str, Callable[..., SuiteResult]] = {
+SUITES: dict[str, Callable[[int], tuple[int, str]]] = {
     "catalan": suite_catalan,
     "duality": suite_duality,
     "gamma": suite_gamma,
@@ -197,7 +170,3 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 _ALIASES = {"corollary-c": "rational-ball"}
-
-
-def resolve_suite(name: str) -> Callable[..., SuiteResult]:
-    return SUITES[_ALIASES.get(name, name)]

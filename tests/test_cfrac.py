@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -447,9 +448,8 @@ def test_suite_catalan_fails_on_a_swapped_tuple(monkeypatch):
         return got
 
     monkeypatch.setattr(suites, "enumerate_zero_cf", swapped)
-    res = suites.suite_catalan(kmax=9)
-    assert not res.ok and res.detail == "k=9" and res.cases == 7
-    assert str(staircase) in res.counterexample
+    with pytest.raises(TheoremViolation, match=rf"^k=9: {re.escape(str(staircase))} missing"):
+        suites.suite_catalan(kmax=9)
 
 
 def test_suite_catalan_fails_on_a_repeated_triangulation_tuple(monkeypatch):
@@ -461,17 +461,17 @@ def test_suite_catalan_fails_on_a_repeated_triangulation_tuple(monkeypatch):
             yield (1, 2, 2, 2, 1)
 
     monkeypatch.setattr(suites, "_triangulation_tuples", repeating)
-    res = suites.suite_catalan(kmax=9)
-    assert not res.ok and res.detail == "k=5" and res.cases == 3
-    assert res.counterexample == "(1, 2, 2, 2, 1) missing or repeated"
+    with pytest.raises(TheoremViolation, match=r"^k=5: \(1, 2, 2, 2, 1\) missing or repeated$"):
+        suites.suite_catalan(kmax=9)
 
 
 def test_suite_catalan_fails_on_an_extra_tuple(monkeypatch):
     search = suites.enumerate_zero_cf
     monkeypatch.setattr(suites, "enumerate_zero_cf", lambda k: search(k) | {(2,) * k})
-    res = suites.suite_catalan(kmax=9)
-    assert not res.ok and res.detail == "k=2"
-    assert res.counterexample == "|set| = 2, Catalan = 1, 1 not from a triangulation"
+    with pytest.raises(
+        TheoremViolation, match=r"^k=2: \|set\| = 2, Catalan = 1, 1 not from a triangulation$"
+    ):
+        suites.suite_catalan(kmax=9)
 
 
 def test_dual_expansion_examples():

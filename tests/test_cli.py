@@ -228,10 +228,44 @@ def test_verify_routes_bounds_by_suite_signature():
 
     res = run_cli("verify", "lattice", "--pmax", "12", "--kmax", "5")
     assert res.returncode == 0
-    assert f"lattice: pass ({suite_lattice(pmax=12).cases} cases;" in res.stdout
+    assert f"lattice: pass ({suite_lattice(pmax=12)[0]} cases;" in res.stdout
     res = run_cli("verify", "rotation", "--kmax", "5", "--pmax", "12")
     assert res.returncode == 0
-    assert f"rotation: pass ({suite_rotation(kmax=5).cases} cases;" in res.stdout
+    assert f"rotation: pass ({suite_rotation(kmax=5)[0]} cases;" in res.stdout
+
+
+def test_every_suite_takes_one_bound_with_a_default():
+    # cmd_verify routes --pmax/--kmax by this parameter and allows --pmax up
+    # to twice its default
+    import inspect
+
+    from lensfill.suites import SUITES
+
+    for name, suite in SUITES.items():
+        params = list(inspect.signature(suite).parameters.values())
+        assert len(params) == 1, name
+        (param,) = params
+        assert param.name in ("pmax", "kmax"), name
+        assert type(param.default) is int and param.default >= 2, name
+
+
+def test_verify_all_reports_a_failed_suite_and_runs_the_rest(monkeypatch, capsys):
+    from lensfill import cli, suites
+
+    monkeypatch.setattr(suites, "classify", lambda params: [[0]])  # one class at every p
+    assert cli.main(["verify", "all", "--pmax", "12", "--kmax", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "catalan: pass (4 cases; search = triangulation census for k <= 5)",
+        "duality: pass (45 cases; all pairs with p <= 12)",
+        "gamma: pass (62 cases; p <= 12; convention: direct for 45 pairs, negated for 0)",
+        "lattice: pass (57 cases; all fillings with p <= 12)",
+        "mcduff: FAIL",
+        "  first counterexample: p=4: 1 classes, expected 2",
+        "rational-ball: pass (45 cases; p <= 12; 3 rational-ball pairs)",
+        "rotation: pass (22 cases; all zero tuples with k <= 5)",
+    ]
 
 
 def test_verify_refuses_catalan_sized_kmax():
@@ -269,6 +303,7 @@ def test_table_output_mentions_key_facts():
 
 def test_gamma_formulas_must_agree_strictly(monkeypatch, capsys):
     from lensfill import cli, homology
+    from lensfill.errors import TheoremViolation
     from lensfill.exact import continuant
     from lensfill.suites import suite_gamma
 
@@ -283,7 +318,8 @@ def test_gamma_formulas_must_agree_strictly(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "theorem violation: L(4,1) gamma at s=(" in err
-    assert not suite_gamma(pmax=12).ok
+    with pytest.raises(TheoremViolation, match=r"^L\(3,1\) gamma at s=\("):
+        suite_gamma(pmax=12)
 
 
 def test_gamma_and_expand_never_enumerate_fillings(monkeypatch, capsys):
@@ -314,7 +350,10 @@ def test_searches_past_the_tuple_limit_exit_1(monkeypatch, capsys):
         assert cli.main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "", argv
-        assert err == "lensfill: error: the zero tuples bounded by (2, 2, 2) number more than the limit of 1\n"
+        assert err == (
+            "lensfill: error: L(4,1): the zero tuples bounded by (2, 2, 2) "
+            "number more than the limit of 1\n"
+        )
 
 
 def test_escaped_reversal_exits_2(monkeypatch, capsys):

@@ -42,8 +42,9 @@ def test_mu_basis_closure_sweep():
     # the recursion closes and the chain determinant equals p, every pair
     for p, q in coprime_pairs(2000):
         b = chain(p, q)
-        c = mu_basis(b, p)  # closure and determinant asserted inside
+        c = mu_basis(b, p)  # determinant asserted inside
         assert c[0] == 1 and len(c) == len(b)
+        assert (b[-1] * c[-1] - (c[-2] if len(c) > 1 else 0)) % p == 0
         assert continuant(b) == p
 
 
