@@ -17,10 +17,11 @@ singularities and lens spaces.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from .errors import LensfillError, TheoremViolation
+from .exact import continuant, continuants
 
 __all__ = [
     "eval_cf",
@@ -41,6 +42,25 @@ CFTuple = tuple[int, ...]
 # more, and zeroseq and verify --kmax refuse lengths k whose Catalan(k-1)
 # zero tuples exceed it, so they admit k <= 14
 MAX_TUPLES = 10**6
+# the most entries one expansion may have: hj_expand refuses longer ones,
+# since every later stage is at least linear in the length
+MAX_CHAIN = 10**5
+
+
+def _catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
+
+
+def _zero_tuple_count(k: int, action: str) -> int:
+    """Catalan(k-1), the number of zero tuples of length k >= 1; refuses
+    counts above MAX_TUPLES before anything is enumerated."""
+    count = _catalan(max(k - 1, 0))
+    if count > MAX_TUPLES:
+        raise LensfillError(
+            f"{action} Catalan({k - 1}) = {count} tuples, "
+            f"more than the limit of {MAX_TUPLES}"
+        )
+    return count
 
 
 def _check_entries(t: Sequence[int]) -> None:
@@ -82,14 +102,18 @@ def hj_expand(p: int, q: int) -> CFTuple:
     """The unique expansion of p/q with all entries >= 2.
 
     Requires coprime p > q >= 1.  Each step takes the ceiling and recurses
-    on the reciprocal remainder.
+    on the reciprocal remainder.  Raises LensfillError rather than emit
+    more than MAX_CHAIN entries.
     """
     _check_pair(p, q)
     out = []
-    while q:
-        a = -(-p // q)
+    x, y = p, q
+    while y:
+        if len(out) == MAX_CHAIN:
+            raise LensfillError(f"the expansion of {p}/{q} has more than {MAX_CHAIN} entries")
+        a = -(-x // y)
         out.append(a)
-        p, q = q, a * q - p
+        x, y = y, a * y - x
     return tuple(out)
 
 
@@ -217,13 +241,9 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     if k == 0:
         return []
     last = k - 1
-    # caps[j] = K(bounds[j+2:]): the largest denominator allowed after
-    # choosing the entry at 0-based position j
-    caps = [0] * k
-    t1, t0 = 1, 0
-    for j in range(k - 2, -1, -1):
-        caps[j] = t1
-        t1, t0 = bounds[j + 1] * t1 - t0, t1
+    # caps[j] = K(bounds[j+2:]), the largest denominator allowed after choosing
+    # position j: prefix continuants of the reversed bounds, by reversal invariance
+    caps = continuants(bounds[::-1])[k - 1 :: -1]
     out: list[CFTuple] = []
     limit = MAX_TUPLES
     path = [0] * k
@@ -285,28 +305,23 @@ def dual_expansion(b: Sequence[int]) -> CFTuple:
     Row i of the diagram carries b_i - 1 dots and each row starts under
     the last dot of the previous one; the column counts plus one give the
     dual expansion.  The result is cross-checked against the direct route
-    (recover p and q from the value, expand p/q); a mismatch raises
-    TheoremViolation.
+    (p = K(b) and p - q = K(b_2..b_k), expand p/q); a mismatch raises
+    TheoremViolation.  The direct route runs first, so it refuses an
+    expansion past MAX_CHAIN before the diagram is drawn.
     """
     b = tuple(b)
     if not b or any(x < 2 for x in b):
         raise LensfillError(f"need a tuple with all entries >= 2, got {b}")
-    counts: list[int] = []
+    p = continuant(b)
+    direct = hj_expand(p, p - continuant(b[1:]))
+    counts = [1] * (sum(b) - 2 * len(b) + 1)  # one more than the dots per column
     col = 0
     for x in b:
-        last = col + x - 2
-        if len(counts) <= last:
-            counts.extend([0] * (last + 1 - len(counts)))
-        for j in range(col, last + 1):
+        for j in range(col, col + x - 1):
             counts[j] += 1
-        col = last
-    a = tuple(c + 1 for c in counts)
-
-    v = eval_cf(b)
-    if v is None or v <= 1:
-        raise LensfillError(f"{b} does not present a pair p > p-q >= 1")
-    p, pq = v.numerator, v.denominator
-    if a != (direct := hj_expand(p, p - pq)):
+        col += x - 2
+    a = tuple(counts)
+    if a != direct:
         raise TheoremViolation(f"point diagram of b = {b} gives {a}, direct route {direct}")
     return a
 

@@ -16,13 +16,13 @@ import inspect
 import json
 import sys
 
-from .cfrac import MAX_TUPLES, bounded_zero_cf, hj_expand
+from .cfrac import _zero_tuple_count, bounded_zero_cf, hj_expand
 from .errors import LensfillError, TheoremViolation
 from .fillings import make_params, zset
 from .homology import rotation_numbers
 from .lattice import check_filling
 from .report import build_report, render_csv, render_table, spin_rows
-from .suites import SUITES, _ALIASES, _catalan, _coprime_pairs
+from .suites import SUITES, _ALIASES, _coprime_pairs
 
 _SUITE_CHOICES = sorted(SUITES) + sorted(_ALIASES) + ["all"]
 
@@ -34,18 +34,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _zero_tuple_count(k: int, action: str) -> int:
-    """Catalan(k-1), the number of zero tuples of length k >= 1; refuses
-    counts above MAX_TUPLES before anything is enumerated."""
-    count = _catalan(max(k - 1, 0))
-    if count > MAX_TUPLES:
-        raise LensfillError(
-            f"{action} Catalan({k - 1}) = {count} tuples, "
-            f"more than the limit of {MAX_TUPLES}"
-        )
-    return count
 
 
 # Each command returns the text to write; verify also returns its exit code.

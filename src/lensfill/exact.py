@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .errors import LensfillError
 
-__all__ = ["mod_inverse", "continuant", "smith_diagonal"]
+__all__ = ["mod_inverse", "continuants", "continuant", "smith_diagonal"]
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -27,18 +27,27 @@ def mod_inverse(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
-def continuant(t: Sequence[int]) -> int:
-    """Continuant K(t_1, ..., t_k) of the minus-sign continued fraction.
+def continuants(t: Sequence[int]) -> list[int]:
+    """Prefix continuants [0, 1, K(t_1), K(t_1, t_2), ..., K(t_1..t_k)]:
+    K_{-1} = 0, K() = 1, K(t_1..t_i) = t_i*K(t_1..t_{i-1}) - K(t_1..t_{i-2}).
 
-    K() = 1, K(t_1) = t_1, and K(t_1..t_i) = t_i*K(t_1..t_{i-1}) -
-    K(t_1..t_{i-2}).  For an admissible tuple this is the numerator of
-    [t_1, ..., t_k] in lowest terms, and it equals the determinant of the
-    tridiagonal matrix with diagonal t and off-diagonal -1 entries.
+    The order p = K(b), the meridian coefficients, the rotation numbers and
+    the search caps are all read from here (Conway-Coxeter frieze entries).
     """
+    out = [0, 1]
     prev2, prev = 0, 1
     for x in t:
         prev2, prev = prev, x * prev - prev2
-    return prev
+        out.append(prev)
+    return out
+
+
+def continuant(t: Sequence[int]) -> int:
+    """Continuant K(t_1, ..., t_k), the last of continuants(t).  For an
+    admissible tuple this is the numerator of [t_1, ..., t_k] in lowest
+    terms; it is the determinant of the tridiagonal matrix with diagonal t
+    and off-diagonal -1 entries."""
+    return continuants(t)[-1]
 
 
 def _as_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:

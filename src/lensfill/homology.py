@@ -4,10 +4,11 @@ The boundary of the filling attached to n is presented by a chain of k
 unknots with framings b_1, ..., b_k; the meridian classes mu_1, ..., mu_k
 generate H_1 and satisfy b_i mu_i = mu_{i-1} + mu_{i+1} with mu_0 =
 mu_{k+1} = 0.  Everything below is expressed in the cyclic group of order
-p = K(b_1..b_k) generated by mu_1: spin structures as parity bit vectors,
-the two formulas for the plane-field invariant (one from the handle
-picture of the filling, one from the compactified resolution side), and
-the rotation numbers of the chain of attaching circles.
+p = K(b) generated by mu_1, with mu_i = K(b_1..b_{i-1}) mu_1; both are
+prefix continuants of b, so every function takes b alone.  Computed here:
+spin structures as parity bit vectors, the two formulas for the
+plane-field invariant (one from the handle picture of the filling, one
+from the compactified resolution side), and the chain's rotation numbers.
 
 The two invariant formulas are not independent.  With N_i = s_{i-1} +
 s_{i+1} + b_i (1 - s_i), both expand to sum_i (N_i/2 - [i >= 2]) mu_i,
@@ -16,11 +17,11 @@ term by term, so their agreement checks the two implementations only.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .cfrac import eval_cf
 from .errors import LensfillError, TheoremViolation
-from .exact import continuant
+from .exact import continuants
 
 __all__ = [
     "mu_basis",
@@ -34,37 +35,37 @@ __all__ = [
 Bits = tuple[int, ...]
 
 
-def mu_basis(b: Sequence[int], p: int) -> tuple[int, ...]:
-    """Express every meridian class as a multiple of mu_1 modulo p.
+def _chain_continuants(b: Sequence[int]) -> list[int]:
+    """continuants(b) for a chain that presents a lens space: nonempty, K(b) >= 1."""
+    if not b:
+        raise LensfillError("need a nonempty chain")
+    out = continuants(b)
+    if out[-1] < 1:
+        raise LensfillError(f"chain {tuple(b)} has determinant {out[-1]}, need p >= 1")
+    return out
+
+
+def mu_basis(b: Sequence[int]) -> tuple[int, ...]:
+    """Express every meridian class as a multiple of mu_1 modulo p = K(b).
 
     Returns (c_1, ..., c_k) with mu_i = c_i * mu_1 in Z/p, c_1 = 1.  The
-    recursion c_1 = 1, c_2 = b_1, c_{i+1} = b_i c_i - c_{i-1} follows
-    from the chain relations, so c_i = K(b_1..b_{i-1}) mod p.  The chain
-    determinant K(b) must equal p (asserted); then the final relation
-    b_k c_k - c_{k-1} = K(b) closes modulo p with nothing left to check.
+    chain relations give c_1 = 1, c_2 = b_1, c_{i+1} = b_i c_i - c_{i-1},
+    so c_i = K(b_1..b_{i-1}) mod p, and the final relation b_k c_k -
+    c_{k-1} = K(b) closes modulo p with nothing left to check.
     """
-    b = tuple(b)
-    k = len(b)
-    if k == 0 or p < 2:
-        raise TheoremViolation(f"need a nonempty chain and p >= 2, got {b}, {p}")
-    if continuant(b) != p:
-        raise TheoremViolation(f"chain determinant {continuant(b)} != p = {p}")
-    coeffs = [1]
-    prev = 0  # c_0, the zero class
-    for i in range(k - 1):
-        coeffs.append((b[i] * coeffs[-1] - prev) % p)
-        prev = coeffs[-2]
-    return tuple(coeffs)
+    *c, p = _chain_continuants(b)[1:]
+    return tuple(x % p for x in c)
 
 
-def _parity_ok(b: Sequence[int], s: Sequence[int]) -> bool:
-    k = len(b)
-    for i in range(1, k + 1):
-        sm = s[i - 2] if i >= 2 else 0
-        sp = s[i] if i <= k - 1 else 0
-        if (sm + sp + b[i - 1] * (1 - s[i - 1])) % 2:
-            return False
-    return True
+def _chain_sums(b: Sequence[int], s: Sequence[int]) -> Optional[list[int]]:
+    """[N_1, ..., N_k] with N_i = s_{i-1} + s_{i+1} + b_i (1 - s_i) and
+    s_0 = s_{k+1} = 0, or None unless s is a spin structure for b (a bit
+    vector of length k with every N_i even)."""
+    if len(s) != len(b) or any(x not in (0, 1) for x in s):
+        return None
+    z = (0, *s, 0)
+    sums = [z[i - 1] + z[i + 1] + x * (1 - z[i]) for i, x in enumerate(b, 1)]
+    return None if any(x % 2 for x in sums) else sums
 
 
 def is_valid_spin(b: Sequence[int], s: Sequence[int]) -> bool:
@@ -74,29 +75,26 @@ def is_valid_spin(b: Sequence[int], s: Sequence[int]) -> bool:
     s_0 = s_{k+1} = 0, every s_{i-1} + s_{i+1} + b_i (1 - s_i) must be
     even.  This is the characteristic-sublink condition for the chain.
     """
-    if len(s) != len(b) or any(x not in (0, 1) for x in s):
-        return False
-    return _parity_ok(b, s)
+    return _chain_sums(b, s) is not None
 
 
-def spin_structures(b: Sequence[int], p: int) -> list[Bits]:
+def spin_structures(b: Sequence[int]) -> list[Bits]:
     """All spin structures of the boundary, as parity bit vectors.
 
-    Solved by forward substitution: s_1 is free, s_{i+1} = s_{i-1} +
-    b_i (1 - s_i) mod 2, and the last parity equation filters.  The count
-    must be 1 for odd p and 2 for even p (asserted).
+    Solved by forward substitution: s_0 = 0, s_1 is free, and s_{i+1} =
+    s_{i-1} + b_i (1 - s_i) mod 2 makes N_i even.  Run one step past b_k,
+    the recurrence gives s_{k+1}, and s is a spin structure iff that is 0.
+    The count must be 1 for odd p = K(b) and 2 for even p (asserted).
     """
     b = tuple(b)
-    k = len(b)
+    p = _chain_continuants(b)[-1]
     out = []
     for s1 in (0, 1):
-        s = [s1]
-        for i in range(1, k):
-            sm = s[i - 2] if i >= 2 else 0
-            s.append((sm + b[i - 1] * (1 - s[i - 1])) % 2)
-        sm = s[k - 2] if k >= 2 else 0
-        if (sm + b[k - 1] * (1 - s[k - 1])) % 2 == 0:
-            out.append(tuple(s))
+        s = [0, s1]
+        for x in b:
+            s.append((s[-2] + x * (1 - s[-1])) % 2)
+        if s[-1] == 0:
+            out.append(tuple(s[1:-1]))
     if len(out) != 2 - p % 2:
         raise TheoremViolation(
             f"found {len(out)} spin structures for {b}, expected {2 - p % 2}"
@@ -113,18 +111,11 @@ def gamma_filling(b: Sequence[int], s: Sequence[int]) -> int:
     Depends only on b and s, not on the particular filling.
     """
     b = tuple(b)
-    k = len(b)
-    if not is_valid_spin(b, s):
+    sums = _chain_sums(b, s)
+    if sums is None:
         raise LensfillError(f"{s} is not a spin structure for chain {b}")
-    p = continuant(b)
-    mu = mu_basis(b, p)
-    total = 0
-    for i in range(1, k + 1):
-        sm = s[i - 2] if i >= 2 else 0
-        sp = s[i] if i <= k - 1 else 0
-        coeff = (sm + sp + b[i - 1] * (1 - s[i - 1])) // 2 - (1 if i >= 2 else 0)
-        total += coeff * mu[i - 1]
-    return total % p
+    *mu, p = _chain_continuants(b)[1:]
+    return (sum(n // 2 * c for n, c in zip(sums, mu)) - sum(mu[1:])) % p
 
 
 def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
@@ -145,21 +136,13 @@ def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
     and the negated sum is gamma_filling's polynomial term by term.
     """
     b = tuple(b)
-    k = len(b)
     if not is_valid_spin(b, s):
         raise LensfillError(f"{s} is not a spin structure for chain {b}")
-    p = continuant(b)
-    mu = mu_basis(b, p)
-    t = (1 - s[0],) + tuple(s)  # indices 0..k; t_{-1} = t_{k+1} = 0
-    bprime = (1, 1 - b[0]) + tuple(-x for x in b[1:])
-    g = []
-    for i in range(k + 1):
-        tm = t[i - 1] if i >= 1 else 0
-        tp = t[i + 1] if i <= k - 1 else 0
-        g.append((2 + bprime[i] * (1 - t[i]) - tm - tp) // 2)
-    total = (g[1] - g[0]) * mu[0]
-    for i in range(2, k + 1):
-        total += g[i] * mu[i - 1]
+    *mu, p = _chain_continuants(b)[1:]
+    t = (0, 1 - s[0], *s, 0)  # t_{-1}, t_0, ..., t_k, t_{k+1}
+    bprime = (1, 1 - b[0], *(-x for x in b[1:]))
+    g = [(2 + x * (1 - t[i + 1]) - t[i] - t[i + 2]) // 2 for i, x in enumerate(bprime)]
+    total = (g[1] - g[0]) * mu[0] + sum(x * c for x, c in zip(g[2:], mu[1:]))
     return (-total) % p
 
 
@@ -167,8 +150,9 @@ def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:
     """Rotation numbers of the chain of Legendrian attaching circles.
 
     For an admissible zero tuple n the recursion r_1 = 0, r_2 = 1,
-    r_{i+1} = n_i r_i - r_{i-1} is forced, so r_i = K(n_2..n_{i-1}) and the
-    terminal value r_{k-1} - n_k r_k is -K(n_2..n_k).  The zero-tuple test
+    r_{i+1} = n_i r_i - r_{i-1} is forced, so r is continuants(n_2..n_{k-1}),
+    r_i = K(n_2..n_{i-1}), and the terminal value r_{k-1} - n_k r_k is
+    -K(n_2..n_k).  The zero-tuple test
     says n_1 K(n_2..n_k) = K(n_3..n_k) with K(n_2..n_k) > 0, and
     consecutive continuants are coprime, so K(n_2..n_k) = 1: the relation
     r_{k-1} - n_k r_k = -1 cannot fail once that test has passed, and the
@@ -178,14 +162,11 @@ def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:
     n = tuple(n)
     if eval_cf(n) != 0:
         raise LensfillError(f"{n} is not an admissible zero tuple")
-    k = len(n)
-    if k == 1:
+    if len(n) == 1:
         return (0,)
-    r = [0, 1]
-    for i in range(2, k):
-        r.append(n[i - 1] * r[i - 1] - r[i - 2])
-    if r[k - 2] - n[k - 1] * r[k - 1] != -1:
+    r = continuants(n[1:-1])  # r_1 = K_{-1} = 0, r_2 = K() = 1, ..., r_k
+    if r[-2] - n[-1] * r[-1] != -1:
         raise TheoremViolation(
-            f"rotation recursion for {n} ends at {r[k - 2] - n[k - 1] * r[k - 1]}, not -1"
+            f"rotation recursion for {n} ends at {r[-2] - n[-1] * r[-1]}, not -1"
         )
     return tuple(r)

@@ -44,7 +44,7 @@ def spin_rows(params: LensParams) -> list[dict[str, Any]]:
     so the check guards the two implementations against each other.
     """
     rows = []
-    for s in spin_structures(params.b, params.p):
+    for s in spin_structures(params.b):
         gf, gs = gamma_filling(params.b, s), gamma_standard(params.b, s)
         if gf != gs:
             raise TheoremViolation(
@@ -112,7 +112,7 @@ def render_table(report: dict[str, Any]) -> str:
         f"  rational-ball filling: {ball}    unique filling certified: "
         f"{'yes' if fl['unique_filling_certified'] else 'no'}"
     )
-    mu_k = mu_basis(tuple(report["b"]), p)[-1]
+    mu_k = mu_basis(report["b"])[-1]
     lines.append(f"  meridian scale: mu_k = {mu_k} mu_1 (mod {p})")
     lines.append(f"  fillings ({len(report['z_set'])}):")
     for i, f in enumerate(report["fillings"]):

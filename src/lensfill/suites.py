@@ -10,10 +10,10 @@ drives the same functions.
 
 from __future__ import annotations
 
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 from typing import Callable
 
-from .cfrac import bounded_zero_cf, enumerate_zero_cf, reverse
+from .cfrac import _catalan, bounded_zero_cf, enumerate_zero_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
 from .errors import LensfillError, TheoremViolation
 from .homology import rotation_numbers
@@ -28,10 +28,6 @@ def _coprime_pairs(pmax):
         for q in range(1, p):
             if gcd(p, q) == 1:
                 yield p, q
-
-
-def _catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 def _triangulation_tuples(k: int):

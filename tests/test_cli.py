@@ -356,6 +356,20 @@ def test_searches_past_the_tuple_limit_exit_1(monkeypatch, capsys):
         )
 
 
+def test_expansions_past_the_chain_limit_exit_1(monkeypatch, capsys):
+    from lensfill import cfrac, cli
+
+    # 5/4 = [2, 2, 2, 2]: L(5,1) has that chain, L(5,4) that dual expansion
+    monkeypatch.setattr(cfrac, "MAX_CHAIN", 3)
+    for argv in (["expand", "5", "1"], ["expand", "5", "4"], ["fillings", "5", "1"],
+                 ["fillings", "5", "4", "--json"]):
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == "lensfill: error: the expansion of 5/4 has more than 3 entries\n", argv
+    assert cli.main(["fillings", "4", "1"]) == 0  # (2, 2, 2) is within the limit
+
+
 def test_escaped_reversal_exits_2(monkeypatch, capsys):
     from lensfill import cli, fillings
 

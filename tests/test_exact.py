@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensfill.errors import LensfillError
-from lensfill.exact import continuant, mod_inverse, smith_diagonal
+from lensfill.exact import continuant, continuants, mod_inverse, smith_diagonal
 
 
 def scan_inverse(a, m):
@@ -52,6 +52,22 @@ def test_continuant_examples():
     assert continuant((7,)) == 7
     assert continuant((2, 2, 2)) == 4
     assert continuant((5, 2)) == 9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-9, 9), max_size=12))
+def test_continuants_are_matrix_product_entries(t):
+    # independent formula: the product M_i ... M_1 of M_j = [[t_j, -1], [1, 0]]
+    # has K(t_1..t_i) at top left and K(t_1..t_{i-1}) at bottom left; entries
+    # are signed because the string type (1, 1 - b_1, -b_2, ...) is signed
+    (a, b), (c, d) = (1, 0), (0, 1)
+    want = [0, 1]
+    for x in t:
+        (a, b), (c, d) = (x * a - c, x * b - d), (a, b)
+        assert c == want[-1]
+        want.append(a)
+    assert continuants(t) == want
+    assert continuant(t) == want[-1]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

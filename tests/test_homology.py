@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from lensfill.cfrac import enumerate_zero_cf, hj_expand
-from lensfill.errors import LensfillError, TheoremViolation
+from lensfill.errors import LensfillError
 from lensfill.exact import continuant
 from lensfill.homology import (
     gamma_filling,
@@ -28,21 +28,42 @@ def chain(p, q):
 
 
 def test_mu_basis_examples():
-    assert mu_basis((2, 2, 2), 4) == (1, 2, 3)
-    assert mu_basis((2,), 2) == (1,)
-    assert mu_basis((2, 2, 2, 3), 9) == (1, 2, 3, 4)
+    assert mu_basis((2, 2, 2)) == (1, 2, 3)
+    assert mu_basis((2,)) == (1,)
+    assert mu_basis((2, 2, 2, 3)) == (1, 2, 3, 4)
 
 
-def test_mu_basis_rejects_mismatched_p():
-    with pytest.raises(TheoremViolation, match=r"chain determinant 4 != p = 5"):
-        mu_basis((2, 2, 2), 5)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mu_basis(()),
+        lambda: spin_structures(()),
+        lambda: gamma_filling((), ()),
+        lambda: gamma_standard((), ()),
+    ],
+    ids=["mu_basis", "spin_structures", "gamma_filling", "gamma_standard"],
+)
+def test_empty_chain_is_refused(call):
+    with pytest.raises(LensfillError, match=r"^need a nonempty chain$") as info:
+        call()
+    assert type(info.value) is LensfillError  # exit 1, not a theorem violation
+
+
+def test_chain_with_determinant_below_one_is_refused():
+    # K(1, 1) = 0: no lens space, and no Z/p to reduce into
+    for call in (mu_basis, spin_structures):
+        with pytest.raises(LensfillError, match=r"^chain \(1, 1\) has determinant 0, need p >= 1$"):
+            call((1, 1))
+    for gamma in (gamma_filling, gamma_standard):
+        with pytest.raises(LensfillError, match="has determinant 0"):
+            gamma((1, 1), (0, 1))  # a spin structure: N = (2, 0)
 
 
 def test_mu_basis_closure_sweep():
-    # the recursion closes and the chain determinant equals p, every pair
+    # the recursion closes modulo p = K(b), every pair
     for p, q in coprime_pairs(2000):
         b = chain(p, q)
-        c = mu_basis(b, p)  # determinant asserted inside
+        c = mu_basis(b)
         assert c[0] == 1 and len(c) == len(b)
         assert (b[-1] * c[-1] - (c[-2] if len(c) > 1 else 0)) % p == 0
         assert continuant(b) == p
@@ -51,13 +72,13 @@ def test_mu_basis_closure_sweep():
 def test_mu_last_coefficient_measured_relation():
     # measured, not part of the contract: q * c_k = -1 mod p on the +b chain
     for p, q in coprime_pairs(200):
-        assert (q * mu_basis(chain(p, q), p)[-1]) % p == p - 1
+        assert (q * mu_basis(chain(p, q))[-1]) % p == p - 1
 
 
 def test_spin_structures_examples():
-    assert spin_structures((2, 2, 2), 4) == [(0, 0, 0), (1, 0, 1)]
-    assert spin_structures((2,), 2) == [(0,), (1,)]
-    only = spin_structures((2, 2, 2, 3), 9)
+    assert spin_structures((2, 2, 2)) == [(0, 0, 0), (1, 0, 1)]
+    assert spin_structures((2,)) == [(0,), (1,)]
+    only = spin_structures((2, 2, 2, 3))
     assert len(only) == 1
     # brute force over all bit vectors agrees
     brute = [s for s in product((0, 1), repeat=4) if is_valid_spin((2, 2, 2, 3), s)]
@@ -72,7 +93,7 @@ def test_spin_structures_brute_force_small_k():
         if len(b) > 8:
             continue
         brute = [s for s in product((0, 1), repeat=len(b)) if is_valid_spin(b, s)]
-        assert spin_structures(b, p) == brute
+        assert spin_structures(b) == brute
         for s in brute:
             gamma_filling(b, s)  # must not raise
         for s in product((0, 1), repeat=len(b)):
@@ -84,7 +105,7 @@ def test_spin_structures_brute_force_small_k():
 def test_spin_structure_counts():
     for p, q in coprime_pairs(500):
         b = chain(p, q)
-        assert len(spin_structures(b, p)) == 2 - p % 2
+        assert len(spin_structures(b)) == 2 - p % 2
 
 
 def test_gamma_filling_examples():
@@ -101,14 +122,14 @@ def test_gamma_standard_examples():
     assert gamma_standard((2,), (0,)) == gamma_filling((2,), (0,))
     assert gamma_standard((2,), (1,)) == gamma_filling((2,), (1,))
     b = (2, 2, 2, 3)
-    (s,) = spin_structures(b, 9)
+    (s,) = spin_structures(b)
     assert gamma_standard(b, s) == gamma_filling(b, s)
 
 
 def test_gamma_equality_sweep():
     for p, q in coprime_pairs(60):
         b = chain(p, q)
-        for s in spin_structures(b, p):
+        for s in spin_structures(b):
             assert gamma_filling(b, s) == gamma_standard(b, s), (p, q, s)
 
 
