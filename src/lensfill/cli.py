@@ -6,7 +6,9 @@ contradicting a proved statement, the most important signal the tool can
 emit).  `verify` does not stop at a failed suite: it prints FAIL and the
 suite's exception message as the first counterexample, runs the remaining
 suites, and exits 2 if any failed.  Output is deterministic; identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  JSON output is byte for byte
+what `json.dumps(..., indent=2)` gives; `_render` produces it with str.join,
+since the stdlib's C encoder does not handle an indent.
 """
 
 from __future__ import annotations
@@ -32,8 +34,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_encode_key = json.encoder.encode_basestring_ascii
+_INT = {int}
+
+
+def _render(x, pad="\n") -> str:
+    """`json.dumps(x, indent=2)` for dicts with str keys, lists, tuples and
+    leaves; pad is the newline and indent that precede x's closing bracket."""
+    t = type(x)
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [_encode_key(k) + ": " + _render(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        # a list of ints (no bools) is the common case: one join, no recursion
+        items = map(str, x) if {*map(type, x)} == _INT else [_render(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if t is int:
+        return str(x)
+    return json.dumps(x)
+
+
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _render(payload) + "\n"
 
 
 # Each command returns the text to write; verify also returns its exit code.
@@ -142,7 +170,6 @@ def cmd_sweep(args) -> str:
         raise LensfillError("sweep needs a bound: positional p_max or --pmax")
     if p_max < 2:
         raise LensfillError(f"sweep bound must be >= 2, got {p_max}")
-    reports = [build_report(p, q) for p, q in _coprime_pairs(p_max)]
 
     def keep(r) -> bool:
         if args.rational_ball and not r["flags"]["rational_ball"]:
@@ -153,9 +180,11 @@ def cmd_sweep(args) -> str:
             return False
         return True
 
-    reports = [r for r in reports if keep(r)]
+    # one report at a time: under --json each is rendered and dropped as it is built
+    reports = filter(keep, (build_report(p, q) for p, q in _coprime_pairs(p_max)))
     if args.json:
-        return _dump_json(reports)
+        chunks = [_render(r, "\n  ") for r in reports]
+        return "[\n  " + ",\n  ".join(chunks) + "\n]\n" if chunks else "[]\n"
     if args.csv:
         return render_csv(reports)
     lines = []

@@ -64,9 +64,14 @@ class FillingDescriptor:
 
 
 def make_params(p: int, q: int) -> LensParams:
-    """Validate the pair and populate the chain data for L(p, q)."""
+    """Validate the pair and populate the chain data for L(p, q).  A refusal
+    from the expansion (the chain limit) is re-raised naming the pair."""
     _check_pair(p, q)
-    return LensParams(p=p, q=q, b=hj_expand(p, p - q), qbar=mod_inverse(q, p))
+    try:
+        b = hj_expand(p, p - q)
+    except LensfillError as exc:
+        raise LensfillError(f"L({p},{q}): {exc}") from None
+    return LensParams(p=p, q=q, b=b, qbar=mod_inverse(q, p))
 
 
 def zset(params: LensParams) -> list[CFTuple]:

@@ -1,8 +1,10 @@
-"""Assemble per-pair reports and render them as text, JSON or CSV.
+"""Assemble per-pair reports and render them as text or CSV.
 
-The JSON layout is fixed and published as schema/report.schema.json at the
-repository root; identical inputs produce byte-identical output (no
-timestamps, fully deterministic ordering).
+A report is a dict of lists, ints, bools and None; the command line
+renders it as JSON with its own renderer (see cli).  That layout is fixed
+and published as schema/report.schema.json at the repository root;
+identical inputs produce byte-identical output (no timestamps, fully
+deterministic ordering).
 
 A report computes the bounded zero-tuple set once and derives the classes,
 the per-filling handle data and the uniqueness flag from it.  The tuples

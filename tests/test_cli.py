@@ -8,7 +8,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lensfill import build_report
 from test_fillings import coprime_pair
@@ -67,6 +68,42 @@ def test_json_round_trips_losslessly():
     res = run_cli("fillings", "8", "3", "--json")
     report = json.loads(res.stdout)
     assert json.loads(json.dumps(report)) == report
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "caf\u00e9 \u2603 \U0001f600", '\\"'])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "d": [[[]], {"e": {}}]})
+@example([1, True, 2**65, -3, None])
+def test_render_equals_stdlib_indent_2(x):
+    from lensfill import cli
+
+    assert cli._render(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("argv", [["sweep", "30", "--json"], ["zeroseq", "6", "--json"]])
+def test_json_output_is_the_stdlib_rendering(argv, capsys):
+    from lensfill import cli
+
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_exit_code_on_bad_pair():
@@ -359,15 +396,27 @@ def test_searches_past_the_tuple_limit_exit_1(monkeypatch, capsys):
 def test_expansions_past_the_chain_limit_exit_1(monkeypatch, capsys):
     from lensfill import cfrac, cli
 
-    # 5/4 = [2, 2, 2, 2]: L(5,1) has that chain, L(5,4) that dual expansion
+    # 5/4 = [2, 2, 2, 2]: L(5,1) has that chain, L(5,4) that dual expansion;
+    # make_params names the pair whose chain it expands
     monkeypatch.setattr(cfrac, "MAX_CHAIN", 3)
-    for argv in (["expand", "5", "1"], ["expand", "5", "4"], ["fillings", "5", "1"],
-                 ["fillings", "5", "4", "--json"]):
+    for argv, prefix in ((["expand", "5", "1"], "L(5,1): "), (["expand", "5", "4"], ""),
+                         (["fillings", "5", "1"], "L(5,1): "),
+                         (["fillings", "5", "4", "--json"], "")):
         assert cli.main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "", argv
-        assert err == "lensfill: error: the expansion of 5/4 has more than 3 entries\n", argv
+        assert err == f"lensfill: error: {prefix}the expansion of 5/4 has more than 3 entries\n", argv
     assert cli.main(["fillings", "4", "1"]) == 0  # (2, 2, 2) is within the limit
+
+
+def test_chain_limit_message_names_the_pair(capsys):
+    from lensfill import cli
+
+    assert cli.main(["fillings", "100000001", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "L(100000001,1)" in err
 
 
 def test_escaped_reversal_exits_2(monkeypatch, capsys):

@@ -68,6 +68,7 @@ CASES = {
     "sweep-pmax-10-min-fillings-2": ["sweep", "--pmax", "10", "--min-fillings", "2"],
     "sweep-pmax-10-min-fillings-3": ["sweep", "--pmax", "10", "--min-fillings", "3"],
     "sweep-25-unique-rational-ball-json": ["sweep", "25", "--unique", "--rational-ball", "--json"],
+    "sweep-4-unique-json": ["sweep", "4", "--unique", "--json"],
     "sweep-1": ["sweep", "1"],
     "sweep-no-bound": ["sweep"],
     "sweep-5-pmax-3": ["sweep", "5", "--pmax", "3"],

@@ -1,8 +1,9 @@
 """Every name a lensfill module imports is used in that module, every
 module-level private name is used somewhere in the package, no module
 holds an ``assert`` statement, since ``python -O`` strips those, every
-``raise`` names one of the package's two exception classes, and the
-package exports exactly its modules' ``__all__`` lists.
+``raise`` names one of the package's two exception classes, no call passes
+``indent=`` to ``json.dumps`` or ``json.dump``, and the package exports
+exactly its modules' ``__all__`` lists.
 
 No linter ships with the package, so these are stdlib AST checks.  The
 package ``__init__.py`` is skipped by the import check, since its imports
@@ -139,6 +140,38 @@ def test_every_raise_names_a_package_error():
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
         if (lines := stray_raises(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def indented_json_calls(source):
+    """Line numbers of the calls in source to ``dump`` or ``dumps`` (as a
+    name or an attribute) that pass ``indent=``.  With an indent the stdlib
+    encodes in pure Python; ``cli._render`` is the package's one JSON path."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dump", "dumps"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_indented_json_calls_detected():
+    source = (
+        "import json\nfrom json import dumps\njson.dumps(x)\njson.dumps(x, indent=2)\n"
+        "dumps(x, indent=None)\njson.dump(x, fh, indent=1)\nprint(x, indent=2)\n"
+        "json.loads(s)\n"
+    )
+    assert indented_json_calls(source) == [4, 5, 6]
+
+
+def test_no_indented_json_calls_in_package():
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := indented_json_calls(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 
