@@ -30,12 +30,12 @@ for p in (5, 6, 17):
 # piece used in rational blowdown surgery.
 for m in (3, 4, 5):
     pr = make_params(m * m, m - 1)
-    descs = [invariants(pr, n) for n in zset(pr)]
+    zs = zset(pr)
     print(
         f"L({m*m},{m-1}): fillings",
-        [d.n for d in descs],
+        zs,
         "with b2 =",
-        [d.b2 for d in descs],
+        [sum(invariants(pr, n)) - 1 for n in zs],
         "witness:",
         rational_ball_criterion(m * m, m - 1),
     )
@@ -49,4 +49,4 @@ print("Z_{24,5} =", zset(make_params(24, 5)))
 pr = make_params(89, 34)
 for r in (0, 1):
     n = minimal_filling_family(pr, r)
-    print(f"L(89,34), r={r}: n={n}, chi={invariants(pr, n).chi}")
+    print(f"L(89,34), r={r}: n={n}, chi={sum(invariants(pr, n))}")

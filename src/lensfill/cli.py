@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from .cfrac import _zero_tuple_count, bounded_zero_cf, hj_expand
@@ -150,7 +151,13 @@ def cmd_rot(args) -> str:
 
 def cmd_lattice_check(args) -> str:
     params = make_params(args.p, args.q)
-    rows = [check_filling(params.b, n) for n in zset(params)]
+    zs = zset(params)
+    try:
+        rows = [check_filling(params.b, n) for n in zs]
+    except TheoremViolation:
+        raise
+    except LensfillError as exc:  # the lattice chain limit, named like zset's refusals
+        raise LensfillError(f"L({args.p},{args.q}): {exc}") from None
     if args.json:
         return _dump_json({"p": args.p, "q": args.q, "fillings": rows})
     lines = [f"L({args.p},{args.q}) lattice checks:"]
@@ -308,20 +315,23 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     out = sys.stdout
     if args.out:
-        # opened before the command runs, so an unwritable path fails at once;
-        # append mode keeps an existing file intact until there is text to write
+        # opened before the command runs, so an unwritable path fails at once; append
+        # mode keeps an existing file intact, and a failed run removes one it created
+        created = not os.path.exists(args.out)
         try:
             out = open(args.out, "a", encoding="utf-8")
         except OSError as exc:
             reason = exc.strerror or exc
             print(f"lensfill: error: cannot write {args.out}: {reason}", file=sys.stderr)
             return 1
+    failed = True
     try:
         result = args.func(args)
         text, code = result if isinstance(result, tuple) else (result, 0)
         if args.out:
             out.truncate(0)
         out.write(text)
+        failed = False
         return code
     except TheoremViolation as exc:
         print(f"lensfill: theorem violation: {exc}", file=sys.stderr)
@@ -332,6 +342,8 @@ def main(argv=None) -> int:
     finally:
         if args.out:
             out.close()
+            if failed and created:
+                os.remove(args.out)
 
 
 if __name__ == "__main__":

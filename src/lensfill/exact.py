@@ -67,8 +67,10 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
     Returns min(rows, cols) non-negative integers d_1 | d_2 | ... | d_r
     followed by zeros.  Reduction is by elementary row and column
     operations, always pivoting on the smallest nonzero entry by absolute
-    value; no performance tuning, which is fine at the matrix sizes this
-    package produces.
+    value; no performance tuning, so the cost is cubic in the size.  The
+    package's only matrices are the cores of lattice.complement_homology,
+    at most (k + 1) x k for chains of k <= lattice.MAX_LATTICE_CHAIN
+    entries, and that limit is what keeps the cost acceptable.
     """
     a = _as_matrix(matrix)
     nr = len(a)

@@ -22,7 +22,6 @@ from .exact import mod_inverse
 
 __all__ = [
     "LensParams",
-    "FillingDescriptor",
     "make_params",
     "zset",
     "invariants",
@@ -46,21 +45,6 @@ class LensParams:
     q: int
     b: CFTuple
     qbar: int
-
-
-@dataclass(frozen=True)
-class FillingDescriptor:
-    """One minimal filling: its tuple n and the handle-level invariants.
-
-    chi is the Euler characteristic (one 0-handle, one 1-handle, and
-    sum(b_i - n_i) two-handles), b2 = chi - 1 the second Betti number, and
-    handle_counts the per-component two-handle multiplicities b_i - n_i.
-    """
-
-    n: CFTuple
-    chi: int
-    b2: int
-    handle_counts: tuple[int, ...]
 
 
 def make_params(p: int, q: int) -> LensParams:
@@ -87,59 +71,49 @@ def zset(params: LensParams) -> list[CFTuple]:
         raise LensfillError(f"L({params.p},{params.q}): {exc}") from None
 
 
-def _check_member(params: LensParams, n: Sequence[int]) -> CFTuple:
-    n = tuple(n)
-    b = params.b
+def invariants(params: LensParams, n: Sequence[int]) -> tuple[int, ...]:
+    """The two-handle counts b_i - n_i of the filling attached to n, which
+    must be an admissible zero tuple bounded by b.  With its one 0-handle and
+    one 1-handle, chi = sum(invariants(params, n)) and b2 = chi - 1."""
+    n, b = tuple(n), params.b
     if len(n) != len(b) or any(x < 0 or x > bi for x, bi in zip(n, b)):
         raise LensfillError(f"{n} is not bounded by {b}")
     if eval_cf(n) != 0:
         raise LensfillError(f"{n} is not an admissible zero tuple")
-    return n
+    return tuple(bi - ni for bi, ni in zip(b, n))
 
 
-def _describe(params: LensParams, n: CFTuple) -> FillingDescriptor:
-    handles = tuple(bi - ni for bi, ni in zip(params.b, n))
-    chi = sum(handles)
-    return FillingDescriptor(n=n, chi=chi, b2=chi - 1, handle_counts=handles)
-
-
-def invariants(params: LensParams, n: Sequence[int]) -> FillingDescriptor:
-    """Handle counts and Euler characteristic of the filling attached to n."""
-    return _describe(params, _check_member(params, n))
-
-
-def _orbits(params: LensParams, zs: list[CFTuple]) -> list[list[CFTuple]]:
-    """The classes of classify, as tuples, from the already computed zset.
+def _orbits(params: LensParams, zs: list[CFTuple]) -> list[tuple[CFTuple, ...]]:
+    """The classes of classify from the already computed zset.
 
     zs is lexicographic, so the lesser of n and reverse(n) opens its class.
     """
     if (params.q * params.q) % params.p != 1:
-        return [[n] for n in zs]
+        return [(n,) for n in zs]
     members = set(zs)
     out = []
     for n in zs:
         rn = reverse(n)
         if rn not in members:
-            raise TheoremViolation(f"reversal of {n} escapes the bounded set of {params}")
+            raise TheoremViolation(
+                f"L({params.p},{params.q}): reversal of {n} escapes the bounded set"
+            )
         if n == rn:
-            out.append([n])
+            out.append((n,))
         elif n < rn:
-            out.append([n, rn])
+            out.append((n, rn))
     return out
 
 
-def classify(params: LensParams) -> list[tuple[FillingDescriptor, ...]]:
-    """Partition the fillings by the diffeomorphism relation.
+def classify(params: LensParams) -> list[tuple[CFTuple, ...]]:
+    """Partition the fillings, as their tuples n, by the diffeomorphism relation.
 
-    Each class is a tuple of descriptors, one per member.  The reversal
-    n ~ reverse(n) is active exactly when q^2 = 1 mod p (then qbar = q and
-    reversal preserves the bound b, which is a palindrome).  Classes are
-    listed by their lexicographically least representative, least first
-    within each class.
+    The reversal n ~ reverse(n) is active exactly when q^2 = 1 mod p (then
+    qbar = q and reversal preserves the bound b, which is a palindrome).
+    Classes are listed by their lexicographically least representative,
+    least first within each class.
     """
-    return [
-        tuple(invariants(params, m) for m in orbit) for orbit in _orbits(params, zset(params))
-    ]
+    return _orbits(params, zset(params))
 
 
 def minimal_filling_family(params: LensParams, r: int) -> CFTuple:
@@ -166,14 +140,12 @@ def minimal_filling_family(params: LensParams, r: int) -> CFTuple:
         raise LensfillError(f"need 0 <= r <= {k - 4}, got r = {r}")
     n = (1,) + (2,) * r + (3,) + (2,) * (k - 4 - r) + (1,) + (k - 2 - r,)
     try:
-        desc = invariants(params, n)
+        chi = sum(invariants(params, n))
     except LensfillError as exc:
         raise TheoremViolation(f"family member {n} failed membership: {exc}") from exc
     expected_chi = 5 + sum(bi - 3 for bi in b) + r
-    if desc.chi != expected_chi:
-        raise TheoremViolation(
-            f"family member {n} has chi = {desc.chi}, expected {expected_chi}"
-        )
+    if chi != expected_chi:
+        raise TheoremViolation(f"family member {n} has chi = {chi}, expected {expected_chi}")
     return n
 
 
@@ -229,11 +201,11 @@ def rational_ball_criterion(p: int, q: int) -> Optional[tuple[int, int]]:
 def _certify_unique(params: LensParams, zs: list[CFTuple]) -> bool:
     """Assert that zs is the staircase alone, for a pair whose expansion of
     p/q has all entries >= 5."""
-    k = len(params.b)
+    p, q, k = params.p, params.q, len(params.b)
     expected = (1,) + (2,) * (k - 2) + (1,)
     if zs != [expected]:
         raise TheoremViolation(
-            f"expansion of {params.p}/{params.q} has all entries >= 5 but fillings are {zs}"
+            f"L({p},{q}): the expansion of {p}/{q} has all entries >= 5 but fillings are {zs}"
         )
     return True
 

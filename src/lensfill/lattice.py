@@ -38,6 +38,10 @@ from .cfrac import CFTuple, strict_blowup_sequence
 from .errors import LensfillError, TheoremViolation
 from .exact import smith_diagonal
 
+# the longest chain build_string replays: the replay is quadratic in k and the
+# Smith form of complement_homology's (k + 1) x k core is cubic, about 2 s per filling at k = 500
+MAX_LATTICE_CHAIN = 500
+
 __all__ = [
     "SphereClass",
     "StringConfiguration",
@@ -115,10 +119,15 @@ def build_string(b: Sequence[int], n: Sequence[int]) -> StringConfiguration:
     generic points, each subtracting a fresh exceptional class from [C_i]
     alone.  So the replay makes k + 1 curves and uses M = (k - 1) +
     sum(b_i - n_i) exceptional classes by construction.  The resulting
-    intersection pattern and type are re-checked before returning.
+    intersection pattern and type are re-checked before returning.  Chains
+    longer than MAX_LATTICE_CHAIN are refused.
     """
     b, n = tuple(b), tuple(n)
     k = len(b)
+    if k > MAX_LATTICE_CHAIN:
+        raise LensfillError(
+            f"a chain of {k} entries is longer than the lattice limit of {MAX_LATTICE_CHAIN}"
+        )
     if len(n) != k or k == 0:
         raise LensfillError(f"length mismatch: b = {b}, n = {n}")
     if any(x < 1 for x in b) or any(x < 0 or x > y for x, y in zip(n, b)):
@@ -225,7 +234,8 @@ def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
     unused indices are then zero, and smith_diagonal gets only the core:
     the other classes over l and the indices with two or more users.  In
     a build only the k - 1 replay indices are shared, so the core is at
-    most (k + 1) x k whatever M is.  Asserts b_2 = sum(b_i - n_i) - 1.
+    most (k + 1) x k whatever M is, and build_string's MAX_LATTICE_CHAIN
+    bounds k, hence the core.  Asserts b_2 = sum(b_i - n_i) - 1.
     Returns (b_2, nontrivial elementary divisors of H_1).
     """
     users = cfg.index_users

@@ -8,8 +8,9 @@ deterministic ordering).
 
 A report computes the bounded zero-tuple set once and derives the classes,
 the per-filling handle data and the uniqueness flag from it.  The tuples
-come from the package's own search, so the report skips the membership
-check that the public invariants applies to its argument.
+come from the package's own search, so the report takes the two-handle
+counts b - n directly instead of calling invariants, which first checks
+that its argument is a bounded zero tuple.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import TheoremViolation
 from .fillings import (
     LensParams,
     _certify_unique,
-    _describe,
     _orbits,
     make_params,
     rational_ball_criterion,
@@ -66,13 +66,14 @@ def build_report(p: int, q: int) -> dict[str, Any]:
     classes = [[index[m] for m in orbit] for orbit in _orbits(params, zs)]
     fillings = []
     for n in zs:
-        d = _describe(params, n)
+        handles = [bi - ni for bi, ni in zip(params.b, n)]
+        chi = sum(handles)
         fillings.append(
             {
                 "n": list(n),
-                "chi": d.chi,
-                "b2": d.b2,
-                "handles": list(d.handle_counts),
+                "chi": chi,
+                "b2": chi - 1,
+                "handles": handles,
                 "rot": list(rotation_numbers(n)),
             }
         )

@@ -74,9 +74,9 @@ def suite_duality(pmax: int = 300) -> tuple[int, str]:
         pr = make_params(p, q)
         prbar = make_params(p, pr.qbar)
         if prbar.b != reverse(pr.b):
-            raise TheoremViolation(f"(p,q)=({p},{q}): chain not reversed")
+            raise TheoremViolation(f"L({p},{q}): chain not reversed")
         if sorted(reverse(n) for n in zset(pr)) != zset(prbar):
-            raise TheoremViolation(f"(p,q)=({p},{q}): fillings not reversed")
+            raise TheoremViolation(f"L({p},{q}): fillings not reversed")
         cases += 1
     return cases, f"all pairs with p <= {pmax}"
 
@@ -117,7 +117,7 @@ def suite_lattice(pmax: int = 60) -> tuple[int, str]:
             try:
                 check_filling(pr.b, n)
             except LensfillError as exc:  # n came from zset, so any refusal is a violation
-                raise TheoremViolation(f"(p,q)=({p},{q}): {exc}") from None
+                raise TheoremViolation(f"L({p},{q}): {exc}") from None
             cases += 1
     return cases, f"all fillings with p <= {pmax}"
 
@@ -145,7 +145,7 @@ def suite_rational_ball(pmax: int = 500) -> tuple[int, str]:
         witness = rational_ball_criterion(p, q)
         if has_ball != (witness is not None):
             raise TheoremViolation(
-                f"(p,q)=({p},{q}): b2=0 filling: {has_ball}, witness: {witness}"
+                f"L({p},{q}): b2=0 filling: {has_ball}, witness: {witness}"
             )
         if has_ball:
             found.add((p, q))

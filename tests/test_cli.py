@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lensfill import build_report
+from lensfill.errors import LensfillError, TheoremViolation
 from test_fillings import coprime_pair
 
 REPO = Path(__file__).resolve().parent.parent
@@ -164,6 +166,24 @@ def test_failed_command_keeps_existing_out_file(tmp_path):
     assert target.read_text() == run_cli("expand", "9", "2").stdout
 
 
+def test_failed_command_removes_the_out_file_it_created(monkeypatch, capsys, tmp_path):
+    from lensfill import cli
+
+    target = tmp_path / "new.txt"
+    for argv in (["fillings", "6", "4"], ["zeroseq", "16"]):
+        assert cli.main([*argv, "--out", str(target)]) == 1, argv
+        assert not target.exists(), argv
+
+    def violate(p, q):
+        raise TheoremViolation(f"L({p},{q}): forced")
+
+    monkeypatch.setattr(cli, "build_report", violate)
+    assert cli.main(["fillings", "9", "2", "--out", str(target)]) == 2
+    assert not target.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 3
+
+
 def test_csv_output_is_parseable():
     res = run_cli("fillings", "9", "2", "--csv")
     rows = list(csv.reader(io.StringIO(res.stdout)))
@@ -305,6 +325,27 @@ def test_verify_all_reports_a_failed_suite_and_runs_the_rest(monkeypatch, capsys
     ]
 
 
+def _refuse(*args):
+    raise LensfillError("forced")
+
+
+@pytest.mark.parametrize("suite, name, fake", [
+    ("duality", "reverse", lambda t: t),
+    ("lattice", "check_filling", _refuse),
+    ("rational-ball", "rational_ball_criterion", lambda p, q: None),
+], ids=["duality", "lattice", "rational-ball"])
+def test_verify_counterexample_names_the_pair(monkeypatch, capsys, suite, name, fake):
+    from lensfill import cli, suites
+
+    monkeypatch.setattr(suites, name, fake)
+    assert cli.main(["verify", suite, "--pmax", "12"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    header, counterexample = out.splitlines()
+    assert header == f"{suite}: FAIL"
+    assert counterexample.startswith("  first counterexample: L("), counterexample
+
+
 def test_verify_refuses_catalan_sized_kmax():
     for suite in ("catalan", "rotation", "all"):
         res = run_cli("verify", suite, "--kmax", "16")
@@ -432,11 +473,25 @@ def test_escaped_reversal_exits_2(monkeypatch, capsys):
 
     monkeypatch.setattr(fillings, "bounded_zero_cf", lossy)
     message = (
-        "lensfill: theorem violation: reversal of (1, 3, 1, 2) escapes the bounded set of "
-        "LensParams(p=21, q=8, b=(2, 3, 3, 2), qbar=8)\n"
+        "lensfill: theorem violation: L(21,8): reversal of (1, 3, 1, 2) escapes the bounded set\n"
     )
     for argv in (["fillings", "21", "8"], ["classify", "21", "8"], ["sweep", "21"]):
         assert cli.main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "", argv
         assert err == message, argv
+
+
+@pytest.mark.parametrize("pair", [("2000", "1"), ("100000001", "1")], ids=["2000-1", "1e8+1-1"])
+@pytest.mark.parametrize("command", ["expand", "fillings", "classify", "gamma", "rot",
+                                     "lattice-check"])
+def test_per_pair_commands_finish_or_fail_fast(command, pair):
+    # L(2000,1) has a chain of 1999 entries; 100000001/100000000 expands past the chain limit
+    start = time.perf_counter()
+    res = run_cli(command, *pair)
+    elapsed = time.perf_counter() - start
+    assert res.returncode in (0, 1), res.stderr
+    if res.returncode == 1:
+        assert res.stdout == "" and res.stderr.count("\n") == 1, res.stderr
+        assert f"L({pair[0]},{pair[1]})" in res.stderr
+    assert elapsed < 5.0, elapsed

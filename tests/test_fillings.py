@@ -19,6 +19,7 @@ from lensfill.fillings import (
     uniqueness_predicate,
     zset,
 )
+from lensfill.report import build_report
 from test_cfrac import closure_zero_cf
 
 
@@ -131,15 +132,15 @@ def test_staircase_tuple_always_present():
 def test_invariants_examples():
     pr = make_params(89, 34)
     assert pr.b == (2, 3, 3, 3, 3)
-    d = invariants(pr, (1, 3, 2, 1, 3))
-    assert d.chi == 4 and d.b2 == 3 and d.handle_counts == (1, 0, 1, 2, 0)
+    handles = invariants(pr, (1, 3, 2, 1, 3))
+    assert handles == (1, 0, 1, 2, 0) and sum(handles) == 4 and sum(handles) - 1 == 3
 
-    d = invariants(make_params(9, 2), (2, 2, 1, 3))
-    assert d.b2 == 0 and d.chi == 1 and d.handle_counts == (0, 0, 1, 0)
+    handles = invariants(make_params(9, 2), (2, 2, 1, 3))
+    assert handles == (0, 0, 1, 0) and sum(handles) == 1 and sum(handles) - 1 == 0
 
     for p in (2, 3, 7, 12):
-        d = invariants(make_params(p, p - 1), (0,))
-        assert d.chi == p and d.b2 == p - 1 and d.handle_counts == (p,)
+        handles = invariants(make_params(p, p - 1), (0,))
+        assert handles == (p,) and sum(handles) == p and sum(handles) - 1 == p - 1
 
 
 def test_invariants_rejects_non_members():
@@ -153,14 +154,8 @@ def test_invariants_rejects_non_members():
 
 
 def test_classify_examples():
-    cls = classify(make_params(4, 1))
-    assert [[d.n for d in c] for c in cls] == [[(1, 2, 1)], [(2, 1, 2)]]
-
-    cls = classify(make_params(9, 2))
-    assert [[d.n for d in c] for c in cls] == [
-        [(1, 2, 2, 1)],
-        [(2, 2, 1, 3)],
-    ]
+    assert classify(make_params(4, 1)) == [((1, 2, 1),), ((2, 1, 2),)]
+    assert classify(make_params(9, 2)) == [((1, 2, 2, 1),), ((2, 2, 1, 3),)]
 
 
 def test_classify_pairs_reversals_when_q_selfinverse():
@@ -170,8 +165,7 @@ def test_classify_pairs_reversals_when_q_selfinverse():
     zs = zset(pr)
     cls = classify(pr)
     assert sum(len(c) for c in cls) == len(zs)
-    for c in cls:
-        ns = [d.n for d in c]
+    for ns in cls:
         if len(ns) == 2:
             assert ns[1] == reverse(ns[0]) and ns[0] != ns[1]
             assert ns[0] < ns[1]
@@ -184,7 +178,7 @@ def test_orbits_reject_a_reversal_outside_the_set():
     # L(15, 4): 4*4 = 1 mod 15, and (1,2,3,1,2), (2,1,3,2,1) form one class
     pr = make_params(15, 4)
     zs = zset(pr)
-    assert fillings._orbits(pr, zs) == [[(1, 2, 2, 2, 1)], [(1, 2, 3, 1, 2), (2, 1, 3, 2, 1)]]
+    assert fillings._orbits(pr, zs) == [((1, 2, 2, 2, 1),), ((1, 2, 3, 1, 2), (2, 1, 3, 2, 1))]
     for dropped in ((1, 2, 3, 1, 2), (2, 1, 3, 2, 1)):
         with pytest.raises(TheoremViolation, match="escapes the bounded set"):
             fillings._orbits(pr, [n for n in zs if n != dropped])
@@ -196,12 +190,28 @@ def test_classify_counts_lens_p_1():
         assert len(cls) == (2 if p == 4 else 1), p
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coprime_pair(2000))
+def test_report_rows_and_classes_match_invariants_and_classify(pq):
+    # build_report takes b - n inline and its classes as indices into z_set
+    pr = make_params(*pq)
+    report = build_report(*pq)
+    zs = zset(pr)
+    assert len(report["fillings"]) == len(zs)
+    for n, row in zip(zs, report["fillings"]):
+        handles = list(invariants(pr, n))
+        assert row["n"] == list(n)
+        assert (row["handles"], row["chi"], row["b2"]) == (handles, sum(handles), sum(handles) - 1)
+    z_set = report["z_set"]
+    assert classify(pr) == [tuple(tuple(z_set[j]) for j in c) for c in report["classes"]]
+
+
 def test_minimal_filling_family_examples():
     pr = make_params(89, 34)
     assert minimal_filling_family(pr, 0) == (1, 3, 2, 1, 3)
     assert minimal_filling_family(pr, 1) == (1, 2, 3, 1, 2)
-    chi0 = invariants(pr, minimal_filling_family(pr, 0)).chi
-    chi1 = invariants(pr, minimal_filling_family(pr, 1)).chi
+    chi0 = sum(invariants(pr, minimal_filling_family(pr, 0)))
+    chi1 = sum(invariants(pr, minimal_filling_family(pr, 1)))
     assert chi1 - chi0 == 1
     with pytest.raises(LensfillError, match="need 0 <= r <= 1, got r = 2"):
         minimal_filling_family(pr, 2)
@@ -216,7 +226,7 @@ def test_minimal_filling_family_other_instance():
     for r in (0, 1):
         n = minimal_filling_family(pr, r)
         assert n in zset(pr)
-        assert invariants(pr, n).chi == 5 + sum(x - 3 for x in pr.b) + r
+        assert sum(invariants(pr, n)) == 5 + sum(x - 3 for x in pr.b) + r
 
 
 def test_unique_one_value_examples():

@@ -243,7 +243,7 @@ def test_complement_b2_matches_handle_count():
         for n in zset(pr):
             cfg = build_string(pr.b, n)
             b2, _ = complement_homology(cfg)
-            assert b2 == invariants(pr, n).b2
+            assert b2 == sum(invariants(pr, n)) - 1
 
 
 def test_rational_ball_torsion_squares_to_p():
@@ -441,3 +441,17 @@ def test_check_filling_forced_failure(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "theorem violation" in err and "string_lemma" in err
+
+
+def test_lattice_chain_limit_refuses_before_building(monkeypatch, capsys):
+    # L(5,1) has b = (2, 2, 2, 2), one entry past a limit of 3
+    monkeypatch.setattr(lattice, "MAX_LATTICE_CHAIN", 3)
+    monkeypatch.setattr(lattice, "strict_blowup_sequence", None)  # a build would call it
+    assert cli.main(["lattice-check", "5", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "lensfill: error: L(5,1): a chain of 4 entries is longer than the lattice limit of 3\n"
+    )
+    with pytest.raises(LensfillError, match="longer than the lattice limit of 3"):
+        build_string((2, 2, 2, 2), (1, 2, 2, 1))
