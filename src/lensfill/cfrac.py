@@ -224,17 +224,22 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     tail of the bounds past the first entry is <= 0, no n <= bounds exists
     and the cap computed there is <= 0, which prunes every branch.
 
-    Length rule: the Hirzebruch-Jung expansion of x (ceil(x), then entries
-    >= 2) is its shortest admissible representation.  Any other one has a
-    1 past its first entry, and a strict blowdown there keeps the value and
-    admissibility and drops an entry; strict blowups lengthen it again.  So
-    with no bounds v has a completion iff that expansion has at most m
-    entries.  Such an expansion has x >= [1, 2, ..., 2] = 1/m, so
-    v <= num//den + m joins the cap; its denominators strictly decrease, so
-    d <= m passes at once; otherwise it is run for at most m steps.  Under
-    bounds (k-1,)*k, which never bind, every entered position is a prefix
-    of an output tuple.  The explicit stack leaves the recursion limit alone.
-    Raises LensfillError rather than emit more than MAX_TUPLES tuples.
+    Length rule: the Hirzebruch-Jung expansion HJ(y) of y > 0 (ceil(y), then
+    entries >= 2) is its shortest admissible representation.  Any other one
+    has a 1 past its first entry, and a strict blowdown there keeps the value
+    and admissibility and drops an entry; strict blowups lengthen it again.
+    So with no bounds v has a completion iff HJ(den/d) has at most m entries.
+    That length is exact in v: if HJ(y) = (c_1..c_L) then HJ(y/(1+y)) =
+    (1, c_1+1, c_2..c_L), and raising v by one maps the tail value y to
+    y/(1+y), so each raise adds one entry.  The first candidate
+    v_0 = num//den + 1 leaves 1/(ceil(num/den) - num/den), whose expansion is
+    HJ(num/den) without its first entry, or the tail 1 when num/den is an
+    integer.  So if that tail has l_0 entries, the completable values are
+    exactly v_0 .. v_0 + m - l_0, and that end joins the cap and the bound;
+    no candidate is tested.  Under bounds (k-1,)*k, which never bind, every
+    candidate tried is a prefix of an output tuple.  The explicit stack
+    leaves the recursion limit alone.  Raises LensfillError rather than emit
+    more than MAX_TUPLES tuples.
     """
     _check_entries(bounds)
     k = len(bounds)
@@ -247,20 +252,24 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     out: list[CFTuple] = []
     limit = MAX_TUPLES
     path = [0] * k
-    frames: list[tuple[int, int, int]] = []  # (num, den, hi) per open position
-    num, den = 0, 1
+    # (num, den, hi, e) per open position: candidate v leaves a tail whose
+    # expansion has v + e entries
+    frames: list[tuple[int, int, int, int]] = []
+    num, den, length = 0, 1, 1  # length of the expansion of num/den
     while True:
         j = len(frames)
         if j < last:
-            # open position j just below its first candidate num//den + 1
+            # open position j just below its first candidate v_0 = num//den + 1, whose
+            # tail has l_0 = length - 1 entries, or 1 if num/den is an integer; e = l_0 - v_0
             v = num // den
-            hi = v + last - j
+            e = (length - 1 or 1) - v - 1
+            hi = last - j - e
             if bounds[j] < hi:
                 hi = bounds[j]
             c = (caps[j] + num) // den
             if c < hi:
                 hi = c
-            frames.append((num, den, hi))
+            frames.append((num, den, hi, e))
             path[j] = v
         elif num <= bounds[last]:  # den == 1 here, so n_k = num
             if len(out) == limit:
@@ -270,30 +279,16 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
                 )
             path[last] = num
             out.append(tuple(path))
-        # advance the deepest open position to its next value whose tail
-        # has an expansion of at most m entries
+        # advance the deepest open position that has a value left
         while frames:
-            num, den, hi = frames[-1]
+            num, den, hi, e = frames[-1]
             j = len(frames) - 1
-            m = last - j
             v = path[j] + 1
-            while v <= hi:
-                d = v * den - num
-                if d <= m:
-                    break
-                p, q, s = den, d, m
-                while q and s:
-                    p, q = q, -p % q
-                    s -= 1
-                if not q:
-                    break
-                v += 1
-            else:
-                frames.pop()
-                continue
-            path[j] = v
-            num, den = den, d
-            break
+            if v <= hi:
+                path[j] = v
+                num, den, length = den, v * den - num, v + e
+                break
+            frames.pop()
         else:
             return out
 

@@ -58,6 +58,10 @@ def _render(x, pad="\n") -> str:
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if t is int:
         return str(x)
+    if t is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
     return json.dumps(x)
 
 
@@ -100,7 +104,8 @@ def cmd_zeroseq(args) -> str:
             "tuples": tuples,
         }
         return _dump_json(payload)
-    body = "\n".join(" ".join(map(str, t)) for t in tuples)
+    line = " ".join(["%d"] * args.k)  # one C-level format per tuple
+    body = "\n".join([line % t for t in tuples])
     return f"# {len(tuples)} zero tuples of length {args.k}\n{body}\n"
 
 

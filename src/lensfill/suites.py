@@ -128,7 +128,7 @@ def suite_mcduff(pmax: int = 100) -> tuple[int, str]:
         got = len(classify(make_params(p, 1)))
         want = 2 if p == 4 else 1
         if got != want:
-            raise TheoremViolation(f"p={p}: {got} classes, expected {want}")
+            raise TheoremViolation(f"L({p},1): {got} classes, expected {want}")
     return pmax - 1, f"L(p,1) for p <= {pmax}"
 
 

@@ -2,7 +2,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import ceil, comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -326,7 +326,7 @@ def test_bounded_zero_cf_leaves_recursion_limit_alone():
 
 def hj_length(x):
     """Number of entries of the expansion ceil(x), then entries >= 2, of a
-    positive Fraction x."""
+    non-negative Fraction x."""
     n = 1
     while x.denominator != 1:
         x = 1 / (-(-x.numerator // x.denominator) - x)
@@ -334,10 +334,24 @@ def hj_length(x):
     return n
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.fractions(min_value=0, max_value=50, max_denominator=10**6))
+@example(Fraction(7))
+@example(Fraction(1, 5))
+def test_hj_length_identities_behind_the_search_interval(x):
+    # raising a candidate by one maps its tail y to y/(1+y), one entry longer;
+    # the first candidate floor(x) + 1 leaves 1/(ceil(x) - x), one entry shorter
+    if x > 0:
+        assert hj_length(x / (1 + x)) == hj_length(x) + 1
+    if x.denominator != 1:
+        assert hj_length(1 / (ceil(x) - x)) == hj_length(x) - 1
+
+
 def test_hj_expansion_is_shortest_admissible_representation():
     # the length rule of bounded_zero_cf, by brute force on Fractions: an
     # admissible tuple of positive value x has at least as many entries as
-    # the expansion of x, and x >= 1/length
+    # the expansion of x, so a tail of value x fits in m entries iff its
+    # expansion does; also x >= 1/length
     assert hj_length(Fraction(1, 5)) == 5 and hj_length(Fraction(7, 1)) == 1
     checked = 0
     for k in range(1, 6):

@@ -231,6 +231,17 @@ def test_zeroseq_command():
     assert run_cli("zeroseq", "0").returncode == 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 11])  # k = 11 has two-digit entries
+def test_zeroseq_text_equals_triangulation_census(k, capsys):
+    from lensfill import cli, suites
+
+    tuples = sorted(suites._triangulation_tuples(k)) if k > 1 else [(0,)]
+    lines = [f"# {len(tuples)} zero tuples of length {k}"]
+    lines += [" ".join(str(x) for x in t) for t in tuples]
+    assert cli.main(["zeroseq", str(k)]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 def test_zeroseq_refuses_catalan_sized_output():
     res = run_cli("zeroseq", "16")
     assert res.returncode == 1
@@ -319,7 +330,7 @@ def test_verify_all_reports_a_failed_suite_and_runs_the_rest(monkeypatch, capsys
         "gamma: pass (62 cases; p <= 12; convention: direct for 45 pairs, negated for 0)",
         "lattice: pass (57 cases; all fillings with p <= 12)",
         "mcduff: FAIL",
-        "  first counterexample: p=4: 1 classes, expected 2",
+        "  first counterexample: L(4,1): 1 classes, expected 2",
         "rational-ball: pass (45 cases; p <= 12; 3 rational-ball pairs)",
         "rotation: pass (22 cases; all zero tuples with k <= 5)",
     ]
