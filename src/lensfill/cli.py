@@ -3,11 +3,12 @@
 Exit codes: 0 success; 1 for bad arguments or a LensfillError (an input
 outside the operation's domain); 2 for a TheoremViolation (a computation
 contradicting a proved statement, the most important signal the tool can
-emit).  `verify` does not stop at a failed suite: it prints FAIL and the
-suite's exception message as the first counterexample, runs the remaining
-suites, and exits 2 if any failed.  Output is deterministic; identical
-invocations produce byte-identical output.  JSON output is byte for byte
-what `json.dumps(..., indent=2)` gives; `_render` produces it with str.join,
+emit).  Errors name their pair through errors.naming scopes.  `verify`
+does not stop at a failed suite: it prints FAIL and the suite's exception
+message as the first counterexample, runs the remaining suites, and exits
+2 if any failed.  Output is deterministic; identical invocations produce
+byte-identical output.  JSON output is byte for byte what
+`json.dumps(..., indent=2)` gives; `_render` produces it with str.join,
 since the stdlib's C encoder does not handle an indent.
 """
 
@@ -19,8 +20,8 @@ import json
 import os
 import sys
 
-from .cfrac import _zero_tuple_count, bounded_zero_cf, hj_expand
-from .errors import LensfillError, TheoremViolation
+from .cfrac import _check_pair, _zero_tuple_count, bounded_zero_cf, hj_expand
+from .errors import LensfillError, TheoremViolation, naming
 from .fillings import make_params, zset
 from .homology import rotation_numbers
 from .lattice import check_filling
@@ -156,13 +157,7 @@ def cmd_rot(args) -> str:
 
 def cmd_lattice_check(args) -> str:
     params = make_params(args.p, args.q)
-    zs = zset(params)
-    try:
-        rows = [check_filling(params.b, n) for n in zs]
-    except TheoremViolation:
-        raise
-    except LensfillError as exc:  # the lattice chain limit, named like zset's refusals
-        raise LensfillError(f"L({args.p},{args.q}): {exc}") from None
+    rows = [check_filling(params.b, n) for n in zset(params)]
     if args.json:
         return _dump_json({"p": args.p, "q": args.q, "fillings": rows})
     lines = [f"L({args.p},{args.q}) lattice checks:"]
@@ -192,8 +187,12 @@ def cmd_sweep(args) -> str:
             return False
         return True
 
+    def report(p, q):
+        with naming(p, q):
+            return build_report(p, q)
+
     # one report at a time: under --json each is rendered and dropped as it is built
-    reports = filter(keep, (build_report(p, q) for p, q in _coprime_pairs(p_max)))
+    reports = filter(keep, (report(p, q) for p, q in _coprime_pairs(p_max)))
     if args.json:
         chunks = [_render(r, "\n  ") for r in reports]
         return "[\n  " + ",\n  ".join(chunks) + "\n]\n" if chunks else "[]\n"
@@ -331,6 +330,9 @@ def main(argv=None) -> int:
             return 1
     failed = True
     try:
+        if hasattr(args, "q"):  # a per-pair command; a bad pair is reported unnamed
+            _check_pair(args.p, args.q)
+            args.func = naming(args.p, args.q)(args.func)  # the scope as a decorator
         result = args.func(args)
         text, code = result if isinstance(result, tuple) else (result, 0)
         if args.out:

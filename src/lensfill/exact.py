@@ -69,8 +69,8 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
     operations, always pivoting on the smallest nonzero entry by absolute
     value; no performance tuning, so the cost is cubic in the size.  The
     package's only matrices are the cores of lattice.complement_homology,
-    at most (k + 1) x k for chains of k <= lattice.MAX_LATTICE_CHAIN
-    entries, and that limit is what keeps the cost acceptable.
+    at most (k + 1) x k for k <= lattice.MAX_LATTICE_CHAIN chain entries;
+    that bounds one filling's core (2 s at k = 500), not a whole command.
     """
     a = _as_matrix(matrix)
     nr = len(a)

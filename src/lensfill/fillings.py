@@ -48,27 +48,18 @@ class LensParams:
 
 
 def make_params(p: int, q: int) -> LensParams:
-    """Validate the pair and populate the chain data for L(p, q).  A refusal
-    from the expansion (the chain limit) is re-raised naming the pair."""
+    """Validate the pair and populate the chain data for L(p, q)."""
     _check_pair(p, q)
-    try:
-        b = hj_expand(p, p - q)
-    except LensfillError as exc:
-        raise LensfillError(f"L({p},{q}): {exc}") from None
-    return LensParams(p=p, q=q, b=b, qbar=mod_inverse(q, p))
+    return LensParams(p=p, q=q, b=hj_expand(p, p - q), qbar=mod_inverse(q, p))
 
 
 def zset(params: LensParams) -> list[CFTuple]:
     """The admissible zero tuples bounded entrywise by b, lexicographic.
 
     These index the minimal symplectic fillings of L(p, q).  For k = 1
-    (q = p - 1) the set is {(0,)}.  A refusal from the search (the tuple
-    limit) is re-raised naming the pair.
+    (q = p - 1) the set is {(0,)}.
     """
-    try:
-        return bounded_zero_cf(params.b)
-    except LensfillError as exc:
-        raise LensfillError(f"L({params.p},{params.q}): {exc}") from None
+    return bounded_zero_cf(params.b)
 
 
 def invariants(params: LensParams, n: Sequence[int]) -> tuple[int, ...]:
@@ -95,9 +86,7 @@ def _orbits(params: LensParams, zs: list[CFTuple]) -> list[tuple[CFTuple, ...]]:
     for n in zs:
         rn = reverse(n)
         if rn not in members:
-            raise TheoremViolation(
-                f"L({params.p},{params.q}): reversal of {n} escapes the bounded set"
-            )
+            raise TheoremViolation(f"reversal of {n} escapes the bounded set")
         if n == rn:
             out.append((n,))
         elif n < rn:
@@ -201,12 +190,10 @@ def rational_ball_criterion(p: int, q: int) -> Optional[tuple[int, int]]:
 def _certify_unique(params: LensParams, zs: list[CFTuple]) -> bool:
     """Assert that zs is the staircase alone, for a pair whose expansion of
     p/q has all entries >= 5."""
-    p, q, k = params.p, params.q, len(params.b)
+    k = len(params.b)
     expected = (1,) + (2,) * (k - 2) + (1,)
     if zs != [expected]:
-        raise TheoremViolation(
-            f"L({p},{q}): the expansion of {p}/{q} has all entries >= 5 but fillings are {zs}"
-        )
+        raise TheoremViolation(f"the expansion of p/q has all entries >= 5 but fillings are {zs}")
     return True
 
 

@@ -40,19 +40,16 @@ def spin_rows(params: LensParams) -> list[dict[str, Any]]:
     """The spin section: Gamma from the handle picture and from the standard
     contact structure, on every spin structure of the boundary.
 
-    The two formulas must agree exactly; TheoremViolation names the pair and
-    the spin structure where they do not.  They are not independent: both
-    expand to the same polynomial in the meridian classes (see homology),
+    The two formulas must agree exactly; TheoremViolation names the spin
+    structure where they do not, and the caller's naming scope the pair.
+    Both expand to the same polynomial in the meridian classes (see homology),
     so the check guards the two implementations against each other.
     """
     rows = []
     for s in spin_structures(params.b):
         gf, gs = gamma_filling(params.b, s), gamma_standard(params.b, s)
         if gf != gs:
-            raise TheoremViolation(
-                f"L({params.p},{params.q}) gamma at s={s}: "
-                f"filling formula {gf}, standard formula {gs}"
-            )
+            raise TheoremViolation(f"gamma at s={s}: filling formula {gf}, standard formula {gs}")
         rows.append({"s": list(s), "gamma_filling": gf, "gamma_standard": gs})
     return rows
 

@@ -2,10 +2,10 @@
 
 Each suite checks one family of facts from Lisca's classification over a
 range of pairs, lengths or p, and returns (cases, detail) when every case
-holds.  At the first case that fails it raises TheoremViolation naming the
-location (the pair, k or p) and what disagreed; the command line tool
-prints that message as the suite's first counterexample.  The test suite
-drives the same functions.
+holds.  At the first case that fails it raises TheoremViolation naming
+what disagreed and where: k, or the pair through a naming scope per pair.
+The command line tool prints that message as the suite's first
+counterexample.  The test suite drives the same functions.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 
 from .cfrac import _catalan, bounded_zero_cf, enumerate_zero_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
-from .errors import LensfillError, TheoremViolation
+from .errors import LensfillError, TheoremViolation, naming
 from .homology import rotation_numbers
 from .lattice import check_filling
 from .report import spin_rows
@@ -71,25 +71,27 @@ def suite_duality(pmax: int = 300) -> tuple[int, str]:
     reversed chain and the reversed fillings."""
     cases = 0
     for p, q in _coprime_pairs(pmax):
-        pr = make_params(p, q)
-        prbar = make_params(p, pr.qbar)
-        if prbar.b != reverse(pr.b):
-            raise TheoremViolation(f"L({p},{q}): chain not reversed")
-        if sorted(reverse(n) for n in zset(pr)) != zset(prbar):
-            raise TheoremViolation(f"L({p},{q}): fillings not reversed")
+        with naming(p, q):
+            pr = make_params(p, q)
+            prbar = make_params(p, pr.qbar)
+            if prbar.b != reverse(pr.b):
+                raise TheoremViolation("chain not reversed")
+            if sorted(reverse(n) for n in zset(pr)) != zset(prbar):
+                raise TheoremViolation("fillings not reversed")
         cases += 1
     return cases, f"all pairs with p <= {pmax}"
 
 
 def suite_gamma(pmax: int = 100) -> tuple[int, str]:
     """The two plane-field invariant formulas agree exactly on every spin
-    structure; spin_rows raises, naming L(p,q) and s, where they differ.
+    structure; spin_rows raises, naming s, where they differ.
     Both expand to the same polynomial in the meridian classes (see
     homology), so this checks the two implementations, not two
     derivations."""
     cases = pairs = 0
     for p, q in _coprime_pairs(pmax):
-        cases += len(spin_rows(make_params(p, q)))
+        with naming(p, q):
+            cases += len(spin_rows(make_params(p, q)))
         pairs += 1
     # "negated for 0" keeps the published detail format: no pair may pass with
     # the formulas of opposite sign
@@ -112,23 +114,25 @@ def suite_lattice(pmax: int = 60) -> tuple[int, str]:
     complement homology, count recovery, and minimality."""
     cases = 0
     for p, q in _coprime_pairs(pmax):
-        pr = make_params(p, q)
-        for n in zset(pr):
-            try:
-                check_filling(pr.b, n)
-            except LensfillError as exc:  # n came from zset, so any refusal is a violation
-                raise TheoremViolation(f"L({p},{q}): {exc}") from None
-            cases += 1
+        with naming(p, q):
+            pr = make_params(p, q)
+            for n in zset(pr):
+                try:
+                    check_filling(pr.b, n)
+                except LensfillError as exc:  # n came from zset, so any refusal is a violation
+                    raise TheoremViolation(str(exc)) from None
+                cases += 1
     return cases, f"all fillings with p <= {pmax}"
 
 
 def suite_mcduff(pmax: int = 100) -> tuple[int, str]:
     """Classification counts for L(p, 1): one class except two at p = 4."""
     for p in range(2, pmax + 1):
-        got = len(classify(make_params(p, 1)))
-        want = 2 if p == 4 else 1
-        if got != want:
-            raise TheoremViolation(f"L({p},1): {got} classes, expected {want}")
+        with naming(p, 1):
+            got = len(classify(make_params(p, 1)))
+            want = 2 if p == 4 else 1
+            if got != want:
+                raise TheoremViolation(f"{got} classes, expected {want}")
     return pmax - 1, f"L(p,1) for p <= {pmax}"
 
 
@@ -140,13 +144,12 @@ def suite_rational_ball(pmax: int = 500) -> tuple[int, str]:
     cases = 0
     found = set()
     for p, q in _coprime_pairs(pmax):
-        pr = make_params(p, q)
-        has_ball = any(sum(pr.b) - sum(n) == 1 for n in zset(pr))
-        witness = rational_ball_criterion(p, q)
-        if has_ball != (witness is not None):
-            raise TheoremViolation(
-                f"L({p},{q}): b2=0 filling: {has_ball}, witness: {witness}"
-            )
+        with naming(p, q):
+            pr = make_params(p, q)
+            has_ball = any(sum(pr.b) - sum(n) == 1 for n in zset(pr))
+            witness = rational_ball_criterion(p, q)
+            if has_ball != (witness is not None):
+                raise TheoremViolation(f"b2=0 filling: {has_ball}, witness: {witness}")
         if has_ball:
             found.add((p, q))
         cases += 1

@@ -175,13 +175,14 @@ def test_failed_command_removes_the_out_file_it_created(monkeypatch, capsys, tmp
         assert not target.exists(), argv
 
     def violate(p, q):
-        raise TheoremViolation(f"L({p},{q}): forced")
+        raise TheoremViolation("forced")
 
     monkeypatch.setattr(cli, "build_report", violate)
     assert cli.main(["fillings", "9", "2", "--out", str(target)]) == 2
     assert not target.exists()
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 3
+    assert err.endswith("\nlensfill: theorem violation: L(9,2): forced\n")
 
 
 def test_csv_output_is_parseable():
@@ -406,8 +407,8 @@ def test_gamma_formulas_must_agree_strictly(monkeypatch, capsys):
     assert cli.main(["gamma", "4", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "theorem violation: L(4,1) gamma at s=(" in err
-    with pytest.raises(TheoremViolation, match=r"^L\(3,1\) gamma at s=\("):
+    assert "theorem violation: L(4,1): gamma at s=(" in err
+    with pytest.raises(TheoremViolation, match=r"^L\(3,1\): gamma at s=\("):
         suite_gamma(pmax=12)
 
 
@@ -449,11 +450,12 @@ def test_expansions_past_the_chain_limit_exit_1(monkeypatch, capsys):
     from lensfill import cfrac, cli
 
     # 5/4 = [2, 2, 2, 2]: L(5,1) has that chain, L(5,4) that dual expansion;
-    # make_params names the pair whose chain it expands
+    # either refusal names the command's pair
     monkeypatch.setattr(cfrac, "MAX_CHAIN", 3)
-    for argv, prefix in ((["expand", "5", "1"], "L(5,1): "), (["expand", "5", "4"], ""),
+    for argv, prefix in ((["expand", "5", "1"], "L(5,1): "),
+                         (["expand", "5", "4"], "L(5,4): "),
                          (["fillings", "5", "1"], "L(5,1): "),
-                         (["fillings", "5", "4", "--json"], "")):
+                         (["fillings", "5", "4", "--json"], "L(5,4): ")):
         assert cli.main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "", argv
@@ -506,3 +508,99 @@ def test_per_pair_commands_finish_or_fail_fast(command, pair):
         assert res.stdout == "" and res.stderr.count("\n") == 1, res.stderr
         assert f"L({pair[0]},{pair[1]})" in res.stderr
     assert elapsed < 5.0, elapsed
+
+
+def _force(monkeypatch, stage):
+    """Make one stage's check fail, or one limit refuse, on every pair."""
+    from lensfill import cfrac, fillings, homology, lattice, report
+
+    if stage == "point-diagram":  # the direct route gains an entry the diagram lacks
+        direct = cfrac.hj_expand
+        monkeypatch.setattr(cfrac, "hj_expand", lambda p, q: (*direct(p, q), 2))
+    elif stage == "spin-count":  # p + 1 for p flips the parity the count is checked against
+        chain = homology._chain_continuants
+        monkeypatch.setattr(
+            homology, "_chain_continuants", lambda b: [*chain(b)[:-1], chain(b)[-1] + 1]
+        )
+    elif stage == "gamma":
+        standard = report.gamma_standard
+        monkeypatch.setattr(report, "gamma_standard", lambda b, s: standard(b, s) + 1)
+    elif stage == "reversal":  # a reversal that leaves the bounded set
+        monkeypatch.setattr(fillings, "reverse", lambda t: (*reversed(t), 0))
+    elif stage == "lattice-check":
+        monkeypatch.setattr(lattice, "validate_string_lemma", lambda cfg: False)
+    elif stage == "max-tuples":  # L(4,1) is the first pair with two fillings
+        monkeypatch.setattr(cfrac, "MAX_TUPLES", 1)
+    else:  # L(5,1) is the first pair with a chain of four entries
+        monkeypatch.setattr(cfrac, "MAX_CHAIN", 3)
+
+
+# stage -> (exit code of a command other than verify, first pair that fails in a
+# sweep or a suite, the commands that reach the stage)
+FORCED_FAILURES = {
+    "point-diagram": (2, (2, 1), ["fillings 4 1", "classify 4 1", "sweep 10"]),
+    "spin-count": (2, (2, 1), ["fillings 4 1", "classify 4 1", "gamma 4 1", "sweep 10",
+                               "verify gamma"]),
+    "gamma": (2, (2, 1), ["fillings 4 1", "classify 4 1", "gamma 4 1", "sweep 10",
+                          "verify gamma"]),
+    "reversal": (2, (2, 1), ["fillings 4 1", "classify 4 1", "sweep 10", "verify mcduff"]),
+    "lattice-check": (2, (2, 1), ["lattice-check 4 1", "verify lattice"]),
+    "max-tuples": (1, (4, 1), ["fillings 4 1", "classify 4 1", "rot 4 1", "lattice-check 4 1",
+                               "sweep 10", "verify duality", "verify lattice", "verify mcduff",
+                               "verify rational-ball"]),
+    "max-chain": (1, (5, 1), ["expand 5 1", "expand 5 4", "fillings 5 1", "classify 5 1",
+                              "gamma 5 1", "rot 5 1", "lattice-check 5 1", "sweep 10",
+                              "verify duality", "verify gamma", "verify lattice",
+                              "verify mcduff", "verify rational-ball"]),
+}
+
+
+@pytest.mark.parametrize("stage, command", [
+    (stage, command) for stage, (_, _, commands) in FORCED_FAILURES.items() for command in commands
+], ids=lambda x: x.replace(" ", "-"))
+def test_forced_failure_names_its_pair_once(monkeypatch, capsys, stage, command):
+    from lensfill import cli
+
+    code, first, _ = FORCED_FAILURES[stage]
+    argv = command.split()
+    if argv[0] == "verify":
+        argv += ["--pmax", "12"]
+        code = 2  # verify reports any failed suite as a violation
+    pair = tuple(map(int, argv[1:3])) if argv[0] not in ("sweep", "verify") else first
+    named = "L({},{}): ".format(*pair)
+    _force(monkeypatch, stage)
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    if argv[0] == "verify":
+        assert err == ""
+        header, text = out.splitlines()
+        assert header == f"{argv[1]}: FAIL"
+        assert text.startswith("  first counterexample: " + named), text
+    else:
+        assert out == ""
+        text = err
+        kind = "error" if code == 1 else "theorem violation"
+        assert text.startswith(f"lensfill: {kind}: {named}") and text.count("\n") == 1, text
+    assert text.count("L(") == 1, text
+
+
+def test_naming_prefixes_only_inside_its_scope(monkeypatch):
+    from lensfill import cfrac
+    from lensfill.errors import naming
+    from lensfill.fillings import make_params
+
+    refusal = "the expansion of 5/4 has more than 3 entries"
+    monkeypatch.setattr(cfrac, "MAX_CHAIN", 3)
+    with pytest.raises(LensfillError) as outside:
+        make_params(5, 1)
+    assert str(outside.value) == refusal
+    with pytest.raises(LensfillError) as inside:
+        with naming(5, 1):
+            make_params(5, 1)
+    assert type(inside.value) is LensfillError and str(inside.value) == f"L(5,1): {refusal}"
+    with pytest.raises(TheoremViolation, match=r"^L\(2,1\): forced$"):
+        with naming(2, 1):
+            raise TheoremViolation("forced")
+    with pytest.raises(KeyError, match="^'forced'$"):  # not a package error: left alone
+        with naming(2, 1):
+            raise KeyError("forced")

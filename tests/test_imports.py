@@ -1,7 +1,8 @@
 """Every name a lensfill module imports is used in that module, every
 module-level private name is used somewhere in the package, no module
 holds an ``assert`` statement, since ``python -O`` strips those, every
-``raise`` names one of the package's two exception classes, no call passes
+``raise`` names one of the package's two exception classes, no ``raise``
+outside ``errors.py`` writes a lens space's ``L(`` name, no call passes
 ``indent=`` to ``json.dumps`` or ``json.dump``, and the package exports
 exactly its modules' ``__all__`` lists.
 
@@ -140,6 +141,40 @@ def test_every_raise_names_a_package_error():
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
         if (lines := stray_raises(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def pair_naming_raises(source):
+    """Line numbers of the ``raise`` statements in source whose exception
+    holds a string constant containing ``L(``, plain or in an f-string.
+    ``errors.naming`` is the one place that names the pair."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            if any(
+                isinstance(c, ast.Constant) and isinstance(c.value, str) and "L(" in c.value
+                for c in ast.walk(node.exc)
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_pair_naming_raises_detected():
+    source = (
+        "raise LensfillError(f'L({p},{q}): bad')\nraise TheoremViolation('L(4,1) bad')\n"
+        "raise LensfillError(f'{p}/{q} bad')\nname = f'L({p},{q})'\nraise\n"
+        "raise LensfillError('L(%d,%d): bad' % (p, q))\nprint('L(4,1)')\n"
+    )
+    assert pair_naming_raises(source) == [1, 2, 6]
+
+
+def test_only_errors_names_the_pair_in_a_raise():
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        and (lines := pair_naming_raises(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 
