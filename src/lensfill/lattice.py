@@ -18,7 +18,9 @@ The functions here rebuild that configuration explicitly and verify, by
 direct integer computation, the structural facts the classification rests
 on: the shape of the classes, the nesting of their exceptional sets, the
 homology of the complement, and the recovery of n from counts of ambient
-(-1)-classes meeting a single curve.
+(-1)-classes meeting a single curve.  build_string re-checks the pairings and
+validate_string_lemma the nesting, both per index through index_users; the
+shapes, which validate_hom_classes checks, give the types.
 
 Every (-1)-class that matters here is orthogonal to [C_0] = l, so it lies
 in the span of the f_j.  That span has Gram matrix -I, so a class of
@@ -32,13 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .cfrac import CFTuple, strict_blowup_sequence
 from .errors import LensfillError, TheoremViolation
-from .exact import smith_diagonal
+from .exact import continuants, smith_diagonal
 
-# the longest chain build_string replays: the replay is quadratic in k and the
+# the longest chain build_string replays: its pairing checks are linear in k, but the
 # Smith form of complement_homology's (k + 1) x k core is cubic, about 2 s per filling at k = 500
 MAX_LATTICE_CHAIN = 500
 
@@ -104,10 +107,6 @@ class StringConfiguration:
         return users
 
 
-def _expected_types(b: Sequence[int]) -> list[int]:
-    return [1, 1 - b[0]] + [-x for x in b[1:]]
-
-
 def build_string(b: Sequence[int], n: Sequence[int]) -> StringConfiguration:
     """Replay the blowup construction for n inside the bound b.
 
@@ -118,9 +117,10 @@ def build_string(b: Sequence[int], n: Sequence[int]) -> StringConfiguration:
     the replay reaches n, curve i absorbs b_i - n_i further blowups at
     generic points, each subtracting a fresh exceptional class from [C_i]
     alone.  So the replay makes k + 1 curves and uses M = (k - 1) +
-    sum(b_i - n_i) exceptional classes by construction.  The resulting
-    intersection pattern and type are re-checked before returning.  Chains
-    longer than MAX_LATTICE_CHAIN are refused.
+    sum(b_i - n_i) exceptional classes by construction.  The pairings (1 for
+    adjacent classes, else 0) are re-checked on adjacent pairs and on pairs
+    sharing an index; the types follow from the shapes (validate_hom_classes).
+    Chains longer than MAX_LATTICE_CHAIN are refused.
     """
     b, n = tuple(b), tuple(n)
     k = len(b)
@@ -151,17 +151,15 @@ def build_string(b: Sequence[int], n: Sequence[int]) -> StringConfiguration:
         nxt += extra
 
     classes = tuple(SphereClass(line, lead, frozenset(t)) for line, lead, t in cur)
-    types = _expected_types(b)
-    for i, ci in enumerate(classes):
-        if dot(ci, ci) != types[i]:
-            raise TheoremViolation(f"[C_{i}]^2 = {dot(ci, ci)}, expected {types[i]}")
-        for j in range(i + 1, k + 1):
-            expected = 1 if j == i + 1 else 0
-            if dot(ci, classes[j]) != expected:
-                raise TheoremViolation(f"[C_{i}].[C_{j}] != {expected}")
-    if classes[0] != _LINE:
-        raise TheoremViolation("[C_0] is not the line class")
-    return StringConfiguration(b=b, n=n, m_total=m_total, classes=classes)
+    cfg = StringConfiguration(b=b, n=n, m_total=m_total, classes=classes)
+    # only C_0 and C_1 carry l, so two classes further apart meet only through a shared index
+    pairs = {(i, j) for us in cfg.index_users for i in us for j in us if i < j}
+    pairs.update((i - 1, i) for i in range(1, k + 1))
+    for i, j in sorted(pairs):
+        expected = int(j == i + 1)
+        if dot(cfg.classes[i], cfg.classes[j]) != expected:
+            raise TheoremViolation(f"[C_{i}].[C_{j}] != {expected} for b={b}, n={n}")
+    return cfg
 
 
 def validate_hom_classes(cfg: StringConfiguration) -> bool:
@@ -169,10 +167,11 @@ def validate_hom_classes(cfg: StringConfiguration) -> bool:
 
     [C_0] must be l, [C_1] l minus b_1 distinct exceptional classes, and
     [C_i] for i >= 2 one exceptional class minus b_i - 1 distinct others,
-    all indexed in 1..M.  A SphereClass holds only the f-coefficients +1
-    (lead) and -1 (tails), so once the lead lies outside the tails the
-    coefficient ranges and the adjunction identity sum_j (a_j + a_j^2) =
-    2 (1 - delta_{1 i}) hold by construction and are not re-checked.
+    all indexed in 1..M; only C_0 and C_1 carry l.  The shapes give the types
+    [C_1]^2 = 1 - b_1 and [C_i]^2 = -1 - (b_i - 1) = -b_i.  A SphereClass holds
+    only the f-coefficients +1 (lead) and -1 (tails), so once the lead lies
+    outside the tails the coefficient ranges and the adjunction identity
+    sum_j (a_j + a_j^2) = 2 (1 - delta_{1 i}) hold by construction.
     """
     k = len(cfg.b)
     m = cfg.m_total
@@ -199,28 +198,26 @@ def validate_string_lemma(cfg: StringConfiguration) -> bool:
     (1) Each leading class e^j_1 (j >= 2) lies in some earlier set A^i;
         when the witness i is not j - 1 there must be an intermediate h
         with e^h_1 in A^i and A^j.
-    (2) Any pairwise intersection A^i and A^j consists of leading classes.
-    Requires a shape-valid configuration.
+    (2) Any pairwise intersection A^i and A^j consists of leading classes,
+        that is, every index with two or more users is a lead.
+    Holders and witnesses h are read from index_users, never by scanning all
+    classes.  Requires a shape-valid configuration.
     """
     if not validate_hom_classes(cfg):
         raise LensfillError("configuration fails the shape check")
-    k = len(cfg.b)
     c = cfg.classes
-    leading_set = {ci.lead for ci in c[2:]}
-    for j in range(2, k + 1):
-        holders = [i for i in range(1, j) if c[j].lead in c[i].tails]
+    users = cfg.index_users
+    for j in range(2, len(c)):
+        lead = c[j].lead
+        holders = [i for i in users[lead - 1] if i < j and lead in c[i].tails]
         if not holders:
             return False
         for i in holders:
             if i < j - 1 and not any(
-                c[h].lead in c[i].tails and c[h].lead in c[j].tails for h in range(i + 1, j)
+                i < h < j and c[h].lead == t for t in c[i].tails & c[j].tails for h in users[t - 1]
             ):
                 return False
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            if not (c[i].tails & c[j].tails) <= leading_set:
-                return False
-    return True
+    return all(any(c[h].lead == t for h in us) for t, us in enumerate(users, 1) if len(us) > 1)
 
 
 def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
@@ -250,7 +247,7 @@ def complement_homology(cfg: StringConfiguration) -> tuple[int, list[int]]:
     b2 = cfg.m_total + 1 - sum(1 for d in diag if d)  # corank
     expected_b2 = sum(bi - ni for bi, ni in zip(cfg.b, cfg.n)) - 1
     if b2 != expected_b2:
-        raise TheoremViolation(f"complement b2 = {b2} but handle count gives {expected_b2}")
+        raise TheoremViolation(f"b2 = {b2} but handles give {expected_b2} for b={cfg.b}, n={cfg.n}")
     return b2, [d for d in diag if d > 1]
 
 
@@ -294,9 +291,10 @@ def check_filling(b: Sequence[int], n: Sequence[int]) -> dict:
     """Run every lattice check on the filling n of the chain b.
 
     Builds the string, then checks class shapes, exceptional-set nesting,
-    complement homology, count recovery and minimality, and returns the
-    lattice-check row for n.  A failed check raises TheoremViolation
-    naming b, n and the check.
+    complement homology (H_1 against the handle side Z/g, g the gcd of the
+    meridian classes K(n_1..n_{i-1}) with n_i < b_i), count recovery and
+    minimality, and returns the lattice-check row for n.  A failed check
+    raises TheoremViolation naming b, n and the check.
     """
     cfg = build_string(b, n)
 
@@ -308,6 +306,8 @@ def check_filling(b: Sequence[int], n: Sequence[int]) -> dict:
     shapes = require(validate_hom_classes(cfg), "hom_classes")
     nesting = require(validate_string_lemma(cfg), "string_lemma")
     b2, divisors = complement_homology(cfg)
+    g = gcd(*(kn for kn, ni, bi in zip(continuants(cfg.n)[1:], cfg.n, cfg.b) if ni < bi))
+    require(divisors == ([g] if g > 1 else []), "h1_handles")
     counts = minimal_si_counts(cfg)
     minimal = require(not orthogonal_minus_one_classes(cfg), "minimal")
     return {

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from math import gcd, isqrt
 
 import pytest
@@ -47,6 +49,54 @@ def dense(c, m):
 
 def dense_dot(u, v):
     return u[0] * v[0] - sum(a * c for a, c in zip(u[1:], v[1:]))
+
+
+# Test-only references: the quadratic checks that the per-index ones in
+# lattice replaced, kept to compare against.  Each scans every pair of classes.
+def reference_pairing(cfg):
+    """The replay's former check: the chain's type on the diagonal, 1 on
+    adjacent pairs, 0 on all other pairs, and [C_0] = l."""
+    b, c = cfg.b, cfg.classes
+    types = [1, 1 - b[0]] + [-x for x in b[1:]]
+    for i, ci in enumerate(c):
+        if dot(ci, ci) != types[i]:
+            return False
+        for j in range(i + 1, len(b) + 1):
+            if dot(ci, c[j]) != (1 if j == i + 1 else 0):
+                return False
+    return c[0] == LINE
+
+
+def reference_string_lemma(cfg):
+    """validate_string_lemma as a scan over all holders, witnesses and pairs."""
+    k = len(cfg.b)
+    c = cfg.classes
+    leading_set = {ci.lead for ci in c[2:]}
+    for j in range(2, k + 1):
+        holders = [i for i in range(1, j) if c[j].lead in c[i].tails]
+        if not holders:
+            return False
+        for i in holders:
+            if i < j - 1 and not any(
+                c[h].lead in c[i].tails and c[h].lead in c[j].tails for h in range(i + 1, j)
+            ):
+                return False
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            if not (c[i].tails & c[j].tails) <= leading_set:
+                return False
+    return True
+
+
+def passes_pairing_check(monkeypatch, cfg, b, n):
+    """Whether build_string(b, n) accepts the classes of cfg: cfg, of the
+    same length, stands in for the replay's configuration at the check."""
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "StringConfiguration", lambda **_: cfg)
+        try:
+            return build_string(b, n) is cfg
+        except TheoremViolation:
+            return False
 
 
 def test_dot_is_the_standard_form():
@@ -120,15 +170,18 @@ def test_validate_hom_classes_rejects_corruptions():
 
 
 def test_validate_string_lemma_on_builds():
-    for p, q in coprime_pairs(25):
-        pr = make_params(p, q)
-        for n in zset(pr):
-            assert validate_string_lemma(build_string(pr.b, n))
+    # each build passed the pairing check; the quadratic references agree
+    fillings = 0
+    for cfg in build_fillings(coprime_pairs(60)):
+        assert reference_pairing(cfg), (cfg.b, cfg.n)
+        assert validate_string_lemma(cfg) and reference_string_lemma(cfg), (cfg.b, cfg.n)
+        fillings += 1
+    assert fillings == 1972
 
 
-def test_validate_string_lemma_rejects_counterexamples_to_checker():
+def test_validate_string_lemma_rejects_counterexamples_to_checker(monkeypatch):
     # shape-valid configurations that are not genuine strings, to exercise
-    # the checker itself
+    # the checker itself; the quadratic references must agree
     cfg = StringConfiguration(
         b=(2, 2),
         n=(1, 1),
@@ -136,7 +189,8 @@ def test_validate_string_lemma_rejects_counterexamples_to_checker():
         classes=(LINE, cls(1, 0, 1, 2), cls(0, 3, 2)),
     )
     # C_2 leads with f_3, which lies in no earlier tail: claim (1) fails
-    assert not validate_string_lemma(cfg)
+    assert not validate_string_lemma(cfg) and not reference_string_lemma(cfg)
+    assert passes_pairing_check(monkeypatch, cfg, cfg.b, cfg.n) == reference_pairing(cfg)
 
     cfg = StringConfiguration(
         b=(2, 3),
@@ -145,7 +199,54 @@ def test_validate_string_lemma_rejects_counterexamples_to_checker():
         classes=(LINE, cls(1, 0, 1, 2), cls(0, 1, 2, 3)),
     )
     # A^1 cap A^2 = {2} and f_2 is not a leading class: claim (2) fails
-    assert not validate_string_lemma(cfg)
+    assert not validate_string_lemma(cfg) and not reference_string_lemma(cfg)
+    assert passes_pairing_check(monkeypatch, cfg, cfg.b, cfg.n) == reference_pairing(cfg)
+
+    cfg = StringConfiguration(
+        b=(3, 1, 2, 2),
+        n=(3, 1, 2, 2),
+        m_total=3,
+        classes=(LINE, cls(1, 0, 1, 2, 3), cls(0, 1), cls(0, 2, 3), cls(0, 3, 1)),
+    )
+    # C_3 leads with f_2 from A^1, and the one class leading an index of
+    # A^1 cap A^3 = {3} is C_4, not between C_1 and C_3: claim (1) fails
+    assert not validate_string_lemma(cfg) and not reference_string_lemma(cfg)
+    assert passes_pairing_check(monkeypatch, cfg, cfg.b, cfg.n) == reference_pairing(cfg)
+
+
+def moved_tail(cfg, rng):
+    """cfg with one tail index of one class moved into another class's
+    tails, and b changed so that the shapes still hold; None for k = 1."""
+    c = list(cfg.classes)
+    b = list(cfg.b)
+    i = rng.choice([i for i in range(1, len(c)) if c[i].tails])
+    t = rng.choice(sorted(c[i].tails))
+    takers = [j for j in range(1, len(c)) if j != i and t not in c[j].tails and t != c[j].lead]
+    if not takers:
+        return None
+    j = rng.choice(takers)
+    c[i] = c[i]._replace(tails=c[i].tails - {t})
+    c[j] = c[j]._replace(tails=c[j].tails | {t})
+    b[i - 1] -= 1
+    b[j - 1] += 1
+    return StringConfiguration(b=tuple(b), n=cfg.n, m_total=cfg.m_total, classes=tuple(c))
+
+
+def test_index_checks_match_quadratic_references_on_moved_tails(monkeypatch):
+    rng = random.Random(1)
+    outcomes = Counter()
+    for cfg in build_fillings(coprime_pairs(60)):
+        bad = moved_tail(cfg, rng)
+        if bad is None:
+            continue
+        assert validate_hom_classes(bad), bad
+        pairing = passes_pairing_check(monkeypatch, bad, cfg.b, cfg.n)
+        assert pairing == reference_pairing(bad), bad
+        lemma = validate_string_lemma(bad)
+        assert lemma == reference_string_lemma(bad), bad
+        outcomes[pairing, lemma] += 1
+    # both outcomes of the string lemma occur, so the comparison can fail
+    assert outcomes[False, True] and outcomes[False, False], outcomes
 
 
 def test_complement_homology_examples():
@@ -423,6 +524,16 @@ def test_check_filling_row():
     assert row["si_counts"] == [0, 0, 1, 0] and row["minimal"] is True
 
 
+def test_lattice_checks_pair_linearly_many_classes(monkeypatch):
+    # the former all-pairs checks made (k + 1)(k + 2)/2 = 125,751 dot calls here
+    b = (3,) * 10 + (2,) * 490
+    n = (1,) + (2,) * 498 + (1,)
+    calls = []
+    monkeypatch.setattr(lattice, "dot", lambda u, v: calls.append(1) or dot(u, v))
+    m_total = check_filling(b, n)["m_total"]
+    assert len(calls) <= len(b) + 1 + 3 * m_total
+
+
 def test_check_filling_builds_the_users_table_once(monkeypatch):
     table = StringConfiguration.index_users  # the cached_property itself
     build, builds = table.func, []
@@ -441,6 +552,34 @@ def test_check_filling_forced_failure(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "theorem violation" in err and "string_lemma" in err
+
+
+def test_pairing_violation_names_its_filling(monkeypatch):
+    monkeypatch.setattr(lattice, "dot", lambda u, v: 7)
+    with pytest.raises(TheoremViolation) as info:
+        build_string((2, 2, 2), (1, 2, 1))
+    assert str(info.value) == "[C_0].[C_1] != 1 for b=(2, 2, 2), n=(1, 2, 1)"
+
+
+def test_b2_violation_names_its_filling():
+    good = build_string((2, 2, 2), (1, 2, 1))
+    # n = (2, 2, 1) leaves one 2-handle, so b2 = 0; the classes give 1
+    bad = StringConfiguration(b=good.b, n=(2, 2, 1), m_total=good.m_total, classes=good.classes)
+    with pytest.raises(TheoremViolation) as info:
+        complement_homology(bad)
+    assert str(info.value) == "b2 = 1 but handles give 0 for b=(2, 2, 2), n=(2, 2, 1)"
+
+
+def test_h1_is_checked_against_the_handle_side(monkeypatch):
+    # the benchmark chains: H_1 = Z/g on both sides for all 925 fillings
+    for cfg in build_fillings([(1372105, 1136689), (151316, 110771)]):
+        check_filling(cfg.b, cfg.n)
+    # g = gcd(K(2, 2)) = 3 for (2, 2, 1, 3), g = gcd(K(), K(1, 2)) = 1 for (1, 2, 1)
+    for b, n, wrong in [((2, 2, 2, 3), (2, 2, 1, 3), []), ((2, 2, 2), (1, 2, 1), [2])]:
+        monkeypatch.setattr(lattice, "complement_homology", lambda cfg: (0, wrong))
+        with pytest.raises(TheoremViolation) as info:
+            check_filling(b, n)
+        assert str(info.value) == f"lattice check h1_handles failed for b={b}, n={n}"
 
 
 def test_lattice_chain_limit_refuses_before_building(monkeypatch, capsys):
