@@ -43,7 +43,8 @@ CFTuple = tuple[int, ...]
 # zero tuples exceed it, so they admit k <= 14
 MAX_TUPLES = 10**6
 # the most entries one expansion may have: hj_expand refuses longer ones,
-# since every later stage is at least linear in the length
+# since every later stage is at least linear in the length; lattice.build_string
+# refuses more exceptional classes M, since its replay is linear in M
 MAX_CHAIN = 10**5
 
 

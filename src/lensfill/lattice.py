@@ -18,9 +18,9 @@ The functions here rebuild that configuration explicitly and verify, by
 direct integer computation, the structural facts the classification rests
 on: the shape of the classes, the nesting of their exceptional sets, the
 homology of the complement, and the recovery of n from counts of ambient
-(-1)-classes meeting a single curve.  build_string re-checks the pairings and
-validate_string_lemma the nesting, both per index through index_users; the
-shapes, which validate_hom_classes checks, give the types.
+(-1)-classes meeting a single curve.  check_filling runs each checker once:
+build_string re-checks the pairings, validate_hom_classes the shapes, which
+give the types, and validate_string_lemma, given the shapes, the nesting.
 
 Every (-1)-class that matters here is orthogonal to [C_0] = l, so it lies
 in the span of the f_j.  That span has Gram matrix -I, so a class of
@@ -37,12 +37,12 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .cfrac import CFTuple, strict_blowup_sequence
+from .cfrac import MAX_CHAIN, CFTuple, strict_blowup_sequence
 from .errors import LensfillError, TheoremViolation
 from .exact import continuants, smith_diagonal
 
-# the longest chain build_string replays: its pairing checks are linear in k, but the
-# Smith form of complement_homology's (k + 1) x k core is cubic, about 2 s per filling at k = 500
+# the longest chain build_string replays: its pairing checks are linear in k, but the Smith
+# form of complement_homology's (k + 1) x k core is cubic, at most 0.2 s per filling at k = 500
 MAX_LATTICE_CHAIN = 500
 
 __all__ = [
@@ -120,7 +120,7 @@ def build_string(b: Sequence[int], n: Sequence[int]) -> StringConfiguration:
     sum(b_i - n_i) exceptional classes by construction.  The pairings (1 for
     adjacent classes, else 0) are re-checked on adjacent pairs and on pairs
     sharing an index; the types follow from the shapes (validate_hom_classes).
-    Chains longer than MAX_LATTICE_CHAIN are refused.
+    Chains longer than MAX_LATTICE_CHAIN, and M above MAX_CHAIN, are refused.
     """
     b, n = tuple(b), tuple(n)
     k = len(b)
@@ -132,9 +132,11 @@ def build_string(b: Sequence[int], n: Sequence[int]) -> StringConfiguration:
         raise LensfillError(f"length mismatch: b = {b}, n = {n}")
     if any(x < 1 for x in b) or any(x < 0 or x > y for x, y in zip(n, b)):
         raise LensfillError(f"need 0 <= n_i <= b_i and b_i >= 1, got b = {b}, n = {n}")
+    m_total = (k - 1) + sum(bi - ni for bi, ni in zip(b, n))
+    if m_total > MAX_CHAIN:
+        raise LensfillError(f"{m_total} exceptional classes exceed the limit of {MAX_CHAIN}")
     seq = strict_blowup_sequence(n)
 
-    m_total = (k - 1) + sum(bi - ni for bi, ni in zip(b, n))
     cur = [(1, 0, set()), (1, 0, set())]  # (line, lead, tails) of C_0 and C_1
     nxt = 1
 
@@ -166,26 +168,24 @@ def validate_hom_classes(cfg: StringConfiguration) -> bool:
     """Check the forced shape of the classes.
 
     [C_0] must be l, [C_1] l minus b_1 distinct exceptional classes, and
-    [C_i] for i >= 2 one exceptional class minus b_i - 1 distinct others,
-    all indexed in 1..M; only C_0 and C_1 carry l.  The shapes give the types
-    [C_1]^2 = 1 - b_1 and [C_i]^2 = -1 - (b_i - 1) = -b_i.  A SphereClass holds
-    only the f-coefficients +1 (lead) and -1 (tails), so once the lead lies
-    outside the tails the coefficient ranges and the adjunction identity
-    sum_j (a_j + a_j^2) = 2 (1 - delta_{1 i}) hold by construction.
+    [C_i] for i >= 2 one exceptional class minus b_i - 1 distinct others;
+    only C_0 and C_1 carry l, and index_users refuses indices outside 1..M.
+    The types follow: [C_1]^2 = 1 - b_1, [C_i]^2 = -1 - (b_i - 1) = -b_i.
+    A SphereClass holds only the f-coefficients +1 (lead) and -1 (tails), so
+    once the lead lies outside the tails the coefficient ranges and the
+    adjunction identity sum_j (a_j + a_j^2) = 2 (1 - delta_{1 i}) hold.
     """
     k = len(cfg.b)
-    m = cfg.m_total
+    cfg.index_users  # refuses an index outside 1..M
     if len(cfg.classes) != k + 1 or cfg.classes[0] != _LINE:
         return False
     for i, c in enumerate(cfg.classes[1:], 1):
         if i == 1:
             if c.line != 1 or c.lead != 0 or len(c.tails) != cfg.b[0]:
                 return False
-        elif c.line != 0 or not 1 <= c.lead <= m or c.lead in c.tails:
+        elif c.line != 0 or not c.lead or c.lead in c.tails:
             return False
         elif len(c.tails) != cfg.b[i - 1] - 1:
-            return False
-        if c.tails and (min(c.tails) < 1 or max(c.tails) > m):
             return False
     return True
 
@@ -200,11 +200,9 @@ def validate_string_lemma(cfg: StringConfiguration) -> bool:
         with e^h_1 in A^i and A^j.
     (2) Any pairwise intersection A^i and A^j consists of leading classes,
         that is, every index with two or more users is a lead.
-    Holders and witnesses h are read from index_users, never by scanning all
-    classes.  Requires a shape-valid configuration.
+    Holders and witnesses h come from index_users, not a scan of all classes.
+    Answers for a shape-valid configuration: check_filling checks shapes first.
     """
-    if not validate_hom_classes(cfg):
-        raise LensfillError("configuration fails the shape check")
     c = cfg.classes
     users = cfg.index_users
     for j in range(2, len(c)):

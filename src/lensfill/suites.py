@@ -16,6 +16,7 @@ from typing import Callable
 from .cfrac import _catalan, bounded_zero_cf, enumerate_zero_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
 from .errors import LensfillError, TheoremViolation, naming
+from .exact import continuants
 from .homology import rotation_numbers
 from .lattice import check_filling
 from .report import spin_rows
@@ -138,7 +139,8 @@ def suite_mcduff(pmax: int = 100) -> tuple[int, str]:
 
 def suite_rational_ball(pmax: int = 500) -> tuple[int, str]:
     """A filling with b2 = 0 exists iff (p, q) = (m^2, m h - 1) with m, h
-    coprime; the witness pairs are enumerated independently."""
+    coprime; the witness pairs are enumerated independently.  The handle side
+    H_1 = Z/g of such a filling, g = K(n_1..n_{i-1}), must have g = m."""
     roots = range(2, isqrt(pmax) + 1)  # 1 <= h < m keeps 1 <= q < m^2; h = m is not coprime
     expected = {(m * m, m * h - 1) for m in roots for h in range(1, m) if gcd(m, h) == 1}
     cases = 0
@@ -146,11 +148,15 @@ def suite_rational_ball(pmax: int = 500) -> tuple[int, str]:
     for p, q in _coprime_pairs(pmax):
         with naming(p, q):
             pr = make_params(p, q)
-            has_ball = any(sum(pr.b) - sum(n) == 1 for n in zset(pr))
+            balls = [n for n in zset(pr) if sum(pr.b) - sum(n) == 1]
             witness = rational_ball_criterion(p, q)
-            if has_ball != (witness is not None):
-                raise TheoremViolation(f"b2=0 filling: {has_ball}, witness: {witness}")
-        if has_ball:
+            if bool(balls) != (witness is not None):
+                raise TheoremViolation(f"b2=0 filling: {bool(balls)}, witness: {witness}")
+            for n in balls:  # g = K(n_1..n_{i-1}) at the one i with n_i < b_i
+                g = next(kn for kn, ni, bi in zip(continuants(n)[1:], n, pr.b) if ni < bi)
+                if g != witness[0]:
+                    raise TheoremViolation(f"b2=0 filling {n}: g = {g}, witness: {witness}")
+        if balls:
             found.add((p, q))
         cases += 1
     if found != expected:

@@ -358,6 +358,26 @@ def test_verify_counterexample_names_the_pair(monkeypatch, capsys, suite, name, 
     assert counterexample.startswith("  first counterexample: L("), counterexample
 
 
+def test_rational_ball_order_must_match_the_witness(monkeypatch, capsys):
+    from lensfill import cli, suites
+
+    # L(4,1)'s b2 = 0 filling (2, 1, 2) has its 2-handle at i = 2, so g = K(2) = 2 = m
+    witness = suites.rational_ball_criterion
+
+    def shifted(p, q):
+        w = witness(p, q)
+        return w and (w[0] + 1, w[1])
+
+    monkeypatch.setattr(suites, "rational_ball_criterion", shifted)
+    assert cli.main(["verify", "rational-ball", "--pmax", "12"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "rational-ball: FAIL",
+        "  first counterexample: L(4,1): b2=0 filling (2, 1, 2): g = 2, witness: (3, 1)",
+    ]
+
+
 def test_verify_refuses_catalan_sized_kmax():
     for suite in ("catalan", "rotation", "all"):
         res = run_cli("verify", suite, "--kmax", "16")
@@ -507,6 +527,18 @@ def test_per_pair_commands_finish_or_fail_fast(command, pair):
     if res.returncode == 1:
         assert res.stdout == "" and res.stderr.count("\n") == 1, res.stderr
         assert f"L({pair[0]},{pair[1]})" in res.stderr
+    assert elapsed < 5.0, elapsed
+
+
+def test_lattice_check_refuses_too_many_exceptional_classes():
+    # L(p, p-1) has b = (p,), so its one filling (0,) needs M = p exceptional classes
+    start = time.perf_counter()
+    res = run_cli("lattice-check", "100002", "100001")
+    elapsed = time.perf_counter() - start
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == (
+        "lensfill: error: L(100002,100001): 100002 exceptional classes exceed the limit of 100000\n"
+    )
     assert elapsed < 5.0, elapsed
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from math import gcd, isqrt
 
@@ -163,10 +164,10 @@ def test_validate_hom_classes_rejects_corruptions():
     # a wrong tail count for C_1 (b_1 = 2) and for C_3 (b_3 - 1 = 1)
     assert not validate_hom_classes(with_class(1, cls(1, 0, 1)))
     assert not validate_hom_classes(with_class(3, cls(0, 2, 3, 4)))
-    # an index outside 1..M, in the tails and as the lead
-    assert not validate_hom_classes(with_class(3, cls(0, 2, 5)))
-    assert not validate_hom_classes(with_class(2, cls(0, 1, 0)))
-    assert not validate_hom_classes(with_class(3, cls(0, 5, 4)))
+    # an index outside 1..M, in the tails and as the lead: a caller error
+    for i, c in ((3, cls(0, 2, 5)), (2, cls(0, 1, 0)), (3, cls(0, 5, 4))):
+        with pytest.raises(LensfillError, match="outside 1..4"):
+            validate_hom_classes(with_class(i, c))
 
 
 def test_validate_string_lemma_on_builds():
@@ -333,7 +334,13 @@ def test_index_outside_range_raises():
     good = build_string((2, 2, 2), (1, 2, 1))
     classes = (LINE, cls(1, 0, 0, 1)) + good.classes[2:]  # C_1 with tails {0, 1}
     bad = StringConfiguration(b=good.b, n=good.n, m_total=good.m_total, classes=classes)
-    for check in (orthogonal_minus_one_classes, minimal_si_counts, complement_homology):
+    for check in (
+        orthogonal_minus_one_classes,
+        minimal_si_counts,
+        complement_homology,
+        validate_hom_classes,
+        validate_string_lemma,
+    ):
         with pytest.raises(LensfillError, match=r"\[C_1\] uses index 0"):
             check(bad)
 
@@ -542,6 +549,26 @@ def test_check_filling_builds_the_users_table_once(monkeypatch):
     assert len(builds) == 1
 
 
+def test_check_filling_checks_the_shapes_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        lattice, "validate_hom_classes", lambda cfg: calls.append(cfg) or validate_hom_classes(cfg)
+    )
+    check_filling((2, 2, 2, 3), (2, 2, 1, 3))
+    assert len(calls) == 1
+
+
+def test_unit_pivots_keep_k_500_fillings_fast():
+    # b = (3,)*10 + (2,)*490; pivoting on the smallest entry took about 6 s for these three
+    pr = make_params(5381251, 3325796)
+    first = zset(pr)[:3]
+    start = time.perf_counter()
+    for n in first:
+        check_filling(pr.b, n)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, elapsed
+
+
 def test_check_filling_forced_failure(monkeypatch, capsys):
     monkeypatch.setattr(lattice, "validate_string_lemma", lambda cfg: False)
     with pytest.raises(TheoremViolation, match="lattice check string_lemma failed") as info:
@@ -594,3 +621,6 @@ def test_lattice_chain_limit_refuses_before_building(monkeypatch, capsys):
     )
     with pytest.raises(LensfillError, match="longer than the lattice limit of 3"):
         build_string((2, 2, 2, 2), (1, 2, 2, 1))
+    # M = (k - 1) + sum(b_i - n_i) is bounded too, before the replay
+    with pytest.raises(LensfillError, match="100001 exceptional classes exceed the limit of 100000"):
+        build_string((100001,), (0,))
