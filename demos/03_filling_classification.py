@@ -41,8 +41,9 @@ for m in (3, 4, 5):
     )
 
 # When the expansion of p/q has all entries >= 5, the filling is unique:
-print("24/5 = [5,5]; unique filling certified:", uniqueness_predicate(24, 5))
-print("Z_{24,5} =", zset(make_params(24, 5)))
+pr = make_params(24, 5)
+print("24/5 = [5,5]; unique filling certified:", uniqueness_predicate(pr, zset(pr)))
+print("Z_{24,5} =", zset(pr))
 
 # A lens space with many homotopy-distinct minimal fillings: the family
 # below realizes consecutive Euler characteristics.

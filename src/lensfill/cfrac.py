@@ -26,7 +26,6 @@ from .exact import continuant, continuants
 __all__ = [
     "eval_cf",
     "hj_expand",
-    "is_admissible_matrix",
     "blowdown",
     "blowup",
     "enumerate_zero_cf",
@@ -116,27 +115,6 @@ def hj_expand(p: int, q: int) -> CFTuple:
         out.append(a)
         x, y = y, a * y - x
     return tuple(out)
-
-
-def is_admissible_matrix(t: Sequence[int]) -> bool:
-    """Admissibility of a tuple of positive integers, by the matrix test.
-
-    The tuple is admissible iff the symmetric tridiagonal matrix with
-    diagonal t and off-diagonal -1 entries is positive semi-definite of
-    rank >= k-1.  The leading principal minors of that matrix are the
-    prefix continuants K(t_1..t_i), and for an irreducible tridiagonal
-    matrix the test reduces to: all proper leading minors positive and the
-    determinant non-negative.
-    """
-    if any(x < 1 for x in t):
-        raise LensfillError("matrix admissibility test needs positive entries")
-    k = len(t)
-    prev2, prev = 0, 1
-    for i in range(k - 1):
-        prev2, prev = prev, t[i] * prev - prev2
-        if prev <= 0:
-            return False
-    return k == 0 or t[k - 1] * prev - prev2 >= 0
 
 
 def blowdown(t: Sequence[int], s: int) -> CFTuple:

@@ -102,6 +102,8 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
             p = a[t][t]
             clean = True
             for i in range(t + 1, nr):
+                if not a[i][t]:  # most entries of the sparse cores are zero
+                    continue
                 q, r = divmod(a[i][t], p)
                 if q:
                     rt = a[t]
@@ -109,6 +111,8 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
                 if r:
                     clean = False
             for j in range(t + 1, nc):
+                if not a[t][j]:
+                    continue
                 q, r = divmod(a[t][j], p)
                 if q:
                     for row in a:

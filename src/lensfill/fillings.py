@@ -27,7 +27,6 @@ __all__ = [
     "invariants",
     "classify",
     "minimal_filling_family",
-    "unique_one_value",
     "rational_ball_criterion",
     "uniqueness_predicate",
 ]
@@ -138,37 +137,6 @@ def minimal_filling_family(params: LensParams, r: int) -> CFTuple:
     return n
 
 
-def unique_one_value(n: Sequence[int]) -> tuple[int, int]:
-    """Decompose the value obtained by bumping the unique 1 in n to a 2.
-
-    For an admissible zero tuple of length >= 3 with exactly one entry
-    equal to 1, replacing that entry by 2 yields a fraction of the shape
-    m^2/(m*nn + 1) with gcd(m, nn) = 1; returns (m, nn).  A qualifying
-    tuple whose value is not of that shape would contradict the structure
-    theory, so that case aborts loudly.
-    """
-    n = tuple(n)
-    k = len(n)
-    if k < 3 or any(x < 1 for x in n) or eval_cf(n) != 0:
-        raise LensfillError(f"{n} is not a positive zero tuple of length >= 3")
-    ones = [i for i, x in enumerate(n) if x == 1]
-    if len(ones) != 1:
-        raise LensfillError(f"{n} has {len(ones)} entries equal to 1, need exactly 1")
-    j = ones[0]
-    bumped = n[:j] + (2,) + n[j + 1 :]
-    w = eval_cf(bumped)
-    if w is None:
-        raise TheoremViolation(f"bumped tuple {bumped} is inadmissible")
-    num, den = w.numerator, w.denominator
-    m = isqrt(num)
-    if m * m != num or (den - 1) % m:
-        raise TheoremViolation(f"[{bumped}] = {num}/{den} is not of the shape m^2/(m*nn+1)")
-    nn = (den - 1) // m
-    if nn < 1 or gcd(m, nn) != 1:
-        raise TheoremViolation(f"witness pair ({m}, {nn}) for {num}/{den} is not coprime")
-    return m, nn
-
-
 def rational_ball_criterion(p: int, q: int) -> Optional[tuple[int, int]]:
     """Witness (m, h) with p = m^2, q = m*h - 1, gcd(m, h) = 1, or None.
 
@@ -187,24 +155,16 @@ def rational_ball_criterion(p: int, q: int) -> Optional[tuple[int, int]]:
     return m, h
 
 
-def _certify_unique(params: LensParams, zs: list[CFTuple]) -> bool:
-    """Assert that zs is the staircase alone, for a pair whose expansion of
-    p/q has all entries >= 5."""
-    k = len(params.b)
-    expected = (1,) + (2,) * (k - 2) + (1,)
-    if zs != [expected]:
-        raise TheoremViolation(f"the expansion of p/q has all entries >= 5 but fillings are {zs}")
-    return True
-
-
-def uniqueness_predicate(p: int, q: int) -> bool:
-    """True when the expansion of p/q has all entries >= 5.
+def uniqueness_predicate(params: LensParams, zs: list[CFTuple]) -> bool:
+    """True when the expansion of p/q has all entries >= 5; zs is zset(params).
 
     In that case the lens space has exactly one minimal filling, the one
-    attached to (1, 2, ..., 2, 1); this is asserted, not assumed.
+    attached to (1, 2, ..., 2, 1); this is asserted, not assumed, so any
+    other zs raises TheoremViolation.  It is the report's only source for
+    its unique_filling_certified flag.
     """
-    a = hj_expand(p, q)
-    if any(x < 5 for x in a):
+    if any(x < 5 for x in hj_expand(params.p, params.q)):
         return False
-    params = make_params(p, q)
-    return _certify_unique(params, zset(params))
+    if zs != [(1,) + (2,) * (len(params.b) - 2) + (1,)]:
+        raise TheoremViolation(f"the expansion of p/q has all entries >= 5 but fillings are {zs}")
+    return True

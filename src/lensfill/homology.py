@@ -156,7 +156,7 @@ def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:
     says n_1 K(n_2..n_k) = K(n_3..n_k) with K(n_2..n_k) > 0, and
     consecutive continuants are coprime, so K(n_2..n_k) = 1: the relation
     r_{k-1} - n_k r_k = -1 cannot fail once that test has passed, and the
-    assertion below never fires.  For k = 1 (where n = (0,)) the two
+    TheoremViolation below is never raised.  For k = 1 (where n = (0,)) the two
     boundary relations coincide and pin nothing beyond r_1 = 0.
     """
     n = tuple(n)

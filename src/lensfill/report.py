@@ -7,7 +7,8 @@ identical inputs produce byte-identical output (no timestamps, fully
 deterministic ordering).
 
 A report computes the bounded zero-tuple set once and derives the classes,
-the per-filling handle data and the uniqueness flag from it.  The tuples
+the per-filling handle data and, through uniqueness_predicate, the
+uniqueness flag from it.  The tuples
 come from the package's own search, so the report takes the two-handle
 counts b - n directly instead of calling invariants, which first checks
 that its argument is a bounded zero tuple.
@@ -22,10 +23,10 @@ from typing import Any
 from .errors import TheoremViolation
 from .fillings import (
     LensParams,
-    _certify_unique,
     _orbits,
     make_params,
     rational_ball_criterion,
+    uniqueness_predicate,
     zset,
 )
 from .homology import gamma_filling, gamma_standard, mu_basis, rotation_numbers, spin_structures
@@ -88,7 +89,7 @@ def build_report(p: int, q: int) -> dict[str, Any]:
         "flags": {
             "rational_ball": witness is not None,
             "rational_ball_witness": list(witness) if witness else None,
-            "unique_filling_certified": all(x >= 5 for x in a) and _certify_unique(params, zs),
+            "unique_filling_certified": uniqueness_predicate(params, zs),
         },
     }
 

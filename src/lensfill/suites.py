@@ -139,8 +139,9 @@ def suite_mcduff(pmax: int = 100) -> tuple[int, str]:
 
 def suite_rational_ball(pmax: int = 500) -> tuple[int, str]:
     """A filling with b2 = 0 exists iff (p, q) = (m^2, m h - 1) with m, h
-    coprime; the witness pairs are enumerated independently.  The handle side
-    H_1 = Z/g of such a filling, g = K(n_1..n_{i-1}), must have g = m."""
+    coprime; the witness pairs are enumerated independently.  Such a filling
+    is n = b - e_j with its only 1 at j, so b_j = 2; its handle side
+    H_1 = Z/g, g = K(n_1..n_{j-1}), must have g = m."""
     roots = range(2, isqrt(pmax) + 1)  # 1 <= h < m keeps 1 <= q < m^2; h = m is not coprime
     expected = {(m * m, m * h - 1) for m in roots for h in range(1, m) if gcd(m, h) == 1}
     cases = 0
@@ -152,8 +153,12 @@ def suite_rational_ball(pmax: int = 500) -> tuple[int, str]:
             witness = rational_ball_criterion(p, q)
             if bool(balls) != (witness is not None):
                 raise TheoremViolation(f"b2=0 filling: {bool(balls)}, witness: {witness}")
-            for n in balls:  # g = K(n_1..n_{i-1}) at the one i with n_i < b_i
-                g = next(kn for kn, ni, bi in zip(continuants(n)[1:], n, pr.b) if ni < bi)
+            for n in balls:
+                j = next(i for i, (ni, bi) in enumerate(zip(n, pr.b), 1) if ni < bi)
+                ones = [i for i, ni in enumerate(n, 1) if ni == 1]
+                if ones != [j]:
+                    raise TheoremViolation(f"b2=0 filling {n}: 1 at positions {ones}, not [{j}]")
+                g = continuants(n)[j]  # K(n_1..n_{j-1})
                 if g != witness[0]:
                     raise TheoremViolation(f"b2=0 filling {n}: g = {g}, witness: {witness}")
         if balls:

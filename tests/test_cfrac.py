@@ -16,7 +16,6 @@ from lensfill.cfrac import (
     enumerate_zero_cf,
     eval_cf,
     hj_expand,
-    is_admissible_matrix,
     reverse,
     strict_blowup_sequence,
 )
@@ -50,6 +49,8 @@ def test_eval_examples():
     assert eval_cf(()) is None
     assert eval_cf((1, 0)) is None
     assert eval_cf((5, 2, 0)) is None
+    assert eval_cf((1, 1, 2)) == -1  # admissible: its tail values 2 and 1/2 are positive
+    assert eval_cf((2, 1, 1)) is None  # the reversal is not: its tail [1, 1] is 0
 
 
 def test_eval_rejects_negative_entries():
@@ -115,40 +116,6 @@ def test_reversal_gives_inverse_denominator():
             qbar = mod_inverse(q, p)
             assert continuant(rev) == p
             assert continuant(rev[1:]) == qbar
-
-
-def test_admissibility_matrix_examples():
-    assert is_admissible_matrix((1, 1)) is True
-    assert is_admissible_matrix((1, 1, 1)) is False
-    assert is_admissible_matrix((2, 2)) is True
-    assert is_admissible_matrix((1,)) is True
-    with pytest.raises(LensfillError, match="matrix admissibility test needs positive entries"):
-        is_admissible_matrix((0, 2))
-
-
-def test_admissibility_matrix_vs_evaluation_exhaustive():
-    # The matrix criterion is reversal-symmetric, suffix evaluation is not:
-    # (1,1,2) evaluates with positive denominators (value -1) but its
-    # matrix is indefinite.  Exhaustively over positive tuples of length
-    # <= 8 with entries <= 6, the exact relationship is
-    #   matrix(t)  <=>  eval(t) and eval(reverse(t)) both admissible
-    #              <=>  eval(t) admissible with value >= 0,
-    # and on tuples of value 0 the two verdicts coincide outright.
-    for k in range(1, 9):
-        for t in product(range(1, 7), repeat=k):
-            m = is_admissible_matrix(t)
-            e = eval_cf(t)
-            er = eval_cf(t[::-1])
-            assert m == (e is not None and er is not None), t
-            assert m == (e is not None and e >= 0), t
-            if e == 0:
-                assert m, t
-
-
-def test_admissibility_matrix_separating_witness():
-    assert eval_cf((1, 1, 2)) == -1
-    assert is_admissible_matrix((1, 1, 2)) is False
-    assert eval_cf((2, 1, 1)) is None
 
 
 def test_blowdown_examples():

@@ -378,6 +378,27 @@ def test_rational_ball_order_must_match_the_witness(monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize("fake, ones, j", [
+    ((2, 2, 2, 2), [], 4),  # b - e_4: n_4 = b_4 - 1 = 2, so no entry is 1
+    ((2, 1, 1, 4), [2, 3], 2),  # n_2 < b_2, but n_3 is a second 1
+], ids=["missing", "doubled"])
+def test_rational_ball_filling_has_its_one_1_where_b_drops(monkeypatch, capsys, fake, ones, j):
+    from lensfill import cli, suites
+
+    # L(9,2) has b = (2, 2, 2, 3) and the b2 = 0 filling (2, 2, 1, 3); swap in the fake
+    search = suites.zset
+    monkeypatch.setattr(
+        suites, "zset", lambda pr: [fake if n == (2, 2, 1, 3) else n for n in search(pr)]
+    )
+    assert cli.main(["verify", "rational-ball", "--pmax", "12"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        "rational-ball: FAIL",
+        f"  first counterexample: L(9,2): b2=0 filling {fake}: 1 at positions {ones}, not [{j}]",
+    ]
+
+
 def test_verify_refuses_catalan_sized_kmax():
     for suite in ("catalan", "rotation", "all"):
         res = run_cli("verify", suite, "--kmax", "16")
@@ -513,6 +534,28 @@ def test_escaped_reversal_exits_2(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert out == "", argv
         assert err == message, argv
+
+
+def test_second_filling_of_a_certified_pair_exits_2(monkeypatch, capsys):
+    from lensfill import cli, fillings
+
+    # 24/5 = [5, 5], so L(24,5) with b = (2, 2, 2, 3, 2, 2, 2) has the staircase
+    # alone; add a palindromic zero tuple, which the reversal check lets through
+    search = fillings.bounded_zero_cf
+    extra = (2, 1, 3, 2, 3, 1, 2)
+
+    def second(bounds):
+        found = search(bounds)
+        return found + [extra] if tuple(bounds) == (2, 2, 2, 3, 2, 2, 2) else found
+
+    monkeypatch.setattr(fillings, "bounded_zero_cf", second)
+    assert cli.main(["fillings", "24", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "lensfill: theorem violation: L(24,5): the expansion of p/q has all entries >= 5 "
+        "but fillings are [(1, 2, 2, 2, 2, 2, 1), (2, 1, 3, 2, 3, 1, 2)]\n"
+    )
 
 
 @pytest.mark.parametrize("pair", [("2000", "1"), ("100000001", "1")], ids=["2000-1", "1e8+1-1"])

@@ -1,5 +1,6 @@
+from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from lensfill.fillings import (
     make_params,
     minimal_filling_family,
     rational_ball_criterion,
-    unique_one_value,
     uniqueness_predicate,
     zset,
 )
@@ -229,30 +229,30 @@ def test_minimal_filling_family_other_instance():
         assert sum(invariants(pr, n)) == 5 + sum(x - 3 for x in pr.b) + r
 
 
-def test_unique_one_value_examples():
-    assert unique_one_value((2, 1, 2)) == (2, 1)
-    assert unique_one_value((2, 2, 1, 3)) == (3, 2)
-
-
-def test_unique_one_value_preconditions():
-    with pytest.raises(LensfillError, match="is not a positive zero tuple of length >= 3"):
-        unique_one_value((1, 1))  # too short
-    with pytest.raises(LensfillError, match="has 2 entries equal to 1, need exactly 1"):
-        unique_one_value((1, 2, 2, 1))  # two entries equal to 1
-    with pytest.raises(LensfillError, match="is not a positive zero tuple of length >= 3"):
-        unique_one_value((2, 2, 2))  # not a zero tuple
-
-
-def test_unique_one_value_exhaustive():
-    # every qualifying zero tuple of length <= 9 decomposes as m^2/(m*nn+1)
-    seen = 0
+def test_bumping_the_only_1_gives_a_rational_ball_filling():
+    # a zero tuple n with exactly one 1, at j, is the b2 = 0 filling b - e_j of
+    # the chain b that bumping the 1 to a 2 gives; the pair's witness (m, h) has
+    # m = g = K(n_1..n_{j-1}), the handle side H_1 = Z/g, and [b] = m^2/(m nn + 1)
+    # with nn = m - h (k = 1, 2 have no such tuple)
+    seen = {}
     for k in range(3, 10):
         for n in enumerate_zero_cf(k):
-            if sum(1 for x in n if x == 1) == 1:
-                m, nn = unique_one_value(n)
-                assert gcd(m, nn) == 1 and m >= 2 and nn >= 1
-                seen += 1
-    assert seen > 100
+            ones = [i for i, x in enumerate(n) if x == 1]
+            if len(ones) != 1:
+                continue
+            j = ones[0]
+            b = n[:j] + (2,) + n[j + 1 :]
+            p = continuant(b)
+            q = p - continuant(b[1:])
+            m, h = rational_ball_criterion(p, q)
+            assert m == continuant(n[:j]), n
+            assert eval_cf(b) == Fraction(m * m, m * (m - h) + 1), n
+            pr = make_params(p, q)
+            assert pr.b == b and n in zset(pr), n
+            seen[n] = (p, q, m, h)
+    assert len(seen) == 127
+    assert seen[(2, 1, 2)] == (4, 1, 2, 1)
+    assert seen[(2, 2, 1, 3)] == (9, 2, 3, 1)
 
 
 def test_rational_ball_criterion_examples():
@@ -276,11 +276,15 @@ def test_rational_ball_matches_handle_counts():
 
 
 def test_uniqueness_predicate_examples():
-    assert uniqueness_predicate(5, 1) is True
+    def certified(p, q):
+        pr = make_params(p, q)
+        return uniqueness_predicate(pr, zset(pr))
+
+    assert certified(5, 1) is True
     assert zset(make_params(5, 1)) == [(1, 2, 2, 1)]
-    assert uniqueness_predicate(26, 5) is False  # 26/5 = [6,2,2,2,2]
+    assert certified(26, 5) is False  # 26/5 = [6,2,2,2,2]
     assert hj_expand(26, 5) == (6, 2, 2, 2, 2)
-    assert uniqueness_predicate(24, 5) is True  # 24/5 = [5,5]
+    assert certified(24, 5) is True  # 24/5 = [5,5]
     assert hj_expand(24, 5) == (5, 5)
 
 

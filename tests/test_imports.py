@@ -1,5 +1,6 @@
 """Every name a lensfill module imports is used in that module, every
-module-level private name is used somewhere in the package, no module
+module-level private name is used somewhere in the package, every public
+name is used in the package or a demo, no module
 holds an ``assert`` statement, since ``python -O`` strips those, every
 ``raise`` names one of the package's two exception classes, no ``raise``
 outside ``errors.py`` writes a lens space's ``L(`` name, no call passes
@@ -20,6 +21,7 @@ from lensfill import cfrac, errors, exact, fillings, homology, lattice, report
 EXPORTING_MODULES = (cfrac, exact, fillings, homology, lattice)
 
 PACKAGE = Path(lensfill.__file__).parent
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def unused_imports(source):
@@ -91,6 +93,55 @@ def test_dead_private_names_detected():
 def test_no_dead_private_names_in_package():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def uncalled_public_names(exported, sources):
+    """(module, name) for each name in ``exported`` that no source loads
+    outside its own definition.
+
+    ``exported`` maps module names to their ``__all__`` lists and ``sources``
+    maps labels to source text.  A use is a load of the name or an attribute
+    of that name anywhere but inside the top-level def or class of that name,
+    so an import alone or a recursive call does not count.
+    """
+    used = set()
+    for source in sources.values():
+        for stmt in ast.parse(source).body:
+            loads = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loads.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    loads.add(node.attr)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                loads.discard(stmt.name)
+            used |= loads
+    return sorted((m, name) for m, names in exported.items() for name in names if name not in used)
+
+
+def test_uncalled_public_names_detected():
+    exported = {"a": ["used", "recursive", "Orphan", "imported", "by_attribute"]}
+    sources = {
+        "a": "def used():\n    return 1\ndef recursive(n):\n    return recursive(n - 1)\n"
+        "class Orphan:\n    pass\n__all__ = ['used', 'Orphan']\n",
+        "b": "import a\nfrom a import imported, used\nprint(used(), a.by_attribute)\n",
+        "c": "def used():\n    return 2\n",  # a later definition of the name hides no use
+    }
+    assert uncalled_public_names(exported, sources) == [
+        ("a", "Orphan"), ("a", "imported"), ("a", "recursive"),
+    ]
+
+
+def test_every_public_name_has_a_caller():
+    # a public name serves the package or a demo; blowup and minimal_filling_family
+    # are exported for demos 02 and 03 and have no caller in the package itself
+    exported = {module.__name__.rpartition(".")[2]: module.__all__ for module in EXPORTING_MODULES}
+    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    demos = {path.stem: path.read_text(encoding="utf-8") for path in sorted(DEMOS.glob("*.py"))}
+    assert uncalled_public_names(exported, package | demos) == []
+    assert uncalled_public_names(exported, package) == [
+        ("cfrac", "blowup"), ("fillings", "minimal_filling_family"),
+    ]
 
 
 def assert_statements(source):
