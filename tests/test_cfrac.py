@@ -49,8 +49,6 @@ def test_eval_examples():
     assert eval_cf(()) is None
     assert eval_cf((1, 0)) is None
     assert eval_cf((5, 2, 0)) is None
-    assert eval_cf((1, 1, 2)) == -1  # admissible: its tail values 2 and 1/2 are positive
-    assert eval_cf((2, 1, 1)) is None  # the reversal is not: its tail [1, 1] is 0
 
 
 def test_eval_rejects_negative_entries():
@@ -116,6 +114,16 @@ def test_reversal_gives_inverse_denominator():
             qbar = mod_inverse(q, p)
             assert continuant(rev) == p
             assert continuant(rev[1:]) == qbar
+
+
+def test_admissibility_matrix_separating_witness():
+    # admissibility of the suffix evaluation is not reversal-symmetric, so it
+    # differs from the tridiagonal matrix criterion, which is: (1, 1, 2) is
+    # admissible with value -1 (tail values 2 and 1/2 are positive), while its
+    # reversal is not (its tail [1, 1] is 0)
+    assert eval_cf((1, 1, 2)) == -1
+    assert reverse((1, 1, 2)) == (2, 1, 1)
+    assert eval_cf((2, 1, 1)) is None
 
 
 def test_blowdown_examples():

@@ -229,30 +229,40 @@ def test_minimal_filling_family_other_instance():
         assert sum(invariants(pr, n)) == 5 + sum(x - 3 for x in pr.b) + r
 
 
-def test_bumping_the_only_1_gives_a_rational_ball_filling():
+def bump_unique_one(n):
     # a zero tuple n with exactly one 1, at j, is the b2 = 0 filling b - e_j of
     # the chain b that bumping the 1 to a 2 gives; the pair's witness (m, h) has
     # m = g = K(n_1..n_{j-1}), the handle side H_1 = Z/g, and [b] = m^2/(m nn + 1)
-    # with nn = m - h (k = 1, 2 have no such tuple)
-    seen = {}
+    # with nn = m - h
+    ones = [i for i, x in enumerate(n) if x == 1]
+    assert len(ones) == 1, n
+    j = ones[0]
+    b = n[:j] + (2,) + n[j + 1 :]
+    p = continuant(b)
+    q = p - continuant(b[1:])
+    m, h = rational_ball_criterion(p, q)
+    assert m == continuant(n[:j]), n
+    assert eval_cf(b) == Fraction(m * m, m * (m - h) + 1), n
+    pr = make_params(p, q)
+    assert pr.b == b and n in zset(pr), n
+    return p, q, m, h
+
+
+def test_unique_one_value_examples():
+    assert bump_unique_one((2, 1, 2)) == (4, 1, 2, 1)
+    assert bump_unique_one((2, 2, 1, 3)) == (9, 2, 3, 1)
+
+
+def test_unique_one_value_exhaustive():
+    # every zero tuple of length <= 9 with exactly one 1 bumps to a rational
+    # ball pair (k = 1, 2 have no such tuple)
+    seen = 0
     for k in range(3, 10):
         for n in enumerate_zero_cf(k):
-            ones = [i for i, x in enumerate(n) if x == 1]
-            if len(ones) != 1:
-                continue
-            j = ones[0]
-            b = n[:j] + (2,) + n[j + 1 :]
-            p = continuant(b)
-            q = p - continuant(b[1:])
-            m, h = rational_ball_criterion(p, q)
-            assert m == continuant(n[:j]), n
-            assert eval_cf(b) == Fraction(m * m, m * (m - h) + 1), n
-            pr = make_params(p, q)
-            assert pr.b == b and n in zset(pr), n
-            seen[n] = (p, q, m, h)
-    assert len(seen) == 127
-    assert seen[(2, 1, 2)] == (4, 1, 2, 1)
-    assert seen[(2, 2, 1, 3)] == (9, 2, 3, 1)
+            if sum(1 for x in n if x == 1) == 1:
+                bump_unique_one(n)
+                seen += 1
+    assert seen == 127
 
 
 def test_rational_ball_criterion_examples():
