@@ -22,7 +22,7 @@ for k in range(1, 9):
     catalan = comb(2 * (k - 1), k - 1) // k if k > 1 else 1
     print(f"length {k}: {count:4d} zero tuples (Catalan: {catalan})")
 
-print("the five of length 4:", sorted(enumerate_zero_cf(4)))
+print("the five of length 4, lexicographic:", enumerate_zero_cf(4))
 
 # Every zero tuple records its own construction; the package recovers a
 # canonical insertion sequence by greedy blowdowns.

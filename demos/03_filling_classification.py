@@ -8,6 +8,7 @@ and the tuples are reverses of each other.
 
 from lensfill import (
     classify,
+    dual_expansion,
     invariants,
     make_params,
     minimal_filling_family,
@@ -19,11 +20,13 @@ from lensfill import (
 # L(4, 1) is the classical exceptional case: the disk bundle and the
 # complement of a conic give two distinct fillings.
 pr = make_params(4, 1)
-print("L(4,1) fillings:", zset(pr), "->", len(classify(pr)), "classes")
+zs = zset(pr)  # classify takes the fillings its caller has searched
+print("L(4,1) fillings:", zs, "->", len(classify(pr, zs)), "classes")
 
 # L(p, 1) for p != 4 has a single filling class:
 for p in (5, 6, 17):
-    print(f"L({p},1):", len(classify(make_params(p, 1))), "class")
+    pr = make_params(p, 1)
+    print(f"L({p},1):", len(classify(pr, zset(pr))), "class")
 
 # The square family L(m^2, m-1) always has exactly two fillings; the
 # second is a rational homology ball (second Betti number zero), the
@@ -40,9 +43,11 @@ for m in (3, 4, 5):
         rational_ball_criterion(m * m, m - 1),
     )
 
-# When the expansion of p/q has all entries >= 5, the filling is unique:
+# When the expansion of p/q has all entries >= 5, the filling is unique; the
+# point diagram turns p/(p-q) into that expansion:
 pr = make_params(24, 5)
-print("24/5 = [5,5]; unique filling certified:", uniqueness_predicate(pr, zset(pr)))
+a = dual_expansion(pr.b)
+print(f"24/5 = {list(a)}; unique filling certified:", uniqueness_predicate(a, zset(pr)))
 print("Z_{24,5} =", zset(pr))
 
 # A lens space with many homotopy-distinct minimal fillings: the family

@@ -150,18 +150,19 @@ def blowup(t: Sequence[int], s: int) -> CFTuple:
     return tuple(out)
 
 
-def enumerate_zero_cf(k: int) -> set[CFTuple]:
-    """All admissible tuples of positive integers of length k with value 0.
+def enumerate_zero_cf(k: int) -> list[CFTuple]:
+    """All admissible tuples of positive integers of length k with value 0,
+    lexicographic, as the search emits them (a repeat would stay).
 
     This is the bounded search with every entry bounded by k - 1: a zero
     tuple of length k has entries <= k - 1, by induction on k, since (0)
     has entry 0 and a strict blowup raises the largest entry by at most
-    one.  For k = 1 this is {(0,)} by convention; for k >= 2 the count is
+    one.  For k = 1 this is [(0,)] by convention; for k >= 2 the count is
     the Catalan number C(k-1).
     """
     if k < 1:
         raise LensfillError(f"length must be >= 1, got {k}")
-    return set(bounded_zero_cf((k - 1,) * k))
+    return bounded_zero_cf((k - 1,) * k)
 
 
 def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:

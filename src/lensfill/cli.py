@@ -20,10 +20,9 @@ import json
 import os
 import sys
 
-from .cfrac import _check_pair, _zero_tuple_count, bounded_zero_cf, hj_expand
+from .cfrac import _check_pair, _zero_tuple_count, dual_expansion, enumerate_zero_cf
 from .errors import LensfillError, TheoremViolation, naming
 from .fillings import make_params, zset
-from .homology import rotation_numbers
 from .lattice import check_filling
 from .report import build_report, render_csv, render_table, spin_rows
 from .suites import SUITES, _ALIASES, _coprime_pairs
@@ -78,7 +77,7 @@ def cmd_expand(args) -> str:
     payload = {
         "p": args.p,
         "q": args.q,
-        "a": list(hj_expand(args.p, args.q)),
+        "a": list(dual_expansion(params.b)),
         "b": list(params.b),
         "qbar": params.qbar,
     }
@@ -92,11 +91,8 @@ def cmd_expand(args) -> str:
 
 
 def cmd_zeroseq(args) -> str:
-    if args.k < 1:
-        raise LensfillError(f"length must be >= 1, got {args.k}")
     catalan = _zero_tuple_count(args.k, f"zeroseq {args.k} would write")
-    # the search yields the zero tuples of length k in lexicographic order
-    tuples = bounded_zero_cf((args.k - 1,) * args.k)
+    tuples = enumerate_zero_cf(args.k)
     if args.json:
         payload = {
             "k": args.k,
@@ -143,15 +139,13 @@ def cmd_gamma(args) -> str:
 
 
 def cmd_rot(args) -> str:
-    # zset plus the rotation column, not the whole report: on long chains
-    # build_report costs about twice as much
-    zs = zset(make_params(args.p, args.q))
-    rot = [rotation_numbers(n) for n in zs]
+    report = build_report(args.p, args.q)
+    rot = [f["rot"] for f in report["fillings"]]
     if args.json:
-        return _dump_json({"p": args.p, "q": args.q, "z_set": zs, "rot": rot})
+        return _dump_json({"p": args.p, "q": args.q, "z_set": report["z_set"], "rot": rot})
     lines = [f"L({args.p},{args.q}) rotation numbers:"]
-    for n, r in zip(zs, rot):
-        lines.append(f"  n={n}: rot={r}")
+    for n, r in zip(report["z_set"], rot):
+        lines.append(f"  n={tuple(n)}: rot={tuple(r)}")
     return "\n".join(lines) + "\n"
 
 

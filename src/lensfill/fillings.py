@@ -7,7 +7,8 @@ fractions n with 0 <= n_i <= b_i; the filling attached to n is built from
 one 0-handle, one 1-handle and b_i - n_i two-handles over the i-th chain
 component.  Two fillings of the same lens space are diffeomorphic iff
 their tuples are equal, or q is self-inverse mod p and the tuples are
-reverses of each other.
+reverses of each other.  classify and uniqueness_predicate take the zset
+their caller has already searched, so a report searches once.
 """
 
 from __future__ import annotations
@@ -73,10 +74,14 @@ def invariants(params: LensParams, n: Sequence[int]) -> tuple[int, ...]:
     return tuple(bi - ni for bi, ni in zip(b, n))
 
 
-def _orbits(params: LensParams, zs: list[CFTuple]) -> list[tuple[CFTuple, ...]]:
-    """The classes of classify from the already computed zset.
+def classify(params: LensParams, zs: list[CFTuple]) -> list[tuple[CFTuple, ...]]:
+    """Partition zs = zset(params), the fillings as their tuples n, by the
+    diffeomorphism relation.
 
-    zs is lexicographic, so the lesser of n and reverse(n) opens its class.
+    The reversal n ~ reverse(n) is active exactly when q^2 = 1 mod p (then
+    qbar = q and reversal preserves the bound b, which is a palindrome).
+    zs is lexicographic, so each class opens with its least member and the
+    classes follow the order of those; a reversal outside zs is a violation.
     """
     if (params.q * params.q) % params.p != 1:
         return [(n,) for n in zs]
@@ -91,17 +96,6 @@ def _orbits(params: LensParams, zs: list[CFTuple]) -> list[tuple[CFTuple, ...]]:
         elif n < rn:
             out.append((n, rn))
     return out
-
-
-def classify(params: LensParams) -> list[tuple[CFTuple, ...]]:
-    """Partition the fillings, as their tuples n, by the diffeomorphism relation.
-
-    The reversal n ~ reverse(n) is active exactly when q^2 = 1 mod p (then
-    qbar = q and reversal preserves the bound b, which is a palindrome).
-    Classes are listed by their lexicographically least representative,
-    least first within each class.
-    """
-    return _orbits(params, zset(params))
 
 
 def minimal_filling_family(params: LensParams, r: int) -> CFTuple:
@@ -155,16 +149,18 @@ def rational_ball_criterion(p: int, q: int) -> Optional[tuple[int, int]]:
     return m, h
 
 
-def uniqueness_predicate(params: LensParams, zs: list[CFTuple]) -> bool:
-    """True when the expansion of p/q has all entries >= 5; zs is zset(params).
+def uniqueness_predicate(a: CFTuple, zs: list[CFTuple]) -> bool:
+    """True when a, the expansion of p/q, has all entries >= 5; zs is zset.
 
-    In that case the lens space has exactly one minimal filling, the one
-    attached to (1, 2, ..., 2, 1); this is asserted, not assumed, so any
-    other zs raises TheoremViolation.  It is the report's only source for
-    its unique_filling_certified flag.
+    Then the lens space has exactly one minimal filling, attached to
+    (1, 2, ..., 2, 1) of length sum(a_j - 2) + 1 = len(b) (point diagram
+    duality); this is asserted, not assumed, so any other zs raises
+    TheoremViolation.  It is the report's only source for its
+    unique_filling_certified flag.
     """
-    if any(x < 5 for x in hj_expand(params.p, params.q)):
+    if any(x < 5 for x in a):
         return False
-    if zs != [(1,) + (2,) * (len(params.b) - 2) + (1,)]:
+    k = sum(a) - 2 * len(a) + 1
+    if zs != [(1,) + (2,) * (k - 2) + (1,)]:
         raise TheoremViolation(f"the expansion of p/q has all entries >= 5 but fillings are {zs}")
     return True

@@ -6,12 +6,12 @@ and published as schema/report.schema.json at the repository root;
 identical inputs produce byte-identical output (no timestamps, fully
 deterministic ordering).
 
-A report computes the bounded zero-tuple set once and derives the classes,
-the per-filling handle data and, through uniqueness_predicate, the
-uniqueness flag from it.  The tuples
-come from the package's own search, so the report takes the two-handle
-counts b - n directly instead of calling invariants, which first checks
-that its argument is a bounded zero tuple.
+A report searches the bounded zero tuples once and expands p/q once (by
+dual_expansion), and classify and uniqueness_predicate read those.  The
+tuples come from the package's own search, so the report takes the
+two-handle counts b - n directly instead of calling invariants, which first
+checks that its argument is a bounded zero tuple.  The commands fillings,
+classify, rot and sweep render reports or project them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Any
 from .errors import TheoremViolation
 from .fillings import (
     LensParams,
-    _orbits,
+    classify,
     make_params,
     rational_ball_criterion,
     uniqueness_predicate,
@@ -61,7 +61,7 @@ def build_report(p: int, q: int) -> dict[str, Any]:
     zs = zset(params)
     a = dual_expansion(params.b)
     index = {n: i for i, n in enumerate(zs)}
-    classes = [[index[m] for m in orbit] for orbit in _orbits(params, zs)]
+    classes = [[index[m] for m in orbit] for orbit in classify(params, zs)]
     fillings = []
     for n in zs:
         handles = [bi - ni for bi, ni in zip(params.b, n)]
@@ -89,7 +89,7 @@ def build_report(p: int, q: int) -> dict[str, Any]:
         "flags": {
             "rational_ball": witness is not None,
             "rational_ball_witness": list(witness) if witness else None,
-            "unique_filling_certified": uniqueness_predicate(params, zs),
+            "unique_filling_certified": uniqueness_predicate(a, zs),
         },
     }
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Callable
 
-from .cfrac import _catalan, bounded_zero_cf, enumerate_zero_cf, reverse
+from .cfrac import _catalan, enumerate_zero_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
 from .errors import LensfillError, TheoremViolation, naming
 from .exact import continuants
@@ -51,10 +51,12 @@ def _triangulation_tuples(k: int):
 def suite_catalan(kmax: int = 12) -> tuple[int, str]:
     """Zero tuples of length k >= 2 are the triangle counts at v_1..v_k, one
     per triangulation of the polygon v_0..v_k (Conway-Coxeter), so Catalan(k-1)
-    of them: each k's search set must lose each such tuple once and end empty."""
+    of them: each k's search list, counted before it becomes a set, must lose
+    each such tuple once and end empty."""
     for k in range(2, kmax + 1):
         got = enumerate_zero_cf(k)
         size, want = len(got), _catalan(k - 1)
+        got = set(got)
         try:
             for t in _triangulation_tuples(k):
                 got.remove(t)
@@ -104,7 +106,7 @@ def suite_rotation(kmax: int = 10) -> tuple[int, str]:
     length 2..kmax; rotation_numbers raises, naming n, where it fails."""
     cases = 0
     for k in range(2, kmax + 1):
-        for n in bounded_zero_cf((k - 1,) * k):  # lexicographic, like zeroseq
+        for n in enumerate_zero_cf(k):  # lexicographic, like zeroseq
             rotation_numbers(n)
             cases += 1
     return cases, f"all zero tuples with k <= {kmax}"
@@ -130,7 +132,8 @@ def suite_mcduff(pmax: int = 100) -> tuple[int, str]:
     """Classification counts for L(p, 1): one class except two at p = 4."""
     for p in range(2, pmax + 1):
         with naming(p, 1):
-            got = len(classify(make_params(p, 1)))
+            pr = make_params(p, 1)
+            got = len(classify(pr, zset(pr)))
             want = 2 if p == 4 else 1
             if got != want:
                 raise TheoremViolation(f"{got} classes, expected {want}")

@@ -206,7 +206,7 @@ def closure_zero_cf(k):
 
 def test_enumerate_zero_cf_equals_closure():
     for k in range(1, 13):
-        assert enumerate_zero_cf(k) == closure_zero_cf(k), k
+        assert set(enumerate_zero_cf(k)) == closure_zero_cf(k), k
 
 
 def test_enumerate_zero_cf_rejects_empty_length():
@@ -215,9 +215,9 @@ def test_enumerate_zero_cf_rejects_empty_length():
 
 
 def test_enumerate_zero_cf_small():
-    assert enumerate_zero_cf(1) == {(0,)}
-    assert enumerate_zero_cf(2) == {(1, 1)}
-    assert enumerate_zero_cf(3) == {(1, 2, 1), (2, 1, 2)}
+    assert set(enumerate_zero_cf(1)) == {(0,)}
+    assert set(enumerate_zero_cf(2)) == {(1, 1)}
+    assert set(enumerate_zero_cf(3)) == {(1, 2, 1), (2, 1, 2)}
     assert len(enumerate_zero_cf(4)) == 5 == catalan(3)
 
 
@@ -235,7 +235,7 @@ def test_enumerate_zero_cf_equals_brute_force():
             for t in product(range(1, k + 1), repeat=k)
             if eval_cf(t) == 0
         }
-        assert enumerate_zero_cf(k) == brute
+        assert enumerate_zero_cf(k) == sorted(brute)  # lexicographic, no repeats
 
 
 def test_no_zero_entries_and_bounded_by_length():
@@ -246,7 +246,7 @@ def test_no_zero_entries_and_bounded_by_length():
 
 def test_zero_cf_closed_under_reversal():
     for k in range(2, 11):
-        zs = enumerate_zero_cf(k)
+        zs = set(enumerate_zero_cf(k))
         assert {reverse(t) for t in zs} == zs
 
 
@@ -432,8 +432,7 @@ def test_suite_catalan_fails_on_a_swapped_tuple(monkeypatch):
     def swapped(k):
         got = search(k)
         if k == 9:  # same length, same count, one tuple wrong
-            got.remove(staircase)
-            got.add(fake)
+            got[got.index(staircase)] = fake
         return got
 
     monkeypatch.setattr(suites, "enumerate_zero_cf", swapped)
@@ -456,11 +455,26 @@ def test_suite_catalan_fails_on_a_repeated_triangulation_tuple(monkeypatch):
 
 def test_suite_catalan_fails_on_an_extra_tuple(monkeypatch):
     search = suites.enumerate_zero_cf
-    monkeypatch.setattr(suites, "enumerate_zero_cf", lambda k: search(k) | {(2,) * k})
+    monkeypatch.setattr(suites, "enumerate_zero_cf", lambda k: search(k) + [(2,) * k])
     with pytest.raises(
         TheoremViolation, match=r"^k=2: \|set\| = 2, Catalan = 1, 1 not from a triangulation$"
     ):
         suites.suite_catalan(kmax=9)
+
+
+def test_suite_catalan_fails_on_a_tuple_the_search_emits_twice(monkeypatch):
+    # the suite counts the search's list, so a repeat cannot hide in a set
+    search = cfrac.bounded_zero_cf
+
+    def repeating(bounds):
+        got = search(bounds)
+        return got + got[:1] if len(bounds) == 5 else got
+
+    monkeypatch.setattr(cfrac, "bounded_zero_cf", repeating)
+    with pytest.raises(
+        TheoremViolation, match=r"^k=5: \|set\| = 15, Catalan = 14, 0 not from a triangulation$"
+    ):
+        suites.suite_catalan(kmax=6)
 
 
 def test_dual_expansion_examples():

@@ -321,7 +321,7 @@ def test_every_suite_takes_one_bound_with_a_default():
 def test_verify_all_reports_a_failed_suite_and_runs_the_rest(monkeypatch, capsys):
     from lensfill import cli, suites
 
-    monkeypatch.setattr(suites, "classify", lambda params: [[0]])  # one class at every p
+    monkeypatch.setattr(suites, "classify", lambda params, zs: [[0]])  # one class at every p
     assert cli.main(["verify", "all", "--pmax", "12", "--kmax", "5"]) == 2
     out, err = capsys.readouterr()
     assert err == ""
@@ -613,12 +613,14 @@ def _force(monkeypatch, stage):
 # stage -> (exit code of a command other than verify, first pair that fails in a
 # sweep or a suite, the commands that reach the stage)
 FORCED_FAILURES = {
-    "point-diagram": (2, (2, 1), ["fillings 4 1", "classify 4 1", "sweep 10"]),
-    "spin-count": (2, (2, 1), ["fillings 4 1", "classify 4 1", "gamma 4 1", "sweep 10",
-                               "verify gamma"]),
-    "gamma": (2, (2, 1), ["fillings 4 1", "classify 4 1", "gamma 4 1", "sweep 10",
+    "point-diagram": (2, (2, 1), ["expand 4 1", "fillings 4 1", "classify 4 1", "rot 4 1",
+                                  "sweep 10"]),
+    "spin-count": (2, (2, 1), ["fillings 4 1", "classify 4 1", "gamma 4 1", "rot 4 1",
+                               "sweep 10", "verify gamma"]),
+    "gamma": (2, (2, 1), ["fillings 4 1", "classify 4 1", "gamma 4 1", "rot 4 1", "sweep 10",
                           "verify gamma"]),
-    "reversal": (2, (2, 1), ["fillings 4 1", "classify 4 1", "sweep 10", "verify mcduff"]),
+    "reversal": (2, (2, 1), ["fillings 4 1", "classify 4 1", "rot 4 1", "sweep 10",
+                             "verify mcduff"]),
     "lattice-check": (2, (2, 1), ["lattice-check 4 1", "verify lattice"]),
     "max-tuples": (1, (4, 1), ["fillings 4 1", "classify 4 1", "rot 4 1", "lattice-check 4 1",
                                "sweep 10", "verify duality", "verify lattice", "verify mcduff",

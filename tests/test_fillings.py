@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensfill.cfrac import bounded_zero_cf, enumerate_zero_cf, eval_cf, hj_expand, reverse
+from lensfill.cfrac import (
+    bounded_zero_cf,
+    dual_expansion,
+    enumerate_zero_cf,
+    eval_cf,
+    hj_expand,
+    reverse,
+)
 from lensfill import fillings
 from lensfill.errors import LensfillError, TheoremViolation
 from lensfill.exact import continuant
@@ -104,21 +111,36 @@ def test_zset_count_at_depth_twelve():
 
 
 def test_build_report_searches_once(monkeypatch):
-    import lensfill.fillings as fillings_module
-    from lensfill.report import build_report
+    # one search, one classify on its result, and two expansions: p/(p-q) in
+    # make_params and p/q in dual_expansion, which uniqueness_predicate reads
+    from lensfill import cfrac, report
 
     calls = []
 
-    def counted(bounds):
-        calls.append(tuple(bounds))
-        return bounded_zero_cf(bounds)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, *args))
+            return fn(*args)
 
-    monkeypatch.setattr(fillings_module, "bounded_zero_cf", counted)
+        return wrapper
+
+    monkeypatch.setattr(fillings, "bounded_zero_cf", counted("search", bounded_zero_cf))
+    expand = counted("expand", hj_expand)
+    monkeypatch.setattr(cfrac, "hj_expand", expand)
+    monkeypatch.setattr(fillings, "hj_expand", expand)
+    monkeypatch.setattr(report, "classify", counted("classify", classify))
     # 24/5 = [5, 5] certifies a unique filling; 8^2 = 1 mod 21 pairs reversals
     for p, q in ((24, 5), (21, 8), (9, 2)):
+        pr = make_params(p, q)
+        zs = bounded_zero_cf(pr.b)
         calls.clear()
-        build_report(p, q)
-        assert calls == [make_params(p, q).b], (p, q)
+        report.build_report(p, q)
+        assert calls == [
+            ("expand", p, p - q),
+            ("search", pr.b),
+            ("expand", p, q),
+            ("classify", pr, zs),
+        ], (p, q)
 
 
 def test_staircase_tuple_always_present():
@@ -153,9 +175,14 @@ def test_invariants_rejects_non_members():
         invariants(pr, (2, 2, 2, 3))  # value is not 0
 
 
+def classes(p, q):
+    pr = make_params(p, q)
+    return classify(pr, zset(pr))
+
+
 def test_classify_examples():
-    assert classify(make_params(4, 1)) == [((1, 2, 1),), ((2, 1, 2),)]
-    assert classify(make_params(9, 2)) == [((1, 2, 2, 1),), ((2, 2, 1, 3),)]
+    assert classes(4, 1) == [((1, 2, 1),), ((2, 1, 2),)]
+    assert classes(9, 2) == [((1, 2, 2, 1),), ((2, 2, 1, 3),)]
 
 
 def test_classify_pairs_reversals_when_q_selfinverse():
@@ -163,7 +190,7 @@ def test_classify_pairs_reversals_when_q_selfinverse():
     pr = make_params(8, 3)
     assert (pr.q * pr.q) % pr.p == 1
     zs = zset(pr)
-    cls = classify(pr)
+    cls = classify(pr, zs)
     assert sum(len(c) for c in cls) == len(zs)
     for ns in cls:
         if len(ns) == 2:
@@ -178,15 +205,15 @@ def test_orbits_reject_a_reversal_outside_the_set():
     # L(15, 4): 4*4 = 1 mod 15, and (1,2,3,1,2), (2,1,3,2,1) form one class
     pr = make_params(15, 4)
     zs = zset(pr)
-    assert fillings._orbits(pr, zs) == [((1, 2, 2, 2, 1),), ((1, 2, 3, 1, 2), (2, 1, 3, 2, 1))]
+    assert classify(pr, zs) == [((1, 2, 2, 2, 1),), ((1, 2, 3, 1, 2), (2, 1, 3, 2, 1))]
     for dropped in ((1, 2, 3, 1, 2), (2, 1, 3, 2, 1)):
         with pytest.raises(TheoremViolation, match="escapes the bounded set"):
-            fillings._orbits(pr, [n for n in zs if n != dropped])
+            classify(pr, [n for n in zs if n != dropped])
 
 
 def test_classify_counts_lens_p_1():
     for p in range(2, 101):
-        cls = classify(make_params(p, 1))
+        cls = classes(p, 1)
         assert len(cls) == (2 if p == 4 else 1), p
 
 
@@ -203,7 +230,7 @@ def test_report_rows_and_classes_match_invariants_and_classify(pq):
         assert row["n"] == list(n)
         assert (row["handles"], row["chi"], row["b2"]) == (handles, sum(handles), sum(handles) - 1)
     z_set = report["z_set"]
-    assert classify(pr) == [tuple(tuple(z_set[j]) for j in c) for c in report["classes"]]
+    assert classify(pr, zs) == [tuple(tuple(z_set[j]) for j in c) for c in report["classes"]]
 
 
 def test_minimal_filling_family_examples():
@@ -288,7 +315,7 @@ def test_rational_ball_matches_handle_counts():
 def test_uniqueness_predicate_examples():
     def certified(p, q):
         pr = make_params(p, q)
-        return uniqueness_predicate(pr, zset(pr))
+        return uniqueness_predicate(dual_expansion(pr.b), zset(pr))
 
     assert certified(5, 1) is True
     assert zset(make_params(5, 1)) == [(1, 2, 2, 1)]
@@ -296,6 +323,10 @@ def test_uniqueness_predicate_examples():
     assert hj_expand(26, 5) == (6, 2, 2, 2, 2)
     assert certified(24, 5) is True  # 24/5 = [5,5]
     assert hj_expand(24, 5) == (5, 5)
+    # the staircase's length comes from a alone: [5, 5] is dual to a chain of 7
+    assert zset(make_params(24, 5)) == [(1, 2, 2, 2, 2, 2, 1)]
+    with pytest.raises(TheoremViolation, match="all entries >= 5 but fillings are"):
+        uniqueness_predicate((5, 5), [(1, 2, 2, 2, 2, 1)])
 
 
 def test_reversal_symmetry_of_fillings():

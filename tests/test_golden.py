@@ -35,6 +35,7 @@ COLUMNS = "80"
 CASES = {
     "expand-9-2": ["expand", "9", "2"],
     "expand-9-2-json": ["expand", "9", "2", "--json"],
+    "expand-24-5-json": ["expand", "24", "5", "--json"],
     "zeroseq-1": ["zeroseq", "1"],
     "zeroseq-1-json": ["zeroseq", "1", "--json"],
     "zeroseq-5": ["zeroseq", "5"],
@@ -56,6 +57,8 @@ CASES = {
     "gamma-9-2": ["gamma", "9", "2"],
     "rot-9-2": ["rot", "9", "2"],
     "rot-9-2-json": ["rot", "9", "2", "--json"],
+    "rot-21-8": ["rot", "21", "8"],
+    "rot-21-8-json": ["rot", "21", "8", "--json"],
     "lattice-check-9-2": ["lattice-check", "9", "2"],
     "lattice-check-9-2-json": ["lattice-check", "9", "2", "--json"],
     "lattice-check-30-7": ["lattice-check", "30", "7"],
