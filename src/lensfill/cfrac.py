@@ -189,6 +189,10 @@ def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(seq))
 
 
+def _over_limit(bounds: Sequence[int], limit: int) -> str:
+    return f"the zero tuples bounded by {tuple(bounds)} number more than the limit of {limit}"
+
+
 def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     """All admissible zero tuples n with 0 <= n_i <= bounds_i, lexicographic.
 
@@ -199,10 +203,15 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     admissible n, d is the continuant K(n_{i+2}..n_k).
 
     Cap rule: tail values are monotone in their entries, and a continuant
-    is the product of its tail values, so d <= K(bounds_{i+2}..bounds_k);
-    the empty continuant is 1, so the last two entries are forced.  If a
-    tail of the bounds past the first entry is <= 0, no n <= bounds exists
-    and the cap computed there is <= 0, which prunes every branch.
+    is the product of its tail values, so d <= K(bounds_{i+2}..bounds_k).
+    If a tail of the bounds past the first entry is <= 0, no n <= bounds
+    exists and the cap computed there is <= 0, which prunes every branch.
+
+    Value rule: by the same monotonicity the next tail x = den/d is at most
+    [bounds_{i+1}..bounds_k] = K(bounds_{i+1}..)/K(bounds_{i+2}..), so
+    d >= den*K(bounds_{i+2}..)/K(bounds_{i+1}..), the lower end that pairs
+    with the cap.  It raises the first candidate; it is skipped where
+    K(bounds_{i+1}..bounds_k) <= 0, and there no n <= bounds exists anyway.
 
     Length rule: the Hirzebruch-Jung expansion HJ(y) of y > 0 (ceil(y), then
     entries >= 2) is its shortest admissible representation.  Any other one
@@ -217,28 +226,57 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     integer.  So if that tail has l_0 entries, the completable values are
     exactly v_0 .. v_0 + m - l_0, and that end joins the cap and the bound;
     no candidate is tested.  Under bounds (k-1,)*k, which never bind, every
-    candidate tried is a prefix of an output tuple.  The explicit stack
-    leaves the recursion limit alone.  Raises LensfillError rather than emit
-    more than MAX_TUPLES tuples.
+    candidate tried is a prefix of an output tuple.
+
+    The last two entries are set in one step: the empty continuant is 1, so
+    the cap forces d = 1, n_{k-1} = (num+1)/den and n_k = den, and the length
+    rule at position k-2 (a tail of at most two entries) makes den divide
+    num + 1.  Only positions 1..k-2 open a frame.
+
+    Shared middle: at position m0 = (k-1)//2 + 1 the bounds, the caps, the
+    value rule and the expansion length depend only on num/den, so the
+    completions n_{m0}..n_k of every prefix whose tail there equals num/den
+    are the same.  The first time num/den reaches m0 the span of the output
+    that its search fills is recorded, and later prefixes with that value
+    extend the output with their own head on the tails of that span instead
+    of searching again.  The order stays lexicographic: prefixes are visited
+    in order, and each span is in the order it was found.
+
+    The explicit stack leaves the recursion limit alone.  Raises
+    LensfillError rather than emit more than MAX_TUPLES tuples, from a shared
+    span as from a fresh tuple.
     """
     _check_entries(bounds)
     k = len(bounds)
-    if k == 0:
-        return []
+    if k <= 1:  # no entries, or the one zero tuple (0,)
+        return [(0,)] * k
     last = k - 1
-    # caps[j] = K(bounds[j+2:]), the largest denominator allowed after choosing
-    # position j: prefix continuants of the reversed bounds, by reversal invariance
-    caps = continuants(bounds[::-1])[k - 1 :: -1]
+    # ks[j] = K(bounds[j:]), prefix continuants of the reversed bounds by
+    # reversal invariance; choosing position j caps d at ks[j + 2]
+    ks = continuants(bounds[::-1])[k + 1 :: -1]
     out: list[CFTuple] = []
     limit = MAX_TUPLES
     path = [0] * k
     # (num, den, hi, e) per open position: candidate v leaves a tail whose
     # expansion has v + e entries
     frames: list[tuple[int, int, int, int]] = []
+    # the middle position (0-based), and by tail value there the span of out
+    # that holds the first prefix's tuples; for k <= 3 it never opens a frame
+    mid = last // 2
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    start = 0  # len(out) when the open middle frame was pushed
     num, den, length = 0, 1, 1  # length of the expansion of num/den
     while True:
         j = len(frames)
-        if j < last:
+        if j == mid and (num, den) in shared:
+            first, end = shared[num, den]
+            if len(out) + end - first > limit:
+                raise LensfillError(_over_limit(bounds, limit))
+            head = tuple(path[:mid])
+            out += [head + t[mid:] for t in out[first:end]]
+        elif j < last - 1:
+            if j == mid:
+                start = len(out)
             # open position j just below its first candidate v_0 = num//den + 1, whose
             # tail has l_0 = length - 1 entries, or 1 if num/den is an integer; e = l_0 - v_0
             v = num // den
@@ -246,19 +284,25 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
             hi = last - j - e
             if bounds[j] < hi:
                 hi = bounds[j]
-            c = (caps[j] + num) // den
+            cap = ks[j + 2]
+            c = (cap + num) // den
             if c < hi:
                 hi = c
+            above = ks[j + 1]
+            if above > 0:  # value rule: v*den - num >= den*cap/above
+                lo = (num * above + den * cap - 1) // (den * above)
+                if lo > v:
+                    v = lo
             frames.append((num, den, hi, e))
             path[j] = v
-        elif num <= bounds[last]:  # den == 1 here, so n_k = num
-            if len(out) == limit:
-                raise LensfillError(
-                    f"the zero tuples bounded by {tuple(bounds)} number more than "
-                    f"the limit of {limit}"
-                )
-            path[last] = num
-            out.append(tuple(path))
+        else:  # j == k - 2: d = 1 sets the last two entries
+            v = (num + 1) // den
+            if v <= bounds[j] and den <= bounds[last]:
+                if len(out) == limit:
+                    raise LensfillError(_over_limit(bounds, limit))
+                path[j] = v
+                path[last] = den
+                out.append(tuple(path))
         # advance the deepest open position that has a value left
         while frames:
             num, den, hi, e = frames[-1]
@@ -269,6 +313,8 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
                 num, den, length = den, v * den - num, v + e
                 break
             frames.pop()
+            if j == mid:
+                shared[num, den] = (start, len(out))
         else:
             return out
 

@@ -293,6 +293,28 @@ def test_bounded_zero_cf_refuses_more_than_the_tuple_limit(monkeypatch):
         bounded_zero_cf((4,) * 5)  # Catalan(4) = 14
 
 
+def test_bounded_zero_cf_refuses_at_every_limit_on_both_emit_paths(monkeypatch):
+    # bounds (6,)*7 never bind, so middle tail values repeat and a refusal can
+    # come while extending from a shared span as well as at a fresh tuple
+    bounds = (6,) * 7
+    full = bounded_zero_cf(bounds)
+    assert len(full) == 132  # Catalan(6)
+    raise_lines = set()
+    for limit in range(1, 132):
+        monkeypatch.setattr(cfrac, "MAX_TUPLES", limit)
+        message = (
+            f"the zero tuples bounded by (6, 6, 6, 6, 6, 6, 6) number more than "
+            f"the limit of {limit}"
+        )
+        with pytest.raises(LensfillError) as info:
+            bounded_zero_cf(bounds)
+        assert str(info.value) == message
+        raise_lines.add(info.traceback[-1].lineno)
+    assert len(raise_lines) == 2  # the shared extension and the fresh append
+    monkeypatch.setattr(cfrac, "MAX_TUPLES", 132)
+    assert bounded_zero_cf(bounds) == full
+
+
 def test_bounded_zero_cf_leaves_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     assert bounded_zero_cf((2,) * 5000) == [(1,) + (2,) * 4998 + (1,)]
@@ -320,6 +342,21 @@ def test_hj_length_identities_behind_the_search_interval(x):
         assert hj_length(x / (1 + x)) == hj_length(x) + 1
     if x.denominator != 1:
         assert hj_length(1 / (ceil(x) - x)) == hj_length(x) - 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=8))
+@example([7] * 8)
+def test_zero_tuple_tails_are_at_most_the_bound_tails(b):
+    # the value rule of bounded_zero_cf, on Fractions: for admissible n <= b
+    # every tail [n_i..n_k] is at most [b_i..b_k], since tail values are
+    # monotone in their entries
+    bound_tails = eval_oracle_full(b)
+    for n in bounded_zero_cf(b):
+        tails = eval_oracle_full(n)
+        assert tails is not None and tails[1] == 0, n
+        for i in range(1, len(b) + 1):
+            assert tails[i] <= bound_tails[i], (n, i)
 
 
 def test_hj_expansion_is_shortest_admissible_representation():
@@ -355,6 +392,11 @@ def brute_bounded_zero_cf(bounds):
 @given(st.lists(st.integers(0, 7), min_size=1, max_size=7))
 @example([1, 1, 1])  # tail [1, 1] = 0: every branch is pruned
 @example([3, 2, 0, 4])  # tail [0, 4] < 0 in the middle
+# K(bounds_2..bounds_k) <= 0, where the value rule is skipped
+@example([1, 1, 1, 4])
+@example([3, 0, 5, 5])
+@example([2, 1, 1, 2, 3])
+@example([5, 1, 1, 1, 4])
 @example([7] * 6)
 def test_bounded_zero_cf_equals_brute_force(bounds):
     assert bounded_zero_cf(bounds) == brute_bounded_zero_cf(bounds)
@@ -409,6 +451,26 @@ def triangulation_bounded(bounds):
 @example([1, 1, 1])
 @example([9] * 9)
 def test_bounded_zero_cf_equals_triangulation_census(bounds):
+    assert bounded_zero_cf(bounds) == triangulation_bounded(bounds)
+
+
+@st.composite
+def lowered_past_the_middle(draw):
+    """Bounds of length 10-11 with entries 4..10, one to three of them past
+    the middle position lowered so that they bind."""
+    bounds = draw(st.lists(st.integers(4, 10), min_size=10, max_size=11))
+    k = len(bounds)
+    past = st.integers((k - 1) // 2 + 1, k - 1)
+    for i in draw(st.lists(past, min_size=1, max_size=3, unique=True)):
+        bounds[i] = draw(st.integers(1, bounds[i] - 1))
+    return bounds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lowered_past_the_middle())
+@example([10] * 11)
+@example([4] * 5 + [1, 4, 2, 4, 4])
+def test_bounded_zero_cf_shares_completions_under_binding_bounds(bounds):
     assert bounded_zero_cf(bounds) == triangulation_bounded(bounds)
 
 
