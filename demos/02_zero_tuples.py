@@ -32,3 +32,8 @@ print(n, "is built from (0) by insertions at", strict_blowup_sequence(n))
 # Bounded enumeration scales to lengths where the full census cannot:
 bounds = (2,) * 30
 print("tuples of length 30 bounded by twos:", bounded_zero_cf(bounds))
+
+# and to long chains whose bounds bind, here the 120-entry chain of
+# L(16825928396, 10398995641):
+bounds = (3,) * 20 + (2,) * 100
+print("tuples bounded by twenty threes, then a hundred twos:", len(bounded_zero_cf(bounds)))

@@ -228,19 +228,18 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     no candidate is tested.  Under bounds (k-1,)*k, which never bind, every
     candidate tried is a prefix of an output tuple.
 
-    The last two entries are set in one step: the empty continuant is 1, so
-    the cap forces d = 1, n_{k-1} = (num+1)/den and n_k = den, and the length
-    rule at position k-2 (a tail of at most two entries) makes den divide
-    num + 1.  Only positions 1..k-2 open a frame.
-
-    Shared middle: at position m0 = (k-1)//2 + 1 the bounds, the caps, the
-    value rule and the expansion length depend only on num/den, so the
-    completions n_{m0}..n_k of every prefix whose tail there equals num/den
-    are the same.  The first time num/den reaches m0 the span of the output
-    that its search fills is recorded, and later prefixes with that value
-    extend the output with their own head on the tails of that span instead
-    of searching again.  The order stays lexicographic: prefixes are visited
-    in order, and each span is in the order it was found.
+    Shared completions: below position j the bounds, the caps, the value
+    rule and the expansion length depend only on j and the tail value
+    num/den, so every prefix that reaches j with that value has the same
+    completions n_j..n_k.  When the frame at j closes, the span of the
+    output that its search filled is stored under (j, num, den), and a later
+    prefix that reaches j with the same value extends the output with its
+    own head on the tails of that span instead of searching again; a span
+    may be empty, so a dead tail is searched once.  The order stays
+    lexicographic: prefixes are visited in order, and each span is in the
+    order it was found.  At position k-1 the length rule leaves den = 1, so
+    the last entry is num, kept when num <= bounds_k; for k = 1 that is
+    (0,).
 
     The explicit stack leaves the recursion limit alone.  Raises
     LensfillError rather than emit more than MAX_TUPLES tuples, from a shared
@@ -248,8 +247,6 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     """
     _check_entries(bounds)
     k = len(bounds)
-    if k <= 1:  # no entries, or the one zero tuple (0,)
-        return [(0,)] * k
     last = k - 1
     # ks[j] = K(bounds[j:]), prefix continuants of the reversed bounds by
     # reversal invariance; choosing position j caps d at ks[j + 2]
@@ -257,55 +254,48 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     out: list[CFTuple] = []
     limit = MAX_TUPLES
     path = [0] * k
-    # (num, den, hi, e) per open position: candidate v leaves a tail whose
-    # expansion has v + e entries
-    frames: list[tuple[int, int, int, int]] = []
-    # the middle position (0-based), and by tail value there the span of out
-    # that holds the first prefix's tuples; for k <= 3 it never opens a frame
-    mid = last // 2
-    shared: dict[tuple[int, int], tuple[int, int]] = {}
-    start = 0  # len(out) when the open middle frame was pushed
+    # (num, den, hi, e, start) per open position: candidate v leaves a tail
+    # whose expansion has v + e entries, and out[start:] holds its tuples
+    frames: list[tuple[int, int, int, int, int]] = []
+    # by (position, tail value), the span of out that holds its completions
+    shared: dict[tuple[int, int, int], tuple[int, int]] = {}
     num, den, length = 0, 1, 1  # length of the expansion of num/den
     while True:
         j = len(frames)
-        if j == mid and (num, den) in shared:
-            first, end = shared[num, den]
-            if len(out) + end - first > limit:
-                raise LensfillError(_over_limit(bounds, limit))
-            head = tuple(path[:mid])
-            out += [head + t[mid:] for t in out[first:end]]
-        elif j < last - 1:
-            if j == mid:
-                start = len(out)
-            # open position j just below its first candidate v_0 = num//den + 1, whose
-            # tail has l_0 = length - 1 entries, or 1 if num/den is an integer; e = l_0 - v_0
-            v = num // den
-            e = (length - 1 or 1) - v - 1
-            hi = last - j - e
-            if bounds[j] < hi:
-                hi = bounds[j]
-            cap = ks[j + 2]
-            c = (cap + num) // den
-            if c < hi:
-                hi = c
-            above = ks[j + 1]
-            if above > 0:  # value rule: v*den - num >= den*cap/above
-                lo = (num * above + den * cap - 1) // (den * above)
-                if lo > v:
-                    v = lo
-            frames.append((num, den, hi, e))
-            path[j] = v
-        else:  # j == k - 2: d = 1 sets the last two entries
-            v = (num + 1) // den
-            if v <= bounds[j] and den <= bounds[last]:
-                if len(out) == limit:
+        if j < last:
+            if (j, num, den) in shared:
+                first, end = shared[j, num, den]
+                if len(out) + end - first > limit:
                     raise LensfillError(_over_limit(bounds, limit))
+                head = tuple(path[:j])
+                out += [head + t[j:] for t in out[first:end]]
+            else:
+                # open position j just below its first candidate v_0 = num//den + 1, whose
+                # tail has l_0 = length - 1 entries, or 1 if num/den is an integer; e = l_0 - v_0
+                v = num // den
+                e = (length - 1 or 1) - v - 1
+                hi = last - j - e
+                if bounds[j] < hi:
+                    hi = bounds[j]
+                cap = ks[j + 2]
+                c = (cap + num) // den
+                if c < hi:
+                    hi = c
+                above = ks[j + 1]
+                if above > 0:  # value rule: v*den - num >= den*cap/above
+                    lo = (num * above + den * cap - 1) // (den * above)
+                    if lo > v:
+                        v = lo
+                frames.append((num, den, hi, e, len(out)))
                 path[j] = v
-                path[last] = den
-                out.append(tuple(path))
+        elif j == last and num <= bounds[j]:  # den = 1; k = 0 has no position
+            if len(out) == limit:
+                raise LensfillError(_over_limit(bounds, limit))
+            path[j] = num
+            out.append(tuple(path))
         # advance the deepest open position that has a value left
         while frames:
-            num, den, hi, e = frames[-1]
+            num, den, hi, e, start = frames[-1]
             j = len(frames) - 1
             v = path[j] + 1
             if v <= hi:
@@ -313,8 +303,7 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
                 num, den, length = den, v * den - num, v + e
                 break
             frames.pop()
-            if j == mid:
-                shared[num, den] = (start, len(out))
+            shared[j, num, den] = (start, len(out))
         else:
             return out
 

@@ -291,9 +291,13 @@ def check_filling(b: Sequence[int], n: Sequence[int]) -> dict:
     Builds the string, then checks class shapes, exceptional-set nesting,
     complement homology (H_1 against the handle side Z/g, g the gcd of the
     meridian classes K(n_1..n_{i-1}) with n_i < b_i), count recovery and
-    minimality, and returns the lattice-check row for n.  A failed check
-    raises TheoremViolation naming b, n and the check.
+    minimality, and returns the lattice-check row for n.  A chain with an
+    entry below 2 presents no lens space and is refused with LensfillError
+    before anything is built; a failed check raises TheoremViolation naming
+    b, n and the check.
     """
+    if any(x < 2 for x in b):
+        raise LensfillError(f"need a chain with all entries >= 2, got b = {tuple(b)}")
     cfg = build_string(b, n)
 
     def require(ok: bool, check: str) -> bool:

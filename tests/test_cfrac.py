@@ -1,5 +1,6 @@
 import re
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, gcd
@@ -294,8 +295,9 @@ def test_bounded_zero_cf_refuses_more_than_the_tuple_limit(monkeypatch):
 
 
 def test_bounded_zero_cf_refuses_at_every_limit_on_both_emit_paths(monkeypatch):
-    # bounds (6,)*7 never bind, so middle tail values repeat and a refusal can
-    # come while extending from a shared span as well as at a fresh tuple
+    # bounds (6,)*7 never bind, so tail values repeat at a position and a
+    # refusal can come while extending from a shared span as well as at a
+    # fresh tuple
     bounds = (6,) * 7
     full = bounded_zero_cf(bounds)
     assert len(full) == 132  # Catalan(6)
@@ -397,6 +399,8 @@ def brute_bounded_zero_cf(bounds):
 @example([3, 0, 5, 5])
 @example([2, 1, 1, 2, 3])
 @example([5, 1, 1, 1, 4])
+# completions below a tail value depend on the position too
+@example([2, 3, 1, 3, 2])
 @example([7] * 6)
 def test_bounded_zero_cf_equals_brute_force(bounds):
     assert bounded_zero_cf(bounds) == brute_bounded_zero_cf(bounds)
@@ -455,23 +459,38 @@ def test_bounded_zero_cf_equals_triangulation_census(bounds):
 
 
 @st.composite
-def lowered_past_the_middle(draw):
-    """Bounds of length 10-11 with entries 4..10, one to three of them past
-    the middle position lowered so that they bind."""
+def lowered_anywhere(draw):
+    """Bounds of length 10-11 with entries 4..10, one to three of them
+    lowered so that they bind."""
     bounds = draw(st.lists(st.integers(4, 10), min_size=10, max_size=11))
-    k = len(bounds)
-    past = st.integers((k - 1) // 2 + 1, k - 1)
-    for i in draw(st.lists(past, min_size=1, max_size=3, unique=True)):
+    anywhere = st.integers(0, len(bounds) - 1)
+    for i in draw(st.lists(anywhere, min_size=1, max_size=3, unique=True)):
         bounds[i] = draw(st.integers(1, bounds[i] - 1))
     return bounds
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(lowered_past_the_middle())
+@given(lowered_anywhere())
 @example([10] * 11)
 @example([4] * 5 + [1, 4, 2, 4, 4])
 def test_bounded_zero_cf_shares_completions_under_binding_bounds(bounds):
     assert bounded_zero_cf(bounds) == triangulation_bounded(bounds)
+
+
+def test_long_chains_with_few_fillings_are_fast():
+    # every tail value is searched once per position, so the dead tails of
+    # the long run of twos are not searched again for each prefix
+    assert make_params(79746381976, 49285974541).b == (3,) * 20 + (2,) * 480
+    for t in (50, 100, 480):
+        bounds = (3,) * 20 + (2,) * t
+        start = time.perf_counter()
+        tuples = bounded_zero_cf(bounds)
+        elapsed = time.perf_counter() - start
+        assert len(tuples) == 2149
+        assert all(a < b for a, b in zip(tuples, tuples[1:]))
+        for n in tuples:
+            assert eval_cf(n) == 0 and all(x <= b for x, b in zip(n, bounds)), n
+    assert elapsed < 5, elapsed  # the t = 480 call
 
 
 def test_zset_equals_triangulation_census_all_pairs():

@@ -569,6 +569,17 @@ def test_unit_pivots_keep_k_500_fillings_fast():
     assert elapsed < 1.5, elapsed
 
 
+def test_check_filling_refuses_a_chain_with_an_entry_below_2(monkeypatch):
+    # both chains have K(b) = 0 and present no lens space; the input is the
+    # caller's, so the refusal is LensfillError, not TheoremViolation
+    monkeypatch.setattr(lattice, "build_string", None)  # nothing is built
+    for b in [(1, 1), (2, 1, 2)]:
+        with pytest.raises(LensfillError) as info:
+            check_filling(b, b)
+        assert type(info.value) is LensfillError
+        assert str(info.value) == f"need a chain with all entries >= 2, got b = {b}"
+
+
 def test_check_filling_forced_failure(monkeypatch, capsys):
     monkeypatch.setattr(lattice, "validate_string_lemma", lambda cfg: False)
     with pytest.raises(TheoremViolation, match="lattice check string_lemma failed") as info:
