@@ -16,7 +16,6 @@ singularities and lens spaces.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd
 from typing import Optional, Sequence
 
@@ -69,13 +68,13 @@ def _check_entries(t: Sequence[int]) -> None:
             raise LensfillError(f"tuple entries must be non-negative ints, got {x!r}")
 
 
-def eval_cf(t: Sequence[int]) -> Optional[Fraction]:
-    """Evaluate [t_1, ..., t_k] exactly, bottom up.
+def _continuant_pair(t: Sequence[int]) -> Optional[tuple[int, int]]:
+    """(K(t), K(t_2..t_k)), the numerator and denominator of [t_1, ..., t_k],
+    or None when t is inadmissible (a tail value <= 0, zero included,
+    consumed as a denominator) or empty.
 
-    Returns the reduced rational, or None when t is inadmissible (a tail
-    value <= 0, zero included, consumed as a denominator) or empty.  The
-    value 0 is falsy, so test with ``is None`` or ``== 0``.  Tracking tail
-    continuants makes one integer pass decide admissibility and the value.
+    Tracking tail continuants makes one integer pass decide admissibility
+    and the value; the denominator is positive and the pair is coprime.
     """
     _check_entries(t)
     k = len(t)
@@ -87,7 +86,28 @@ def eval_cf(t: Sequence[int]) -> Optional[Fraction]:
         s1, s2 = t[i - 1] * s1 - s2, s1
         if s1 <= 0:
             return None
-    return Fraction(t[0] * s1 - s2, s1)
+    return t[0] * s1 - s2, s1
+
+
+def _is_zero_tuple(t: Sequence[int]) -> bool:
+    """Whether t is an admissible zero tuple, eval_cf(t) == 0 without a Fraction."""
+    pair = _continuant_pair(t)
+    return pair is not None and pair[0] == 0
+
+
+def eval_cf(t: Sequence[int]) -> Optional[Fraction]:
+    """Evaluate [t_1, ..., t_k] exactly, bottom up.
+
+    Returns the reduced rational, or None when t is inadmissible (a tail
+    value <= 0, zero included, consumed as a denominator) or empty.  The
+    value 0 is falsy, so test with ``is None`` or ``== 0``.  The package's
+    own zero tests read _continuant_pair instead, so no command imports
+    fractions.
+    """
+    from fractions import Fraction
+
+    pair = _continuant_pair(t)
+    return None if pair is None else Fraction(*pair)
 
 
 def _check_pair(p: int, q: int) -> None:
@@ -174,7 +194,7 @@ def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
     any length, unlike replaying the Catalan-sized generation.
     """
     n = tuple(n)
-    if eval_cf(n) != 0:
+    if not _is_zero_tuple(n):
         raise LensfillError(f"{n} is not an admissible zero tuple")
     seq = []
     cur = n

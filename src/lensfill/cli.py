@@ -15,7 +15,6 @@ since the stdlib's C encoder does not handle an indent.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ import sys
 from .cfrac import _check_pair, _zero_tuple_count, dual_expansion, enumerate_zero_cf
 from .errors import LensfillError, TheoremViolation, naming
 from .fillings import make_params, zset
-from .lattice import check_filling
+from .lattice import MAX_LATTICE_WORK, check_filling
 from .report import build_report, render_csv, render_table, spin_rows
 from .suites import SUITES, _ALIASES, _coprime_pairs
 
@@ -151,7 +150,15 @@ def cmd_rot(args) -> str:
 
 def cmd_lattice_check(args) -> str:
     params = make_params(args.p, args.q)
-    rows = [check_filling(params.b, n) for n in zset(params)]
+    zs = zset(params)
+    k = len(params.b)
+    work = len(zs) * k * k
+    if work > MAX_LATTICE_WORK:  # refused before any filling is checked
+        raise LensfillError(
+            f"{len(zs)} fillings of a chain of {k} entries make {work} units of "
+            f"lattice work (fillings x k^2), more than the limit of {MAX_LATTICE_WORK}"
+        )
+    rows = [check_filling(params.b, n) for n in zs]
     if args.json:
         return _dump_json({"p": args.p, "q": args.q, "fillings": rows})
     lines = [f"L({args.p},{args.q}) lattice checks:"]
@@ -213,16 +220,16 @@ def cmd_verify(args) -> tuple[str, int]:
     for name in names:
         suite = SUITES[name]
         # each suite takes one bound, pmax or kmax, with a default >= 2
-        (param,) = inspect.signature(suite).parameters.values()
-        bound = getattr(args, param.name)
+        param, (default,) = suite.__code__.co_varnames[0], suite.__defaults__
+        bound = getattr(args, param)
         if bound is None:
-            bound = param.default
-        elif param.name == "pmax" and not 2 <= bound <= 2 * param.default:
+            bound = default
+        elif param == "pmax" and not 2 <= bound <= 2 * default:
             raise LensfillError(
-                f"verify {name} --pmax {bound} is outside 2..{2 * param.default} "
-                f"(twice its default {param.default})"
+                f"verify {name} --pmax {bound} is outside 2..{2 * default} "
+                f"(twice its default {default})"
             )
-        elif param.name == "kmax":
+        elif param == "kmax":
             if bound < 2:
                 raise LensfillError(f"verify {name} --kmax {bound} is below 2")
             _zero_tuple_count(bound, f"verify {name} --kmax {bound} would enumerate")

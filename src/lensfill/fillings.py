@@ -13,11 +13,10 @@ their caller has already searched, so a report searches once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .cfrac import CFTuple, _check_pair, bounded_zero_cf, eval_cf, hj_expand, reverse
+from .cfrac import CFTuple, _check_pair, _is_zero_tuple, bounded_zero_cf, hj_expand, reverse
 from .errors import LensfillError, TheoremViolation
 from .exact import mod_inverse
 
@@ -33,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LensParams:
+class LensParams(NamedTuple):
     """A lens space L(p, q) together with its chain data.
 
     b is the expansion of p/(p-q) with entries >= 2; qbar is the inverse
@@ -69,7 +67,7 @@ def invariants(params: LensParams, n: Sequence[int]) -> tuple[int, ...]:
     n, b = tuple(n), params.b
     if len(n) != len(b) or any(x < 0 or x > bi for x, bi in zip(n, b)):
         raise LensfillError(f"{n} is not bounded by {b}")
-    if eval_cf(n) != 0:
+    if not _is_zero_tuple(n):
         raise LensfillError(f"{n} is not an admissible zero tuple")
     return tuple(bi - ni for bi, ni in zip(b, n))
 

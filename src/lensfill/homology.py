@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .cfrac import eval_cf
+from .cfrac import _is_zero_tuple
 from .errors import LensfillError, TheoremViolation
 from .exact import continuants
 
@@ -160,7 +160,7 @@ def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:
     boundary relations coincide and pin nothing beyond r_1 = 0.
     """
     n = tuple(n)
-    if eval_cf(n) != 0:
+    if not _is_zero_tuple(n):
         raise LensfillError(f"{n} is not an admissible zero tuple")
     if len(n) == 1:
         return (0,)

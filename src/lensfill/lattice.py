@@ -32,7 +32,6 @@ classes use each exceptional index; no search over the lattice is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -44,6 +43,10 @@ from .exact import continuants, smith_diagonal
 # the longest chain build_string replays: its pairing checks are linear in k, but the Smith
 # form of complement_homology's (k + 1) x k core is cubic, at most 0.2 s per filling at k = 500
 MAX_LATTICE_CHAIN = 500
+# the most work one lattice-check command may do, counted as fillings x k^2: a filling
+# takes about 0.14 s at k = 500 (0.56 us a unit) and 0.2 ms at k = 8-9 (2.5 us a unit),
+# so a k = 500 command within the limit runs about 11 s
+MAX_LATTICE_WORK = 2 * 10**7
 
 __all__ = [
     "SphereClass",
@@ -78,7 +81,6 @@ def dot(u: SphereClass, v: SphereClass) -> int:
     return u.line * v.line - f - (u.lead == v.lead != 0)
 
 
-@dataclass(frozen=True)
 class StringConfiguration:
     """Classes [C_0], ..., [C_k] over (l, f_1, ..., f_M).
 
@@ -88,10 +90,11 @@ class StringConfiguration:
     built instances may violate it, which is what the validators are for.
     """
 
-    b: CFTuple
-    n: CFTuple
-    m_total: int
-    classes: tuple[SphereClass, ...]
+    def __init__(self, b: CFTuple, n: CFTuple, m_total: int, classes: tuple[SphereClass, ...]):
+        self.b = b
+        self.n = n
+        self.m_total = m_total
+        self.classes = classes
 
     @cached_property
     def index_users(self) -> list[list[int]]:

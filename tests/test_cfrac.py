@@ -71,6 +71,23 @@ def test_eval_matches_fraction_oracle_exhaustively():
                 assert got == Fraction(continuant(t), continuant(t[1:]))
 
 
+def test_zero_core_agrees_with_eval_cf_exhaustively():
+    # the package's zero tests read _continuant_pair, not eval_cf's Fraction;
+    # inadmissible tuples and the empty one are included
+    for k in range(0, 6):
+        for t in product(range(0, 5), repeat=k):
+            zero = eval_cf(t) == 0
+            assert cfrac._is_zero_tuple(t) == zero, t
+            tails = eval_oracle_full(t) if t else None
+            assert zero == (tails is not None and tails[1] == 0), t
+            pair = cfrac._continuant_pair(t)
+            assert (pair is None) == (eval_cf(t) is None), t
+            if pair is not None:
+                assert pair == (continuant(t), continuant(t[1:])), t
+    with pytest.raises(LensfillError, match="got -1"):
+        cfrac._is_zero_tuple((2, -1))
+
+
 def test_hj_expand_examples():
     assert hj_expand(4, 3) == (2, 2, 2)
     assert hj_expand(9, 2) == (5, 2)

@@ -194,6 +194,23 @@ def test_csv_output_is_parseable():
     assert rows[2][5] == "0"  # b2 of the rational-ball filling
 
 
+def test_render_csv_equals_the_stdlib_csv_writer():
+    # render_csv joins fields with commas; the stdlib writer would quote a field
+    # holding a comma, a quote or a newline, and on every sweep 30 report none does
+    from lensfill.report import CSV_HEADER, csv_rows, render_csv
+    from lensfill.suites import _coprime_pairs
+
+    reports = [build_report(p, q) for p, q in _coprime_pairs(30)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for report in reports:
+        writer.writerows(csv_rows(report))
+    assert len(reports) > 250
+    assert render_csv(reports) == buf.getvalue()
+    assert render_csv([]) == buf.getvalue().partition("\n")[0] + "\n"
+
+
 def test_sweep_rational_ball_filter():
     res = run_cli("sweep", "20", "--rational-ball", "--json")
     reports = json.loads(res.stdout)
@@ -316,6 +333,9 @@ def test_every_suite_takes_one_bound_with_a_default():
         (param,) = params
         assert param.name in ("pmax", "kmax"), name
         assert type(param.default) is int and param.default >= 2, name
+        # cmd_verify reads the same name and default from the code object
+        assert suite.__code__.co_varnames[0] == param.name, name
+        assert suite.__defaults__ == (param.default,), name
 
 
 def test_verify_all_reports_a_failed_suite_and_runs_the_rest(monkeypatch, capsys):
@@ -571,6 +591,46 @@ def test_per_pair_commands_finish_or_fail_fast(command, pair):
         assert res.stdout == "" and res.stderr.count("\n") == 1, res.stderr
         assert f"L({pair[0]},{pair[1]})" in res.stderr
     assert elapsed < 5.0, elapsed
+
+
+def test_lattice_check_refuses_a_command_over_its_work_limit(monkeypatch, capsys):
+    # b = (3,)*20 + (2,)*480 has 2,149 fillings at k = 500: refused once zset is known
+    from lensfill import cli
+
+    def unreachable(b, n):
+        raise AssertionError("check_filling ran on a refused command")
+
+    monkeypatch.setattr(cli, "check_filling", unreachable)
+    start = time.perf_counter()
+    assert cli.main(["lattice-check", "79746381976", "49285974541"]) == 1
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "lensfill: error: L(79746381976,49285974541): 2149 fillings of a chain of 500 "
+        "entries make 537250000 units of lattice work (fillings x k^2), more than the "
+        "limit of 20000000\n"
+    )
+    assert elapsed < 5.0, elapsed
+
+
+def test_lattice_check_work_limit_admits_the_largest_known_command(monkeypatch, capsys):
+    # b = (3,)*10 + (2,)*490: 46 fillings at k = 500, 11,500,000 units, within the limit
+    from lensfill import cli
+
+    checked = []
+    monkeypatch.setattr(cli, "check_filling", lambda b, n: checked.append(n) or {"n": list(n)})
+    assert cli.main(["lattice-check", "5381251", "3325796", "--json"]) == 0
+    assert len(checked) == 46
+    # the limit is inclusive: L(9,2) has 2 fillings of a 4-entry chain, 32 units
+    monkeypatch.setattr(cli, "MAX_LATTICE_WORK", 32)
+    assert cli.main(["lattice-check", "9", "2", "--json"]) == 0
+    monkeypatch.setattr(cli, "MAX_LATTICE_WORK", 31)
+    assert cli.main(["lattice-check", "9", "2", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err.endswith("2 fillings of a chain of 4 entries make 32 units of lattice work "
+                        "(fillings x k^2), more than the limit of 31\n")
+    assert len(checked) == 48
 
 
 def test_lattice_check_refuses_too_many_exceptional_classes():

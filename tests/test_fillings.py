@@ -18,6 +18,7 @@ from lensfill import fillings
 from lensfill.errors import LensfillError, TheoremViolation
 from lensfill.exact import continuant
 from lensfill.fillings import (
+    LensParams,
     classify,
     invariants,
     make_params,
@@ -53,6 +54,18 @@ def test_make_params_examples():
     assert pr.b == (2, 2, 2, 3) and pr.qbar == 5
     pr = make_params(2, 1)
     assert pr.b == (2,) and pr.qbar == 1
+
+
+def test_lens_params_keeps_the_frozen_record_interface():
+    # the repr a frozen dataclass gave, keyword construction, no attribute assignment
+    pr = LensParams(p=9, q=2, b=(2, 2, 2, 3), qbar=5)
+    assert repr(pr) == "LensParams(p=9, q=2, b=(2, 2, 2, 3), qbar=5)"
+    assert pr == make_params(9, 2) and repr(make_params(9, 2)) == repr(pr)
+    for name in ("p", "q", "b", "qbar"):
+        with pytest.raises(AttributeError):
+            setattr(pr, name, 1)
+    with pytest.raises(AttributeError):
+        pr.extra = 1
 
 
 def test_make_params_rejects_bad_pairs():

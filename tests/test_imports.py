@@ -1,4 +1,6 @@
 """Every name a lensfill module imports is used in that module, every
+module-level import comes from a short allow-list of cheap modules, and no
+command loads the heavy stdlib modules the package does without; every
 module-level private name is used somewhere in the package, every public
 name is used in the package or a demo, no module
 holds an ``assert`` statement, since ``python -O`` strips those, every
@@ -13,6 +15,10 @@ are re-exports, and so are ``__future__`` imports.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lensfill
@@ -51,6 +57,94 @@ def test_no_unused_imports_in_package():
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# the stdlib modules a module of the package may import at module level; the
+# package's own modules are allowed too.  Every command starts a fresh process,
+# so an import here is paid on each run
+ALLOWED_IMPORTS = {
+    "__future__", "argparse", "contextlib", "functools", "io", "json", "math", "os", "sys",
+    "typing",
+}
+
+
+def module_level_imports(source):
+    """(line, top-level module) for each import that runs when the module is
+    imported, that is, outside every function body; a relative import is "."."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." if node.level else node.module.split(".")[0]))
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def disallowed_imports(source):
+    allowed = ALLOWED_IMPORTS | {".", "lensfill"}
+    return [(line, name) for line, name in module_level_imports(source) if name not in allowed]
+
+
+def test_disallowed_imports_detected():
+    source = (
+        "import inspect\nfrom dataclasses import dataclass\nimport json, os.path\n"
+        "from .cfrac import eval_cf\nif True:\n    import csv\n"
+        "def f():\n    from fractions import Fraction\n"
+        "class C:\n    from decimal import Decimal\n    def g(self):\n        import ast\n"
+    )
+    assert disallowed_imports(source) == [
+        (1, "inspect"), (2, "dataclasses"), (6, "csv"), (10, "decimal"),
+    ]
+
+
+def test_module_level_imports_are_allowed():
+    found = {
+        path.name: bad
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (bad := disallowed_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+# stdlib modules the package does without: dataclasses alone pulls in inspect,
+# ast, dis and tokenize, and fractions pulls in decimal and numbers
+HEAVY_MODULES = ("dataclasses", "inspect", "csv", "fractions", "decimal")
+
+GUARDED_COMMANDS = [
+    ["fillings", "34111385", "29134601"],
+    ["lattice-check", "151316", "110771", "--json"],
+    ["sweep", "12", "--json"],
+    ["zeroseq", "5"],
+]
+
+# run in a fresh interpreter: the heavy modules loaded after importing the cli,
+# then after each command, as [exit code, *modules]
+GUARD_SCRIPT = """
+import contextlib, io, json, sys
+heavy = {heavy!r}
+import lensfill.cli
+steps = [[m for m in heavy if m in sys.modules]]
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = lensfill.cli.main(argv)
+    steps.append([code] + [m for m in heavy if m in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_commands_load_no_heavy_module():
+    script = GUARD_SCRIPT.format(heavy=HEAVY_MODULES, commands=GUARDED_COMMANDS)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [[]] + [[0]] * len(GUARDED_COMMANDS)
 
 
 def dead_private_names(sources):
@@ -133,14 +227,15 @@ def test_uncalled_public_names_detected():
 
 
 def test_every_public_name_has_a_caller():
-    # a public name serves the package or a demo; blowup and minimal_filling_family
-    # are exported for demos 02 and 03 and have no caller in the package itself
+    # a public name serves the package or a demo; blowup, eval_cf and
+    # minimal_filling_family are exported for demos 02, 01 and 03 and have no
+    # caller in the package itself, whose zero tests read the integer core
     exported = {module.__name__.rpartition(".")[2]: module.__all__ for module in EXPORTING_MODULES}
     package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     demos = {path.stem: path.read_text(encoding="utf-8") for path in sorted(DEMOS.glob("*.py"))}
     assert uncalled_public_names(exported, package | demos) == []
     assert uncalled_public_names(exported, package) == [
-        ("cfrac", "blowup"), ("fillings", "minimal_filling_family"),
+        ("cfrac", "blowup"), ("cfrac", "eval_cf"), ("fillings", "minimal_filling_family"),
     ]
 
 
