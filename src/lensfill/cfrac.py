@@ -192,6 +192,11 @@ def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
     earliest entry equal to 1 in a strict position (index >= 2); the
     recorded positions are returned in forward (blowup) order.  Works for
     any length, unlike replaying the Catalan-sized generation.
+
+    Such an entry exists: a zero tuple of length k >= 3 counts the triangles
+    at v_1..v_k of a triangulation of the polygon v_0..v_k, whose two
+    non-adjacent ears (entries 1) cannot both be v_0 and v_1; for k = 2 it is
+    (1, 1).  Blowing down an ear cuts it off, leaving a zero tuple again.
     """
     n = tuple(n)
     if not _is_zero_tuple(n):
@@ -199,13 +204,8 @@ def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
     seq = []
     cur = n
     while len(cur) > 1:
-        for s in range(2, len(cur) + 1):
-            if cur[s - 1] == 1:
-                seq.append(s)
-                cur = blowdown(cur, s)
-                break
-        else:
-            raise TheoremViolation(f"{cur} has no strict entry equal to 1")
+        seq.append(cur.index(1, 1) + 1)  # the earliest strict 1, which exists (above)
+        cur = blowdown(cur, seq[-1])
     return tuple(reversed(seq))
 
 

@@ -8,8 +8,8 @@ does not stop at a failed suite: it prints FAIL and the suite's exception
 message as the first counterexample, runs the remaining suites, and exits
 2 if any failed.  Output is deterministic; identical invocations produce
 byte-identical output.  JSON output is byte for byte what
-`json.dumps(..., indent=2)` gives; `_render` produces it with str.join,
-since the stdlib's C encoder does not handle an indent.
+`json.dumps(..., indent=2)` gives; report.render_json writes reports and `_render`
+the rest with str.join, since the stdlib's C encoder does not handle an indent.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .cfrac import _check_pair, _zero_tuple_count, dual_expansion, enumerate_zer
 from .errors import LensfillError, TheoremViolation, naming
 from .fillings import make_params, zset
 from .lattice import MAX_LATTICE_WORK, check_filling
-from .report import build_report, render_csv, render_table, spin_rows
+from .report import build_report, render_csv, render_json, render_table, spin_rows
 from .suites import SUITES, _ALIASES, _coprime_pairs
 
 _SUITE_CHOICES = sorted(SUITES) + sorted(_ALIASES) + ["all"]
@@ -108,7 +108,7 @@ def cmd_zeroseq(args) -> str:
 def cmd_fillings(args) -> str:
     report = build_report(args.p, args.q)
     if args.json:
-        return _dump_json(report)
+        return render_json(report) + "\n"
     return render_csv([report]) if args.csv else render_table(report)
 
 
@@ -195,7 +195,7 @@ def cmd_sweep(args) -> str:
     # one report at a time: under --json each is rendered and dropped as it is built
     reports = filter(keep, (report(p, q) for p, q in _coprime_pairs(p_max)))
     if args.json:
-        chunks = [_render(r, "\n  ") for r in reports]
+        chunks = [render_json(r, "\n  ") for r in reports]
         return "[\n  " + ",\n  ".join(chunks) + "\n]\n" if chunks else "[]\n"
     if args.csv:
         return render_csv(reports)

@@ -5,7 +5,9 @@ unknots with framings b_1, ..., b_k; the meridian classes mu_1, ..., mu_k
 generate H_1 and satisfy b_i mu_i = mu_{i-1} + mu_{i+1} with mu_0 =
 mu_{k+1} = 0.  Everything below is expressed in the cyclic group of order
 p = K(b) generated by mu_1, with mu_i = K(b_1..b_{i-1}) mu_1; both are
-prefix continuants of b, so every function takes b alone.  Computed here:
+prefix continuants of b, so every public function takes b alone, and the
+private cores behind the spin and invariant functions take them from one
+pass (report.spin_rows makes that pass once per report).  Computed here:
 spin structures as parity bit vectors, the two formulas for the
 plane-field invariant (one from the handle picture of the filling, one
 from the compactified resolution side), and the chain's rotation numbers.
@@ -87,7 +89,11 @@ def spin_structures(b: Sequence[int]) -> list[Bits]:
     The count must be 1 for odd p = K(b) and 2 for even p (asserted).
     """
     b = tuple(b)
-    p = _chain_continuants(b)[-1]
+    return _spin_structures(b, _chain_continuants(b)[-1])
+
+
+def _spin_structures(b: tuple[int, ...], p: int) -> list[Bits]:
+    """spin_structures for a chain b with determinant p = K(b)."""
     out = []
     for s1 in (0, 1):
         s = [0, s1]
@@ -111,10 +117,15 @@ def gamma_filling(b: Sequence[int], s: Sequence[int]) -> int:
     Depends only on b and s, not on the particular filling.
     """
     b = tuple(b)
+    *mu, p = _chain_continuants(b)[1:]
+    return _gamma_filling(b, s, mu, p)
+
+
+def _gamma_filling(b: tuple[int, ...], s: Sequence[int], mu: list[int], p: int) -> int:
+    """gamma_filling, given mu_i = K(b_1..b_{i-1}) and p = K(b)."""
     sums = _chain_sums(b, s)
     if sums is None:
         raise LensfillError(f"{s} is not a spin structure for chain {b}")
-    *mu, p = _chain_continuants(b)[1:]
     return (sum(n // 2 * c for n, c in zip(sums, mu)) - sum(mu[1:])) % p
 
 
@@ -139,6 +150,11 @@ def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
     if not is_valid_spin(b, s):
         raise LensfillError(f"{s} is not a spin structure for chain {b}")
     *mu, p = _chain_continuants(b)[1:]
+    return _gamma_standard(b, s, mu, p)
+
+
+def _gamma_standard(b: tuple[int, ...], s: Sequence[int], mu: list[int], p: int) -> int:
+    """gamma_standard for a spin structure s, given mu_i and p as in _gamma_filling."""
     t = (0, 1 - s[0], *s, 0)  # t_{-1}, t_0, ..., t_k, t_{k+1}
     bprime = (1, 1 - b[0], *(-x for x in b[1:]))
     g = [(2 + x * (1 - t[i + 1]) - t[i] - t[i + 2]) // 2 for i, x in enumerate(bprime)]

@@ -1,8 +1,8 @@
-"""Assemble per-pair reports and render them as text or CSV.
+"""Assemble per-pair reports and render them as JSON, text or CSV.
 
-A report is a dict of lists, ints, bools and None; the command line
-renders it as JSON with its own renderer (see cli).  That layout is fixed
-and published as schema/report.schema.json at the repository root;
+A report is a dict of lists, ints, bools and None, and render_json writes
+it as JSON, byte for byte `json.dumps(report, indent=2)`.  That layout is
+fixed and published as schema/report.schema.json at the repository root;
 identical inputs produce byte-identical output (no timestamps, fully
 deterministic ordering).
 
@@ -27,10 +27,12 @@ from .fillings import (
     uniqueness_predicate,
     zset,
 )
-from .homology import gamma_filling, gamma_standard, mu_basis, rotation_numbers, spin_structures
+from .homology import _chain_continuants, _gamma_filling, _gamma_standard, _spin_structures
+from .homology import mu_basis, rotation_numbers
 from .cfrac import dual_expansion
 
-__all__ = ["build_report", "spin_rows", "render_table", "csv_rows", "render_csv", "CSV_HEADER"]
+__all__ = ["build_report", "spin_rows", "render_json", "render_table", "csv_rows", "render_csv",
+           "CSV_HEADER"]
 
 CSV_HEADER = ["p", "q", "b", "n", "chi", "b2", "handles", "rot", "class_index"]
 
@@ -44,9 +46,10 @@ def spin_rows(params: LensParams) -> list[dict[str, Any]]:
     Both expand to the same polynomial in the meridian classes (see homology),
     so the check guards the two implementations against each other.
     """
+    *mu, p = _chain_continuants(params.b)[1:]  # one continuant pass serves all three
     rows = []
-    for s in spin_structures(params.b):
-        gf, gs = gamma_filling(params.b, s), gamma_standard(params.b, s)
+    for s in _spin_structures(params.b, p):
+        gf, gs = _gamma_filling(params.b, s, mu, p), _gamma_standard(params.b, s, mu, p)
         if gf != gs:
             raise TheoremViolation(f"gamma at s={s}: filling formula {gf}, standard formula {gs}")
         rows.append({"s": list(s), "gamma_filling": gf, "gamma_standard": gs})
@@ -90,6 +93,43 @@ def build_report(p: int, q: int) -> dict[str, Any]:
             "unique_filling_certified": uniqueness_predicate(a, zs),
         },
     }
+
+
+def render_json(report: dict[str, Any], pad: str = "\n") -> str:
+    """`json.dumps(report, indent=2)` for a report from build_report, written
+    over its fixed layout; pad is the newline and indent before the closing
+    brace, as for cli._render.  No array of a report is empty: b has entries
+    >= 2, so (0,) or (1, 2, ..., 2, 1) is a filling, and spin is checked."""
+    p1, p2, p3, p4 = pad + "  ", pad + "    ", pad + "      ", pad + "        "
+    j2, j3, j4 = "," + p2, "," + p3, "," + p4  # separators at each depth
+    fillings = [
+        f'{{{p3}"n": [{p4}{j4.join(map(str, f["n"]))}{p3}],{p3}"chi": {f["chi"]},'
+        f'{p3}"b2": {f["b2"]},{p3}"handles": [{p4}{j4.join(map(str, f["handles"]))}{p3}],'
+        f'{p3}"rot": [{p4}{j4.join(map(str, f["rot"]))}{p3}]{p2}}}'
+        for f in report["fillings"]
+    ]
+    spin = [
+        f'{{{p3}"s": [{p4}{j4.join(map(str, r["s"]))}{p3}],'
+        f'{p3}"gamma_filling": {r["gamma_filling"]},{p3}"gamma_standard": {r["gamma_standard"]}'
+        f'{p2}}}'
+        for r in report["spin"]
+    ]
+    z_set = [f"[{p3}{j3.join(map(str, n))}{p2}]" for n in report["z_set"]]
+    classes = [f"[{p3}{j3.join(map(str, c))}{p2}]" for c in report["classes"]]
+    fl = report["flags"]
+    witness = fl["rational_ball_witness"]
+    return (
+        f'{{{p1}"p": {report["p"]},{p1}"q": {report["q"]},'
+        f'{p1}"b": [{p2}{j2.join(map(str, report["b"]))}{p1}],'
+        f'{p1}"a": [{p2}{j2.join(map(str, report["a"]))}{p1}],{p1}"qbar": {report["qbar"]},'
+        f'{p1}"z_set": [{p2}{j2.join(z_set)}{p1}],{p1}"classes": [{p2}{j2.join(classes)}{p1}],'
+        f'{p1}"fillings": [{p2}{j2.join(fillings)}{p1}],{p1}"spin": [{p2}{j2.join(spin)}{p1}],'
+        f'{p1}"flags": {{{p2}"rational_ball": {"true" if fl["rational_ball"] else "false"},'
+        f'{p2}"rational_ball_witness": '
+        f'{"null" if witness is None else "[" + p3 + j3.join(map(str, witness)) + p2 + "]"},'
+        f'{p2}"unique_filling_certified": '
+        f'{"true" if fl["unique_filling_certified"] else "false"}{p1}}}{pad}}}'
+    )
 
 
 def _fmt_tuple(xs) -> str:

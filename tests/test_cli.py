@@ -66,6 +66,20 @@ def test_report_matches_schema_on_random_pairs(pq):
     jsonschema.validate(build_report(*pq), SCHEMA)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coprime_pair(2000))
+@example((2, 1))  # k = 1, two spin structures
+@example((15, 4))  # a class of two fillings, each the other's reverse
+@example((9, 2))  # rational-ball witness (3, 1)
+@example((5, 1))  # unique filling certified
+def test_render_json_equals_stdlib_indent_2(pq):
+    from lensfill.report import render_json
+
+    report = build_report(*pq)
+    assert render_json(report) == json.dumps(report, indent=2)
+    assert render_json(report, "\n  ") == json.dumps([report], indent=2)[4:-2]
+
+
 def test_json_round_trips_losslessly():
     res = run_cli("fillings", "8", "3", "--json")
     report = json.loads(res.stdout)
@@ -455,16 +469,12 @@ def test_table_output_mentions_key_facts():
 def test_gamma_formulas_must_agree_strictly(monkeypatch, capsys):
     from lensfill import cli, homology
     from lensfill.errors import TheoremViolation
-    from lensfill.exact import continuant
     from lensfill.suites import suite_gamma
 
-    # negate the standard formula wherever a lensfill module has bound it
-    standard = homology.gamma_standard
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lensfill") and vars(module).get("gamma_standard") is standard:
-            monkeypatch.setattr(
-                module, "gamma_standard", lambda b, s: (-standard(b, s)) % continuant(b)
-            )
+    # negate the standard formula's core, which the public gamma_standard and
+    # the report's spin section both call
+    _rebind(monkeypatch, homology, "_gamma_standard",
+            lambda standard: lambda b, s, mu, p: (-standard(b, s, mu, p)) % p)
     assert cli.main(["gamma", "4", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -645,21 +655,31 @@ def test_lattice_check_refuses_too_many_exceptional_classes():
     assert elapsed < 5.0, elapsed
 
 
+def _rebind(monkeypatch, module, name, wrap):
+    """Replace module.name by wrap(module.name) in every lensfill module that
+    binds it, so callers that imported the name see the replacement too."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("lensfill") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, wrap(original))
+
+
 def _force(monkeypatch, stage):
     """Make one stage's check fail, or one limit refuse, on every pair."""
-    from lensfill import cfrac, fillings, homology, lattice, report
+    from lensfill import cfrac, fillings, homology, lattice
 
     if stage == "point-diagram":  # the direct route gains an entry the diagram lacks
         direct = cfrac.hj_expand
         monkeypatch.setattr(cfrac, "hj_expand", lambda p, q: (*direct(p, q), 2))
     elif stage == "spin-count":  # p + 1 for p flips the parity the count is checked against
-        chain = homology._chain_continuants
-        monkeypatch.setattr(
-            homology, "_chain_continuants", lambda b: [*chain(b)[:-1], chain(b)[-1] + 1]
-        )
-    elif stage == "gamma":
-        standard = report.gamma_standard
-        monkeypatch.setattr(report, "gamma_standard", lambda b, s: standard(b, s) + 1)
+        _rebind(monkeypatch, homology, "_chain_continuants",
+                lambda chain: lambda b: [*chain(b)[:-1], chain(b)[-1] + 1])
+    elif stage == "spin-validity":  # one entry too many is never a spin structure
+        _rebind(monkeypatch, homology, "_spin_structures",
+                lambda spins: lambda b, p: [(*s, 0) for s in spins(b, p)])
+    elif stage == "gamma":  # the core both the report and gamma_standard call
+        _rebind(monkeypatch, homology, "_gamma_standard",
+                lambda standard: lambda b, s, mu, p: standard(b, s, mu, p) + 1)
     elif stage == "reversal":  # a reversal that leaves the bounded set
         monkeypatch.setattr(fillings, "reverse", lambda t: (*reversed(t), 0))
     elif stage == "lattice-check":
@@ -673,14 +693,17 @@ def _force(monkeypatch, stage):
 # stage -> (exit code of a command other than verify, first pair that fails in a
 # sweep or a suite, the commands that reach the stage)
 FORCED_FAILURES = {
-    "point-diagram": (2, (2, 1), ["expand 4 1", "fillings 4 1", "classify 4 1", "rot 4 1",
-                                  "sweep 10"]),
-    "spin-count": (2, (2, 1), ["fillings 4 1", "classify 4 1", "gamma 4 1", "rot 4 1",
-                               "sweep 10", "verify gamma"]),
-    "gamma": (2, (2, 1), ["fillings 4 1", "classify 4 1", "gamma 4 1", "rot 4 1", "sweep 10",
-                          "verify gamma"]),
-    "reversal": (2, (2, 1), ["fillings 4 1", "classify 4 1", "rot 4 1", "sweep 10",
-                             "verify mcduff"]),
+    "point-diagram": (2, (2, 1), ["expand 4 1", "fillings 4 1", "fillings 4 1 --json",
+                                  "classify 4 1", "rot 4 1", "sweep 10", "sweep 10 --json"]),
+    "spin-count": (2, (2, 1), ["fillings 4 1", "fillings 4 1 --json", "classify 4 1",
+                               "gamma 4 1", "rot 4 1", "sweep 10", "sweep 10 --json",
+                               "verify gamma"]),
+    "spin-validity": (1, (2, 1), ["fillings 4 1", "fillings 4 1 --json", "gamma 4 1",
+                                  "sweep 10 --json", "verify gamma"]),
+    "gamma": (2, (2, 1), ["fillings 4 1", "fillings 4 1 --json", "classify 4 1", "gamma 4 1",
+                          "rot 4 1", "sweep 10", "sweep 10 --json", "verify gamma"]),
+    "reversal": (2, (2, 1), ["fillings 4 1", "fillings 4 1 --json", "classify 4 1", "rot 4 1",
+                             "sweep 10", "sweep 10 --json", "verify mcduff"]),
     "lattice-check": (2, (2, 1), ["lattice-check 4 1", "verify lattice"]),
     "max-tuples": (1, (4, 1), ["fillings 4 1", "classify 4 1", "rot 4 1", "lattice-check 4 1",
                                "sweep 10", "verify duality", "verify lattice", "verify mcduff",
@@ -719,6 +742,32 @@ def test_forced_failure_names_its_pair_once(monkeypatch, capsys, stage, command)
         kind = "error" if code == 1 else "theorem violation"
         assert text.startswith(f"lensfill: {kind}: {named}") and text.count("\n") == 1, text
     assert text.count("L(") == 1, text
+
+
+# case -> (suite, the name in lensfill.suites to wrap, its wrapper, the counterexample line)
+SUITE_FAILURES = {
+    "chain-not-reversed": ("duality", "reverse", lambda reverse: lambda t: (*reverse(t), 0),
+                           "L(2,1): chain not reversed"),
+    # L(9,5) has b = (3, 2, 2, 2); drop (3, 1, 2, 2), the reversal of L(9,2)'s (2, 2, 1, 3)
+    "fillings-not-reversed": ("duality", "zset",
+                              lambda zset: lambda pr: [n for n in zset(pr) if n != (3, 1, 2, 2)],
+                              "L(9,2): fillings not reversed"),
+    # the expected pairs lose m = 3, the largest root up to 12
+    "pair-census": ("rational-ball", "isqrt", lambda isqrt: lambda n: isqrt(n) - 1,
+                    "pair census: symmetric difference [(9, 2), (9, 5)]"),
+}
+
+
+@pytest.mark.parametrize("case", SUITE_FAILURES)
+def test_forced_suite_failure_names_its_counterexample(monkeypatch, capsys, case):
+    from lensfill import cli, suites
+
+    suite, name, wrap, message = SUITE_FAILURES[case]
+    monkeypatch.setattr(suites, name, wrap(getattr(suites, name)))
+    assert cli.main(["verify", suite, "--pmax", "12"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == f"{suite}: FAIL\n  first counterexample: {message}\n"
 
 
 def test_naming_prefixes_only_inside_its_scope(monkeypatch):

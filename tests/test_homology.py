@@ -2,10 +2,13 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensfill.cfrac import enumerate_zero_cf, hj_expand
 from lensfill.errors import LensfillError
 from lensfill.exact import continuant
+from lensfill.fillings import make_params
 from lensfill.homology import (
     gamma_filling,
     gamma_standard,
@@ -14,6 +17,7 @@ from lensfill.homology import (
     rotation_numbers,
     spin_structures,
 )
+from lensfill.report import spin_rows
 
 
 def coprime_pairs(pmax):
@@ -132,6 +136,20 @@ def test_gamma_equality_sweep():
         b = chain(p, q)
         for s in spin_structures(b):
             assert gamma_filling(b, s) == gamma_standard(b, s), (p, q, s)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=12).map(tuple))
+def test_spin_rows_equal_the_public_formulas(b):
+    # spin_rows shares one continuant pass among the spin recurrence and both
+    # formulas; the public entry points each compute their own
+    p = continuant(b)
+    params = make_params(p, p - continuant(b[1:]))
+    assert params.b == b
+    assert spin_rows(params) == [
+        {"s": list(s), "gamma_filling": gamma_filling(b, s), "gamma_standard": gamma_standard(b, s)}
+        for s in spin_structures(b)
+    ]
 
 
 def test_rotation_examples():
