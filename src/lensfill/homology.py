@@ -170,19 +170,14 @@ def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:
     r_i = K(n_2..n_{i-1}), and the terminal value r_{k-1} - n_k r_k is
     -K(n_2..n_k).  The zero-tuple test
     says n_1 K(n_2..n_k) = K(n_3..n_k) with K(n_2..n_k) > 0, and
-    consecutive continuants are coprime, so K(n_2..n_k) = 1: the relation
-    r_{k-1} - n_k r_k = -1 cannot fail once that test has passed, and the
-    TheoremViolation below is never raised.  For k = 1 (where n = (0,)) the two
-    boundary relations coincide and pin nothing beyond r_1 = 0.
+    consecutive continuants are coprime, so K(n_2..n_k) = 1: the terminal
+    relation r_{k-1} - n_k r_k = -1 holds once that test has passed, and is
+    not checked again.  For k = 1 (where n = (0,)) the two boundary
+    relations coincide and pin nothing beyond r_1 = 0.
     """
     n = tuple(n)
     if not _is_zero_tuple(n):
         raise LensfillError(f"{n} is not an admissible zero tuple")
     if len(n) == 1:
         return (0,)
-    r = continuants(n[1:-1])  # r_1 = K_{-1} = 0, r_2 = K() = 1, ..., r_k
-    if r[-2] - n[-1] * r[-1] != -1:
-        raise TheoremViolation(
-            f"rotation recursion for {n} ends at {r[-2] - n[-1] * r[-1]}, not -1"
-        )
-    return tuple(r)
+    return tuple(continuants(n[1:-1]))  # r_1 = K_{-1} = 0, r_2 = K() = 1, ..., r_k

@@ -102,8 +102,9 @@ def suite_gamma(pmax: int = 100) -> tuple[int, str]:
 
 
 def suite_rotation(kmax: int = 10) -> tuple[int, str]:
-    """Terminal relation of the rotation recursion on every zero tuple of
-    length 2..kmax; rotation_numbers raises, naming n, where it fails."""
+    """Every searched zero tuple of length 2..kmax is admissible:
+    rotation_numbers refuses any other, naming n.  The terminal relation
+    of its recursion holds by proof (see rotation_numbers), unchecked."""
     cases = 0
     for k in range(2, kmax + 1):
         for n in enumerate_zero_cf(k):  # lexicographic, like zeroseq
@@ -114,7 +115,7 @@ def suite_rotation(kmax: int = 10) -> tuple[int, str]:
 
 def suite_lattice(pmax: int = 60) -> tuple[int, str]:
     """Geometric cross-checks: class shapes, exceptional-set nesting,
-    complement homology, count recovery, and minimality."""
+    complement homology and minimality."""
     cases = 0
     for p, q in _coprime_pairs(pmax):
         with naming(p, q):

@@ -123,14 +123,19 @@ def test_criterion_08_rotation_terminal_relation():
         cases, _ = suite_rotation(kmax=10)
         assert cases == 6917, cases  # sum of Catalan(1..9)
 
-    _timed(8, 30.0, "rotation recursion closes with -1 on every zero tuple, k <= 10", body)
+    _timed(
+        8,
+        30.0,
+        "every searched zero tuple with k <= 10 is admissible and has rotation numbers",
+        body,
+    )
 
 
 def test_criterion_09_lattice_oracle():
     _timed(
         9,
         180.0,
-        "class shapes, nesting, complement homology, count recovery and minimality, p <= 60",
+        "class shapes, nesting, complement homology and minimality, p <= 60",
         lambda: suite_lattice(pmax=60),
     )
 

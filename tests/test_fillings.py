@@ -269,6 +269,33 @@ def test_minimal_filling_family_other_instance():
         assert sum(invariants(pr, n)) == 5 + sum(x - 3 for x in pr.b) + r
 
 
+def test_minimal_filling_family_on_the_precondition_boundary():
+    # b = (2, 3 x (k-3), 2, max(k-2, 2)) meets every precondition with the
+    # least entries it allows; each member must be a bounded zero tuple
+    cases = 0
+    for k in range(4, 21):
+        b = (2,) + (3,) * (k - 3) + (2, max(k - 2, 2))
+        pr = make_params(continuant(b), continuant(b) - continuant(b[1:]))
+        assert pr.b == b
+        zs = set(bounded_zero_cf(b))
+        for r in range(k - 3):
+            n = minimal_filling_family(pr, r)
+            assert n in zs, (b, r, n)
+            assert sum(x - y for x, y in zip(b, n)) == 5 + sum(x - 3 for x in b) + r, (b, r)
+            cases += 1
+    assert cases == 153
+
+
+def test_minimal_filling_family_refuses_an_entry_below_2():
+    # only a hand-built LensParams has such a chain; the family member would
+    # have n_1 = 1 > b_1, so the input is refused before any tuple is formed
+    pr = LensParams(p=4, q=1, b=(0, 3, 2, 2), qbar=1)
+    with pytest.raises(LensfillError) as info:
+        minimal_filling_family(pr, 0)
+    assert type(info.value) is LensfillError
+    assert str(info.value) == "need a chain with all entries >= 2, got b = (0, 3, 2, 2)"
+
+
 def bump_unique_one(n):
     # a zero tuple n with exactly one 1, at j, is the b2 = 0 filling b - e_j of
     # the chain b that bumping the 1 to a 2 gives; the pair's witness (m, h) has

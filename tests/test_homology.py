@@ -165,8 +165,9 @@ def test_rotation_terminal_relation_exhaustive():
     cases = 0
     for k in range(2, 11):
         for n in enumerate_zero_cf(k):
-            r = rotation_numbers(n)  # terminal relation asserted inside
+            r = rotation_numbers(n)
             assert len(r) == k and r[0] == 0 and r[1] == 1
+            assert r[-2] - n[-1] * r[-1] == -1, n  # the terminal relation
             cases += 1
     assert cases == sum(len(enumerate_zero_cf(k)) for k in range(2, 11))
 

@@ -6,8 +6,9 @@ name is used in the package or a demo, no module
 holds an ``assert`` statement, since ``python -O`` strips those, every
 ``raise`` names one of the package's two exception classes, no ``raise``
 outside ``errors.py`` writes a lens space's ``L(`` name, no call passes
-``indent=`` to ``json.dumps`` or ``json.dump``, and the package exports
-exactly its modules' ``__all__`` lists.
+``indent=`` to ``json.dumps`` or ``json.dump``, every function that raises
+``TheoremViolation`` is mapped to a test that fires that raise, and the
+package exports exactly its modules' ``__all__`` lists.
 
 No linter ships with the package, so these are stdlib AST checks.  The
 package ``__init__.py`` is skipped by the import check, since its imports
@@ -230,6 +231,8 @@ def test_every_public_name_has_a_caller():
     # a public name serves the package or a demo; blowup, eval_cf and
     # minimal_filling_family are exported for demos 02, 01 and 03 and have no
     # caller in the package itself, whose zero tests read the integer core.
+    # invariants serves demo 03 (and perfbench's traced invariants span): the
+    # report takes b - n inline and the family's chi holds by proof.
     # gamma_filling, gamma_standard and spin_structures serve demo 04: the
     # report's spin section calls their cores with one continuant pass
     exported = {module.__name__.rpartition(".")[2]: module.__all__ for module in EXPORTING_MODULES}
@@ -237,9 +240,9 @@ def test_every_public_name_has_a_caller():
     demos = {path.stem: path.read_text(encoding="utf-8") for path in sorted(DEMOS.glob("*.py"))}
     assert uncalled_public_names(exported, package | demos) == []
     assert uncalled_public_names(exported, package) == [
-        ("cfrac", "blowup"), ("cfrac", "eval_cf"), ("fillings", "minimal_filling_family"),
-        ("homology", "gamma_filling"), ("homology", "gamma_standard"),
-        ("homology", "spin_structures"),
+        ("cfrac", "blowup"), ("cfrac", "eval_cf"), ("fillings", "invariants"),
+        ("fillings", "minimal_filling_family"), ("homology", "gamma_filling"),
+        ("homology", "gamma_standard"), ("homology", "spin_structures"),
     ]
 
 
@@ -293,6 +296,86 @@ def test_every_raise_names_a_package_error():
         if (lines := stray_raises(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# module.function -> a test, as file::name, that makes that function raise
+# TheoremViolation; a raise inside a nested function or a method belongs to
+# the top-level def or class that holds it
+RAISE_TESTS = {
+    "cfrac.dual_expansion": "test_cfrac.py::test_dual_expansion_raises_when_the_routes_disagree",
+    "fillings.classify": "test_fillings.py::test_orbits_reject_a_reversal_outside_the_set",
+    "fillings.uniqueness_predicate": "test_fillings.py::test_uniqueness_predicate_examples",
+    "homology._spin_structures": "test_cli.py::test_forced_failure_names_its_pair_once",
+    "lattice.build_string": "test_lattice.py::test_pairing_violation_names_its_filling",
+    "lattice.check_filling": "test_lattice.py::test_check_filling_forced_failure",
+    "lattice.complement_homology": "test_lattice.py::test_b2_violation_names_its_filling",
+    "report.spin_rows": "test_cli.py::test_gamma_formulas_must_agree_strictly",
+    "suites.suite_catalan": "test_cfrac.py::test_suite_catalan_fails_on_a_swapped_tuple",
+    "suites.suite_duality": "test_cli.py::test_forced_suite_failure_names_its_counterexample",
+    "suites.suite_lattice": "test_cli.py::test_verify_counterexample_names_the_pair",
+    "suites.suite_mcduff": "test_cli.py::test_verify_all_reports_a_failed_suite_and_runs_the_rest",
+    "suites.suite_rational_ball": "test_cli.py::test_rational_ball_order_must_match_the_witness",
+}
+
+
+def raise_table_gaps(sources, tests, table):
+    """Where ``table`` and the sources part ways, as sorted (kind, name).
+
+    ``sources`` maps module names to package source text, ``tests`` maps test
+    file names to source text, and ``table`` maps ``module.function`` to
+    ``file::test``.  Kinds: "unmapped" for a top-level def or class whose body
+    raises TheoremViolation and has no entry, "stale" for an entry whose
+    function raises none, "no test" for an entry naming a test function that
+    its file does not define at top level.
+    """
+    raising = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(exc, ast.Name) and exc.id == "TheoremViolation":
+                        raising.add(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    defined = {
+        f"{name}::{stmt.name}"
+        for name, source in tests.items()
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    gaps = [("unmapped", f) for f in raising - set(table)]
+    gaps += [("stale", f) for f in set(table) - raising]
+    gaps += [("no test", t) for t in set(table.values()) - defined]
+    return sorted(gaps)
+
+
+def test_raise_table_gaps_detected():
+    sources = {
+        "a": "def mapped():\n    raise TheoremViolation('x')\n"
+        "def unmapped(x):\n    def inner():\n        raise TheoremViolation('y') from None\n"
+        "    return inner\n"
+        "class Holder:\n    def method(self):\n        raise TheoremViolation\n"
+        "def refusal():\n    raise LensfillError('z')\n",
+    }
+    tests = {"test_a.py": "def test_mapped():\n    pass\ndef helper():\n    pass\n"}
+    table = {
+        "a.mapped": "test_a.py::test_mapped",
+        "a.refusal": "test_a.py::test_refusal",
+        "a.gone": "test_a.py::helper",
+    }
+    assert raise_table_gaps(sources, tests, table) == [
+        ("no test", "test_a.py::test_refusal"),
+        ("stale", "a.gone"), ("stale", "a.refusal"),
+        ("unmapped", "a.Holder"), ("unmapped", "a.unmapped"),
+    ]
+
+
+def test_every_theorem_violation_has_a_test_that_fires_it():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    tests = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(Path(__file__).resolve().parent.glob("test_*.py"))
+    }
+    assert raise_table_gaps(sources, tests, RAISE_TESTS) == []
 
 
 def pair_naming_raises(source):
