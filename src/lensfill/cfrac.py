@@ -170,7 +170,7 @@ def blowup(t: Sequence[int], s: int) -> CFTuple:
     return tuple(out)
 
 
-def enumerate_zero_cf(k: int) -> list[CFTuple]:
+def enumerate_zero_cf(k: int, **item) -> list:
     """All admissible tuples of positive integers of length k with value 0,
     lexicographic, as the search emits them (a repeat would stay).
 
@@ -178,11 +178,13 @@ def enumerate_zero_cf(k: int) -> list[CFTuple]:
     tuple of length k has entries <= k - 1, by induction on k, since (0)
     has entry 0 and a strict blowup raises the largest entry by at most
     one.  For k = 1 this is [(0,)] by convention; for k >= 2 the count is
-    the Catalan number C(k-1).
+    the Catalan number C(k-1).  A keyword, bounded_zero_cf's _item text
+    format, is passed on to the search; without one the call is the plain
+    bounded_zero_cf(bounds).
     """
     if k < 1:
         raise LensfillError(f"length must be >= 1, got {k}")
-    return bounded_zero_cf((k - 1,) * k)
+    return bounded_zero_cf((k - 1,) * k, **item)
 
 
 def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
@@ -213,7 +215,7 @@ def _over_limit(bounds: Sequence[int], limit: int) -> str:
     return f"the zero tuples bounded by {tuple(bounds)} number more than the limit of {limit}"
 
 
-def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
+def bounded_zero_cf(bounds: Sequence[int], *, _item: Optional[tuple[str, str, str]] = None) -> list:
     """All admissible zero tuples n with 0 <= n_i <= bounds_i, lexicographic.
 
     Depth-first search on forced tail values: once n_1..n_{i-1} are fixed,
@@ -261,6 +263,16 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     the last entry is num, kept when num <= bounds_k; for k = 1 that is
     (0,).
 
+    Text items: given _item = (open, sep, close), the search emits each
+    tuple as the string open + sep.join(entries) + close instead, so a
+    caller that writes the tuples formats no tuple itself.  A span stored
+    under (j, num, den) was filled while n_1..n_j were fixed, so every
+    string in it starts with the same text for those j entries.  A share
+    builds its own head text once, finds where entry j + 1 starts in the
+    span's first string by skipping j separators past the opening, and
+    joins the head to every string's text from that offset on; a tail is
+    formatted once, when it is first emitted, however many prefixes share it.
+
     The explicit stack leaves the recursion limit alone.  Raises
     LensfillError rather than emit more than MAX_TUPLES tuples, from a shared
     span as from a fresh tuple.
@@ -271,8 +283,11 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
     # ks[j] = K(bounds[j:]), prefix continuants of the reversed bounds by
     # reversal invariance; choosing position j caps d at ks[j + 2]
     ks = continuants(bounds[::-1])[k + 1 :: -1]
-    out: list[CFTuple] = []
+    out: list = []
     limit = MAX_TUPLES
+    if _item is not None:
+        opening, sep, closing = _item
+        line = opening + sep.join(["%d"] * k) + closing  # one C-level format per fresh tuple
     path = [0] * k
     # (num, den, hi, e, start) per open position: candidate v leaves a tail
     # whose expansion has v + e entries, and out[start:] holds its tuples
@@ -287,8 +302,15 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
                 first, end = shared[j, num, den]
                 if len(out) + end - first > limit:
                     raise LensfillError(_over_limit(bounds, limit))
-                head = tuple(path[:j])
-                out += [head + t[j:] for t in out[first:end]]
+                if _item is None:
+                    head = tuple(path[:j])
+                    out += [head + t[j:] for t in out[first:end]]
+                elif first < end:
+                    i = len(opening)  # the offset of entry j + 1 in each string of the span
+                    for _ in range(j):
+                        i = out[first].index(sep, i) + len(sep)
+                    head = opening + "".join([f"{x}{sep}" for x in path[:j]])
+                    out += [head + t[i:] for t in out[first:end]]
             else:
                 # open position j just below its first candidate v_0 = num//den + 1, whose
                 # tail has l_0 = length - 1 entries, or 1 if num/den is an integer; e = l_0 - v_0
@@ -312,7 +334,7 @@ def bounded_zero_cf(bounds: Sequence[int]) -> list[CFTuple]:
             if len(out) == limit:
                 raise LensfillError(_over_limit(bounds, limit))
             path[j] = num
-            out.append(tuple(path))
+            out.append(tuple(path) if _item is None else line % tuple(path))
         # advance the deepest open position that has a value left
         while frames:
             num, den, hi, e, start = frames[-1]

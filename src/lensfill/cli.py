@@ -8,8 +8,9 @@ does not stop at a failed suite: it prints FAIL and the suite's exception
 message as the first counterexample, runs the remaining suites, and exits
 2 if any failed.  Output is deterministic; identical invocations produce
 byte-identical output.  JSON output is byte for byte what
-`json.dumps(..., indent=2)` gives; report.render_json writes reports and `_render`
-the rest with str.join, since the stdlib's C encoder does not handle an indent.
+`json.dumps(..., indent=2)` gives; report.render_json writes reports, cmd_zeroseq its
+payload around the search's text items, and `_render` the rest with str.join, since
+the stdlib's C encoder does not handle an indent.
 """
 
 from __future__ import annotations
@@ -90,19 +91,18 @@ def cmd_expand(args) -> str:
 
 
 def cmd_zeroseq(args) -> str:
-    catalan = _zero_tuple_count(args.k, f"zeroseq {args.k} would write")
-    tuples = enumerate_zero_cf(args.k)
-    if args.json:
-        payload = {
-            "k": args.k,
-            "count": len(tuples),
-            "catalan": catalan,
-            "tuples": tuples,
-        }
-        return _dump_json(payload)
-    line = " ".join(["%d"] * args.k)  # one C-level format per tuple
-    body = "\n".join([line % t for t in tuples])
-    return f"# {len(tuples)} zero tuples of length {args.k}\n{body}\n"
+    k = args.k
+    catalan = _zero_tuple_count(k, f"zeroseq {k} would write")
+    # the search writes each tuple's text, so a shared tail is formatted once; the
+    # header and footer ride on the end items, so the output is built by one join
+    if args.json:  # the payload {k, count, catalan, tuples} at indent 2; k >= 1 has a tuple
+        items = enumerate_zero_cf(k, _item=("[\n      ", ",\n      ", "\n    ]"))
+        items[0] = (f'{{\n  "k": {k},\n  "count": {len(items)},\n  "catalan": {catalan},\n'
+                    f'  "tuples": [\n    {items[0]}')
+        items[-1] += "\n  ]\n}\n"
+        return ",\n    ".join(items)
+    lines = enumerate_zero_cf(k, _item=("", " ", ""))
+    return "\n".join([f"# {len(lines)} zero tuples of length {k}", *lines, ""])
 
 
 def cmd_fillings(args) -> str:
@@ -312,6 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"lensfill: error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -326,9 +331,7 @@ def main(argv=None) -> int:
         try:
             out = open(args.out, "a", encoding="utf-8")
         except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"lensfill: error: cannot write {args.out}: {reason}", file=sys.stderr)
-            return 1
+            return _cannot_write(args.out, exc)
     failed = True
     try:
         if hasattr(args, "q"):  # a per-pair command; a bad pair is reported unnamed
@@ -337,8 +340,15 @@ def main(argv=None) -> int:
         result = args.func(args)
         text, code = result if isinstance(result, tuple) else (result, 0)
         if args.out:
-            out.truncate(0)
-        out.write(text)
+            try:
+                if os.path.isfile(args.out):  # a device such as /dev/null cannot be truncated
+                    out.truncate(0)
+                out.write(text)
+                out.close()  # flushes, so a full device fails here
+            except OSError as exc:
+                return _cannot_write(args.out, exc)
+        else:
+            out.write(text)
         failed = False
         return code
     except TheoremViolation as exc:

@@ -178,6 +178,12 @@ def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:
     n = tuple(n)
     if not _is_zero_tuple(n):
         raise LensfillError(f"{n} is not an admissible zero tuple")
+    return _rotation_numbers(n)
+
+
+def _rotation_numbers(n: tuple[int, ...]) -> tuple[int, ...]:
+    """rotation_numbers for an n already known to be an admissible zero tuple,
+    such as one the report's own search emitted."""
     if len(n) == 1:
         return (0,)
     return tuple(continuants(n[1:-1]))  # r_1 = K_{-1} = 0, r_2 = K() = 1, ..., r_k

@@ -27,8 +27,8 @@ from .fillings import (
     uniqueness_predicate,
     zset,
 )
-from .homology import _chain_continuants, _gamma_filling, _gamma_standard, _spin_structures
-from .homology import mu_basis, rotation_numbers
+from .homology import _chain_continuants, _gamma_filling, _gamma_standard, _rotation_numbers
+from .homology import _spin_structures, mu_basis
 from .cfrac import dual_expansion
 
 __all__ = ["build_report", "spin_rows", "render_json", "render_table", "csv_rows", "render_csv",
@@ -73,7 +73,7 @@ def build_report(p: int, q: int) -> dict[str, Any]:
                 "chi": chi,
                 "b2": chi - 1,
                 "handles": handles,
-                "rot": list(rotation_numbers(n)),
+                "rot": list(_rotation_numbers(n)),  # n is from the search: no re-check
             }
         )
     witness = rational_ball_criterion(p, q)

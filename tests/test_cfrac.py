@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 import time
@@ -332,6 +333,51 @@ def test_bounded_zero_cf_refuses_at_every_limit_on_both_emit_paths(monkeypatch):
     assert len(raise_lines) == 2  # the shared extension and the fresh append
     monkeypatch.setattr(cfrac, "MAX_TUPLES", 132)
     assert bounded_zero_cf(bounds) == full
+
+
+TABLE_ITEM = ("", " ", "")
+JSON_ITEM = ("[\n      ", ",\n      ", "\n    ]")  # a tuple inside zeroseq's "tuples"
+
+
+def formatted(tuples, item):
+    opening, sep, closing = item
+    return [opening + sep.join(map(str, t)) + closing for t in tuples]
+
+
+def test_text_items_equal_the_formatted_tuples_of_every_length():
+    for k in range(1, 13):
+        tuples = enumerate_zero_cf(k)
+        for item in (TABLE_ITEM, JSON_ITEM):
+            assert enumerate_zero_cf(k, _item=item) == formatted(tuples, item), (k, item)
+
+
+def test_text_items_equal_the_formatted_tuples_under_any_bounds():
+    # a zero tuple of length k has entries <= k - 1, so only the longer random
+    # bounds put two-digit entries in the head of a share
+    rng = random.Random(20031215)
+    chains = [make_params(p, q).b for p in range(2, 81) for q in range(1, p) if gcd(p, q) == 1]
+    randoms = [tuple(rng.randint(0, 12) for _ in range(rng.randint(1, 9))) for _ in range(2000)]
+    randoms += [tuple(rng.randint(0, 12) for _ in range(rng.randint(10, 12))) for _ in range(200)]
+    emitted = 0
+    for bounds in chains + randoms:
+        tuples = bounded_zero_cf(bounds)
+        emitted += len(tuples)
+        for item in (TABLE_ITEM, JSON_ITEM):
+            assert bounded_zero_cf(bounds, _item=item) == formatted(tuples, item), (bounds, item)
+    assert emitted > 10_000
+
+
+def test_text_items_are_refused_at_every_limit_on_both_emit_paths(monkeypatch):
+    bounds = (6,) * 7
+    raise_lines = set()
+    for limit in range(1, 132):
+        monkeypatch.setattr(cfrac, "MAX_TUPLES", limit)
+        with pytest.raises(LensfillError, match=f"more than the limit of {limit}$") as info:
+            bounded_zero_cf(bounds, _item=TABLE_ITEM)
+        raise_lines.add(info.traceback[-1].lineno)
+    assert len(raise_lines) == 2  # the shared extension and the fresh append
+    monkeypatch.setattr(cfrac, "MAX_TUPLES", 132)
+    assert len(bounded_zero_cf(bounds, _item=TABLE_ITEM)) == 132
 
 
 def test_bounded_zero_cf_leaves_recursion_limit_alone():

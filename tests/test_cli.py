@@ -180,6 +180,40 @@ def test_failed_command_keeps_existing_out_file(tmp_path):
     assert target.read_text() == run_cli("expand", "9", "2").stdout
 
 
+def test_out_on_a_device_that_cannot_be_truncated():
+    res = run_cli("expand", "9", "2", "--out", os.devnull)
+    assert res.returncode == 0 and res.stdout == res.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_out_on_a_full_device_is_one_error_line():
+    res = run_cli("expand", "9", "2", "--out", "/dev/full")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == "lensfill: error: cannot write /dev/full: No space left on device\n"
+
+
+def test_a_failed_write_removes_the_out_file_it_created(monkeypatch, capsys, tmp_path):
+    import errno
+
+    from lensfill import cli
+
+    def full(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def open_full(*args, **kwargs):  # creates the file, then fails every write as a full disk does
+        fh = open(*args, **kwargs)
+        fh.write = full
+        return fh
+
+    monkeypatch.setattr(cli, "open", open_full, raising=False)
+    target = tmp_path / "new.txt"
+    assert cli.main(["expand", "9", "2", "--out", str(target)]) == 1
+    assert not target.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"lensfill: error: cannot write {target}: No space left on device\n"
+
+
 def test_failed_command_removes_the_out_file_it_created(monkeypatch, capsys, tmp_path):
     from lensfill import cli
 
@@ -272,6 +306,25 @@ def test_zeroseq_text_equals_triangulation_census(k, capsys):
     lines += [" ".join(str(x) for x in t) for t in tuples]
     assert cli.main(["zeroseq", str(k)]) == 0
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    payload = {"k": k, "count": len(tuples), "catalan": len(tuples), "tuples": tuples}
+    assert cli.main(["zeroseq", str(k), "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_zeroseq_writes_the_searched_tuples_as_json_dumps_would(capsys):
+    from lensfill import cli
+    from lensfill.cfrac import enumerate_zero_cf
+
+    for k in range(1, 13):
+        tuples = enumerate_zero_cf(k)
+        assert cli.main(["zeroseq", str(k)]) == 0
+        table = capsys.readouterr().out.split("\n")
+        assert table[1:-1] == [" ".join(map(str, t)) for t in tuples], k
+        assert cli.main(["zeroseq", str(k), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", k
+        items = [cli._render(t, "\n    ") for t in tuples]  # each tuple as the payload holds it
+        assert out.endswith('"tuples": [\n    ' + ",\n    ".join(items) + "\n  ]\n}\n"), k
 
 
 def test_zeroseq_refuses_catalan_sized_output():

@@ -172,6 +172,18 @@ def test_rotation_terminal_relation_exhaustive():
     assert cases == sum(len(enumerate_zero_cf(k)) for k in range(2, 11))
 
 
+def test_rotation_core_equals_the_checked_function_on_every_filling():
+    from lensfill.fillings import zset
+    from lensfill.homology import _rotation_numbers
+
+    cases = 0
+    for p, q in coprime_pairs(60):
+        for n in zset(make_params(p, q)):
+            assert _rotation_numbers(n) == rotation_numbers(n), (p, q, n)
+            cases += 1
+    assert cases > 1000
+
+
 def test_rotation_rejects_non_zero_tuples():
     with pytest.raises(LensfillError, match=r"\(2, 2, 2\) is not an admissible zero tuple"):
         rotation_numbers((2, 2, 2))
