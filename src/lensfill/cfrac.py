@@ -170,7 +170,7 @@ def blowup(t: Sequence[int], s: int) -> CFTuple:
     return tuple(out)
 
 
-def enumerate_zero_cf(k: int, **item) -> list:
+def enumerate_zero_cf(k: int, *, _item=None) -> list:
     """All admissible tuples of positive integers of length k with value 0,
     lexicographic, as the search emits them (a repeat would stay).
 
@@ -178,13 +178,12 @@ def enumerate_zero_cf(k: int, **item) -> list:
     tuple of length k has entries <= k - 1, by induction on k, since (0)
     has entry 0 and a strict blowup raises the largest entry by at most
     one.  For k = 1 this is [(0,)] by convention; for k >= 2 the count is
-    the Catalan number C(k-1).  A keyword, bounded_zero_cf's _item text
-    format, is passed on to the search; without one the call is the plain
-    bounded_zero_cf(bounds).
+    the Catalan number C(k-1).  _item, bounded_zero_cf's text format, is
+    passed on to the search.
     """
     if k < 1:
         raise LensfillError(f"length must be >= 1, got {k}")
-    return bounded_zero_cf((k - 1,) * k, **item)
+    return bounded_zero_cf((k - 1,) * k, _item=_item)
 
 
 def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:

@@ -23,8 +23,9 @@ import sys
 from .cfrac import _check_pair, _zero_tuple_count, dual_expansion, enumerate_zero_cf
 from .errors import LensfillError, TheoremViolation, naming
 from .fillings import make_params, zset
-from .lattice import MAX_LATTICE_WORK, check_filling
-from .report import build_report, render_csv, render_json, render_table, spin_rows
+from .homology import spin_rows
+from .lattice import check_fillings
+from .report import build_report, render_csv, render_json, render_table
 from .suites import SUITES, _ALIASES, _coprime_pairs
 
 _SUITE_CHOICES = sorted(SUITES) + sorted(_ALIASES) + ["all"]
@@ -125,7 +126,7 @@ def cmd_classify(args) -> str:
 
 def cmd_gamma(args) -> str:
     params = make_params(args.p, args.q)
-    rows = spin_rows(params)
+    rows = spin_rows(params.b)
     if args.json:
         return _dump_json({"p": args.p, "q": args.q, "b": list(params.b), "spin": rows})
     lines = [f"L({args.p},{args.q}) spin structures and invariants:"]
@@ -150,15 +151,7 @@ def cmd_rot(args) -> str:
 
 def cmd_lattice_check(args) -> str:
     params = make_params(args.p, args.q)
-    zs = zset(params)
-    k = len(params.b)
-    work = len(zs) * k * k
-    if work > MAX_LATTICE_WORK:  # refused before any filling is checked
-        raise LensfillError(
-            f"{len(zs)} fillings of a chain of {k} entries make {work} units of "
-            f"lattice work (fillings x k^2), more than the limit of {MAX_LATTICE_WORK}"
-        )
-    rows = [check_filling(params.b, n) for n in zs]
+    rows = check_fillings(params.b, zset(params))
     if args.json:
         return _dump_json({"p": args.p, "q": args.q, "fillings": rows})
     lines = [f"L({args.p},{args.q}) lattice checks:"]
@@ -218,9 +211,7 @@ def cmd_verify(args) -> tuple[str, int]:
     names = sorted(SUITES) if args.suite == "all" else [_ALIASES.get(args.suite, args.suite)]
     runs = []  # every bound is checked before any suite runs
     for name in names:
-        suite = SUITES[name]
-        # each suite takes one bound, pmax or kmax, with a default >= 2
-        param, (default,) = suite.__code__.co_varnames[0], suite.__defaults__
+        suite, param, default = SUITES[name]
         bound = getattr(args, param)
         if bound is None:
             bound = default

@@ -7,10 +7,11 @@ mu_{k+1} = 0.  Everything below is expressed in the cyclic group of order
 p = K(b) generated by mu_1, with mu_i = K(b_1..b_{i-1}) mu_1; both are
 prefix continuants of b, so every public function takes b alone, and the
 private cores behind the spin and invariant functions take them from one
-pass (report.spin_rows makes that pass once per report).  Computed here:
-spin structures as parity bit vectors, the two formulas for the
-plane-field invariant (one from the handle picture of the filling, one
-from the compactified resolution side), and the chain's rotation numbers.
+pass (spin_rows makes that pass once per report).  Computed here: spin
+structures as parity bit vectors, the two formulas for the plane-field
+invariant (one from the handle picture of the filling, one from the
+compactified resolution side), the spin section that checks they agree,
+and the chain's rotation numbers.
 
 The two invariant formulas are not independent.  With N_i = s_{i-1} +
 s_{i+1} + b_i (1 - s_i), both expand to sum_i (N_i/2 - [i >= 2]) mu_i,
@@ -31,6 +32,7 @@ __all__ = [
     "is_valid_spin",
     "gamma_filling",
     "gamma_standard",
+    "spin_rows",
     "rotation_numbers",
 ]
 
@@ -147,9 +149,9 @@ def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
     and the negated sum is gamma_filling's polynomial term by term.
     """
     b = tuple(b)
+    *mu, p = _chain_continuants(b)[1:]  # the chain first, as in gamma_filling
     if not is_valid_spin(b, s):
         raise LensfillError(f"{s} is not a spin structure for chain {b}")
-    *mu, p = _chain_continuants(b)[1:]
     return _gamma_standard(b, s, mu, p)
 
 
@@ -160,6 +162,24 @@ def _gamma_standard(b: tuple[int, ...], s: Sequence[int], mu: list[int], p: int)
     g = [(2 + x * (1 - t[i + 1]) - t[i] - t[i + 2]) // 2 for i, x in enumerate(bprime)]
     total = (g[1] - g[0]) * mu[0] + sum(x * c for x, c in zip(g[2:], mu[1:]))
     return (-total) % p
+
+
+def spin_rows(b: tuple[int, ...]) -> list[dict]:
+    """The spin section: Gamma from the handle picture and from the standard
+    contact structure, on every spin structure of the chain b.
+
+    The two formulas must agree exactly (they are one polynomial, see above);
+    TheoremViolation names the spin structure where they do not, and the
+    caller's naming scope the pair.
+    """
+    *mu, p = _chain_continuants(b)[1:]  # one continuant pass serves all three
+    rows = []
+    for s in _spin_structures(b, p):
+        gf, gs = _gamma_filling(b, s, mu, p), _gamma_standard(b, s, mu, p)
+        if gf != gs:
+            raise TheoremViolation(f"gamma at s={s}: filling formula {gf}, standard formula {gs}")
+        rows.append({"s": list(s), "gamma_filling": gf, "gamma_standard": gs})
+    return rows
 
 
 def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:

@@ -21,7 +21,8 @@ homology of the complement and its minimality; the counts of ambient
 (-1)-classes meeting a single curve, which give back n by construction,
 are reported.  check_filling runs each checker once: build_string re-checks
 the pairings, validate_hom_classes the shapes, which give the types, and
-validate_string_lemma, given the shapes, the nesting.
+validate_string_lemma, given the shapes, the nesting.  check_fillings runs
+it on a chain's fillings within the work budget MAX_LATTICE_WORK.
 
 Every (-1)-class that matters here is orthogonal to [C_0] = l, so it lies
 in the span of the f_j.  That span has Gram matrix -I, so a class of
@@ -60,6 +61,7 @@ __all__ = [
     "minimal_si_counts",
     "orthogonal_minus_one_classes",
     "check_filling",
+    "check_fillings",
 ]
 
 
@@ -322,3 +324,16 @@ def check_filling(b: Sequence[int], n: Sequence[int]) -> dict:
         "si_counts": list(counts),
         "minimal": minimal,
     }
+
+
+def check_fillings(b: Sequence[int], zs: Sequence[CFTuple]) -> list[dict]:
+    """check_filling on each filling in zs of the chain b, in order; refused with
+    LensfillError before any is checked if fillings x k^2 exceeds MAX_LATTICE_WORK."""
+    k = len(b)
+    work = len(zs) * k * k
+    if work > MAX_LATTICE_WORK:
+        raise LensfillError(
+            f"{len(zs)} fillings of a chain of {k} entries make {work} units of "
+            f"lattice work (fillings x k^2), more than the limit of {MAX_LATTICE_WORK}"
+        )
+    return [check_filling(b, n) for n in zs]

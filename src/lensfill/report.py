@@ -10,50 +10,22 @@ A report searches the bounded zero tuples once and expands p/q once (by
 dual_expansion), and classify and uniqueness_predicate read those.  The
 tuples come from the package's own search, so the report takes the
 two-handle counts b - n directly instead of calling invariants, which first
-checks that its argument is a bounded zero tuple.  The commands fillings,
-classify, rot and sweep render reports or project them.
+checks that its argument is a bounded zero tuple.  The spin section and
+its check are homology.spin_rows; this module assembles and renders only.
+The commands fillings, classify, rot and sweep render reports or project them.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .errors import TheoremViolation
-from .fillings import (
-    LensParams,
-    classify,
-    make_params,
-    rational_ball_criterion,
-    uniqueness_predicate,
-    zset,
-)
-from .homology import _chain_continuants, _gamma_filling, _gamma_standard, _rotation_numbers
-from .homology import _spin_structures, mu_basis
+from .fillings import classify, make_params, rational_ball_criterion, uniqueness_predicate, zset
+from .homology import _rotation_numbers, mu_basis, spin_rows
 from .cfrac import dual_expansion
 
-__all__ = ["build_report", "spin_rows", "render_json", "render_table", "csv_rows", "render_csv",
-           "CSV_HEADER"]
+__all__ = ["build_report", "render_json", "render_table", "csv_rows", "render_csv", "CSV_HEADER"]
 
 CSV_HEADER = ["p", "q", "b", "n", "chi", "b2", "handles", "rot", "class_index"]
-
-
-def spin_rows(params: LensParams) -> list[dict[str, Any]]:
-    """The spin section: Gamma from the handle picture and from the standard
-    contact structure, on every spin structure of the boundary.
-
-    The two formulas must agree exactly; TheoremViolation names the spin
-    structure where they do not, and the caller's naming scope the pair.
-    Both expand to the same polynomial in the meridian classes (see homology),
-    so the check guards the two implementations against each other.
-    """
-    *mu, p = _chain_continuants(params.b)[1:]  # one continuant pass serves all three
-    rows = []
-    for s in _spin_structures(params.b, p):
-        gf, gs = _gamma_filling(params.b, s, mu, p), _gamma_standard(params.b, s, mu, p)
-        if gf != gs:
-            raise TheoremViolation(f"gamma at s={s}: filling formula {gf}, standard formula {gs}")
-        rows.append({"s": list(s), "gamma_filling": gf, "gamma_standard": gs})
-    return rows
 
 
 def build_report(p: int, q: int) -> dict[str, Any]:
@@ -86,7 +58,7 @@ def build_report(p: int, q: int) -> dict[str, Any]:
         "z_set": [list(n) for n in zs],
         "classes": classes,
         "fillings": fillings,
-        "spin": spin_rows(params),
+        "spin": spin_rows(params.b),
         "flags": {
             "rational_ball": witness is not None,
             "rational_ball_witness": list(witness) if witness else None,

@@ -5,7 +5,8 @@ range of pairs, lengths or p, and returns (cases, detail) when every case
 holds.  At the first case that fails it raises TheoremViolation naming
 what disagreed and where: k, or the pair through a naming scope per pair.
 The command line tool prints that message as the suite's first
-counterexample.  The test suite drives the same functions.
+counterexample.  SUITES holds each suite with its bound's flag and default,
+which verify reads.  The test suite drives the same functions.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from .cfrac import _catalan, enumerate_zero_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
 from .errors import LensfillError, TheoremViolation, naming
 from .exact import continuants
-from .homology import rotation_numbers
-from .lattice import check_filling
-from .report import spin_rows
+from .homology import rotation_numbers, spin_rows
+from .lattice import check_fillings
 
 __all__ = ["SUITES"]
 
@@ -48,7 +48,7 @@ def _triangulation_tuples(k: int):
     return (t[1:] for t in splits(k))
 
 
-def suite_catalan(kmax: int = 12) -> tuple[int, str]:
+def suite_catalan(kmax: int) -> tuple[int, str]:
     """Zero tuples of length k >= 2 are the triangle counts at v_1..v_k, one
     per triangulation of the polygon v_0..v_k (Conway-Coxeter), so Catalan(k-1)
     of them: each k's search list, counted before it becomes a set, must lose
@@ -69,7 +69,7 @@ def suite_catalan(kmax: int = 12) -> tuple[int, str]:
     return kmax - 1, f"search = triangulation census for k <= {kmax}"
 
 
-def suite_duality(pmax: int = 300) -> tuple[int, str]:
+def suite_duality(pmax: int) -> tuple[int, str]:
     """Reversal symmetry: the inverse-parameter lens space has the
     reversed chain and the reversed fillings."""
     cases = 0
@@ -85,7 +85,7 @@ def suite_duality(pmax: int = 300) -> tuple[int, str]:
     return cases, f"all pairs with p <= {pmax}"
 
 
-def suite_gamma(pmax: int = 100) -> tuple[int, str]:
+def suite_gamma(pmax: int) -> tuple[int, str]:
     """The two plane-field invariant formulas agree exactly on every spin
     structure; spin_rows raises, naming s, where they differ.
     Both expand to the same polynomial in the meridian classes (see
@@ -94,14 +94,14 @@ def suite_gamma(pmax: int = 100) -> tuple[int, str]:
     cases = pairs = 0
     for p, q in _coprime_pairs(pmax):
         with naming(p, q):
-            cases += len(spin_rows(make_params(p, q)))
+            cases += len(spin_rows(make_params(p, q).b))
         pairs += 1
     # "negated for 0" keeps the published detail format: no pair may pass with
     # the formulas of opposite sign
     return cases, f"p <= {pmax}; convention: direct for {pairs} pairs, negated for 0"
 
 
-def suite_rotation(kmax: int = 10) -> tuple[int, str]:
+def suite_rotation(kmax: int) -> tuple[int, str]:
     """Every searched zero tuple of length 2..kmax is admissible:
     rotation_numbers refuses any other, naming n.  The terminal relation
     of its recursion holds by proof (see rotation_numbers), unchecked."""
@@ -113,23 +113,22 @@ def suite_rotation(kmax: int = 10) -> tuple[int, str]:
     return cases, f"all zero tuples with k <= {kmax}"
 
 
-def suite_lattice(pmax: int = 60) -> tuple[int, str]:
+def suite_lattice(pmax: int) -> tuple[int, str]:
     """Geometric cross-checks: class shapes, exceptional-set nesting,
     complement homology and minimality."""
     cases = 0
     for p, q in _coprime_pairs(pmax):
         with naming(p, q):
             pr = make_params(p, q)
-            for n in zset(pr):
-                try:
-                    check_filling(pr.b, n)
-                except LensfillError as exc:  # n came from zset, so any refusal is a violation
-                    raise TheoremViolation(str(exc)) from None
-                cases += 1
+            zs = zset(pr)
+            try:  # the budget cannot bind: at p <= 120 the most work is 14,161 units, at L(120,1)
+                cases += len(check_fillings(pr.b, zs))
+            except LensfillError as exc:  # zs came from zset, so any refusal is a violation
+                raise TheoremViolation(str(exc)) from None
     return cases, f"all fillings with p <= {pmax}"
 
 
-def suite_mcduff(pmax: int = 100) -> tuple[int, str]:
+def suite_mcduff(pmax: int) -> tuple[int, str]:
     """Classification counts for L(p, 1): one class except two at p = 4."""
     for p in range(2, pmax + 1):
         with naming(p, 1):
@@ -141,7 +140,7 @@ def suite_mcduff(pmax: int = 100) -> tuple[int, str]:
     return pmax - 1, f"L(p,1) for p <= {pmax}"
 
 
-def suite_rational_ball(pmax: int = 500) -> tuple[int, str]:
+def suite_rational_ball(pmax: int) -> tuple[int, str]:
     """A filling with b2 = 0 exists iff (p, q) = (m^2, m h - 1) with m, h
     coprime; the witness pairs are enumerated independently.  Such a filling
     is n = b - e_j with its only 1 at j, so b_j = 2; its handle side
@@ -173,14 +172,15 @@ def suite_rational_ball(pmax: int = 500) -> tuple[int, str]:
     return cases, f"p <= {pmax}; {len(found)} rational-ball pairs"
 
 
-SUITES: dict[str, Callable[[int], tuple[int, str]]] = {
-    "catalan": suite_catalan,
-    "duality": suite_duality,
-    "gamma": suite_gamma,
-    "rotation": suite_rotation,
-    "lattice": suite_lattice,
-    "mcduff": suite_mcduff,
-    "rational-ball": suite_rational_ball,
+# name -> (suite, the verify flag that sets its one bound, the bound's default)
+SUITES: dict[str, tuple[Callable[[int], tuple[int, str]], str, int]] = {
+    "catalan": (suite_catalan, "kmax", 12),
+    "duality": (suite_duality, "pmax", 300),
+    "gamma": (suite_gamma, "pmax", 100),
+    "rotation": (suite_rotation, "kmax", 10),
+    "lattice": (suite_lattice, "pmax", 60),
+    "mcduff": (suite_mcduff, "pmax", 100),
+    "rational-ball": (suite_rational_ball, "pmax", 500),
 }
 
 _ALIASES = {"corollary-c": "rational-ball"}

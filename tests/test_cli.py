@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lensfill import build_report
+from lensfill import build_report, cfrac, cli, fillings, homology, lattice, suites
 from lensfill.errors import LensfillError, TheoremViolation
 from test_fillings import coprime_pair
 
@@ -108,15 +108,11 @@ JSON_VALUES = st.recursive(
 @example({"a": [], "b": {}, "c": [[], {}, ()], "d": [[[]], {"e": {}}]})
 @example([1, True, 2**65, -3, None])
 def test_render_equals_stdlib_indent_2(x):
-    from lensfill import cli
-
     assert cli._render(x) == json.dumps(x, indent=2)
 
 
 @pytest.mark.parametrize("argv", [["sweep", "30", "--json"], ["zeroseq", "6", "--json"]])
 def test_json_output_is_the_stdlib_rendering(argv, capsys):
-    from lensfill import cli
-
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
@@ -156,8 +152,6 @@ def test_out_file(tmp_path):
 
 
 def test_unwritable_out_fails_before_computing(monkeypatch, capsys, tmp_path):
-    from lensfill import cli
-
     def refuse(p, q):
         raise AssertionError("computed before opening --out")
 
@@ -195,8 +189,6 @@ def test_out_on_a_full_device_is_one_error_line():
 def test_a_failed_write_removes_the_out_file_it_created(monkeypatch, capsys, tmp_path):
     import errno
 
-    from lensfill import cli
-
     def full(text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -215,8 +207,6 @@ def test_a_failed_write_removes_the_out_file_it_created(monkeypatch, capsys, tmp
 
 
 def test_failed_command_removes_the_out_file_it_created(monkeypatch, capsys, tmp_path):
-    from lensfill import cli
-
     target = tmp_path / "new.txt"
     for argv in (["fillings", "6", "4"], ["zeroseq", "16"]):
         assert cli.main([*argv, "--out", str(target)]) == 1, argv
@@ -299,8 +289,6 @@ def test_zeroseq_command():
 
 @pytest.mark.parametrize("k", [1, 2, 5, 11])  # k = 11 has two-digit entries
 def test_zeroseq_text_equals_triangulation_census(k, capsys):
-    from lensfill import cli, suites
-
     tuples = sorted(suites._triangulation_tuples(k)) if k > 1 else [(0,)]
     lines = [f"# {len(tuples)} zero tuples of length {k}"]
     lines += [" ".join(str(x) for x in t) for t in tuples]
@@ -312,7 +300,6 @@ def test_zeroseq_text_equals_triangulation_census(k, capsys):
 
 
 def test_zeroseq_writes_the_searched_tuples_as_json_dumps_would(capsys):
-    from lensfill import cli
     from lensfill.cfrac import enumerate_zero_cf
 
     for k in range(1, 13):
@@ -388,26 +375,18 @@ def test_verify_routes_bounds_by_suite_signature():
 
 
 def test_every_suite_takes_one_bound_with_a_default():
-    # cmd_verify routes --pmax/--kmax by this parameter and allows --pmax up
-    # to twice its default
+    # cmd_verify passes the table flag's value, or the default, as the one bound
     import inspect
 
     from lensfill.suites import SUITES
 
-    for name, suite in SUITES.items():
-        params = list(inspect.signature(suite).parameters.values())
-        assert len(params) == 1, name
-        (param,) = params
-        assert param.name in ("pmax", "kmax"), name
-        assert type(param.default) is int and param.default >= 2, name
-        # cmd_verify reads the same name and default from the code object
-        assert suite.__code__.co_varnames[0] == param.name, name
-        assert suite.__defaults__ == (param.default,), name
+    for name, (suite, flag, default) in SUITES.items():
+        assert list(inspect.signature(suite).parameters) == [flag], name
+        assert flag in ("pmax", "kmax"), name
+        assert type(default) is int and default >= 2, name
 
 
 def test_verify_all_reports_a_failed_suite_and_runs_the_rest(monkeypatch, capsys):
-    from lensfill import cli, suites
-
     monkeypatch.setattr(suites, "classify", lambda params, zs: [[0]])  # one class at every p
     assert cli.main(["verify", "all", "--pmax", "12", "--kmax", "5"]) == 2
     out, err = capsys.readouterr()
@@ -430,12 +409,10 @@ def _refuse(*args):
 
 @pytest.mark.parametrize("suite, name, fake", [
     ("duality", "reverse", lambda t: t),
-    ("lattice", "check_filling", _refuse),
+    ("lattice", "check_fillings", _refuse),
     ("rational-ball", "rational_ball_criterion", lambda p, q: None),
 ], ids=["duality", "lattice", "rational-ball"])
 def test_verify_counterexample_names_the_pair(monkeypatch, capsys, suite, name, fake):
-    from lensfill import cli, suites
-
     monkeypatch.setattr(suites, name, fake)
     assert cli.main(["verify", suite, "--pmax", "12"]) == 2
     out, err = capsys.readouterr()
@@ -446,8 +423,6 @@ def test_verify_counterexample_names_the_pair(monkeypatch, capsys, suite, name, 
 
 
 def test_rational_ball_order_must_match_the_witness(monkeypatch, capsys):
-    from lensfill import cli, suites
-
     # L(4,1)'s b2 = 0 filling (2, 1, 2) has its 2-handle at i = 2, so g = K(2) = 2 = m
     witness = suites.rational_ball_criterion
 
@@ -470,8 +445,6 @@ def test_rational_ball_order_must_match_the_witness(monkeypatch, capsys):
     ((2, 1, 1, 4), [2, 3], 2),  # n_2 < b_2, but n_3 is a second 1
 ], ids=["missing", "doubled"])
 def test_rational_ball_filling_has_its_one_1_where_b_drops(monkeypatch, capsys, fake, ones, j):
-    from lensfill import cli, suites
-
     # L(9,2) has b = (2, 2, 2, 3) and the b2 = 0 filling (2, 2, 1, 3); swap in the fake
     search = suites.zset
     monkeypatch.setattr(
@@ -520,14 +493,13 @@ def test_table_output_mentions_key_facts():
 
 
 def test_gamma_formulas_must_agree_strictly(monkeypatch, capsys):
-    from lensfill import cli, homology
     from lensfill.errors import TheoremViolation
     from lensfill.suites import suite_gamma
 
-    # negate the standard formula's core, which the public gamma_standard and
-    # the report's spin section both call
-    _rebind(monkeypatch, homology, "_gamma_standard",
-            lambda standard: lambda b, s, mu, p: (-standard(b, s, mu, p)) % p)
+    # negate the standard formula's core, which gamma_standard and spin_rows both call
+    standard = homology._gamma_standard
+    monkeypatch.setattr(homology, "_gamma_standard",
+                        lambda b, s, mu, p: (-standard(b, s, mu, p)) % p)
     assert cli.main(["gamma", "4", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -537,8 +509,6 @@ def test_gamma_formulas_must_agree_strictly(monkeypatch, capsys):
 
 
 def test_gamma_and_expand_never_enumerate_fillings(monkeypatch, capsys):
-    from lensfill import cli, fillings
-
     def refuse(bounds):
         raise AssertionError("zero-tuple search called")
 
@@ -551,8 +521,6 @@ def test_gamma_and_expand_never_enumerate_fillings(monkeypatch, capsys):
 
 
 def test_searches_past_the_tuple_limit_exit_1(monkeypatch, capsys):
-    from lensfill import cfrac, cli
-
     monkeypatch.setattr(cfrac, "MAX_TUPLES", 1)  # L(4,1) has two fillings
     for argv in (
         ["fillings", "4", "1"],
@@ -571,8 +539,6 @@ def test_searches_past_the_tuple_limit_exit_1(monkeypatch, capsys):
 
 
 def test_expansions_past_the_chain_limit_exit_1(monkeypatch, capsys):
-    from lensfill import cfrac, cli
-
     # 5/4 = [2, 2, 2, 2]: L(5,1) has that chain, L(5,4) that dual expansion;
     # either refusal names the command's pair
     monkeypatch.setattr(cfrac, "MAX_CHAIN", 3)
@@ -588,8 +554,6 @@ def test_expansions_past_the_chain_limit_exit_1(monkeypatch, capsys):
 
 
 def test_chain_limit_message_names_the_pair(capsys):
-    from lensfill import cli
-
     assert cli.main(["fillings", "100000001", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -598,8 +562,6 @@ def test_chain_limit_message_names_the_pair(capsys):
 
 
 def test_escaped_reversal_exits_2(monkeypatch, capsys):
-    from lensfill import cli, fillings
-
     # L(21,8) has b = (2, 3, 3, 2) and 8^2 = 1 mod 21, so the reversal of each
     # filling must be a filling; drop (2, 1, 3, 1), the reversal of (1, 3, 1, 2)
     search = fillings.bounded_zero_cf
@@ -620,8 +582,6 @@ def test_escaped_reversal_exits_2(monkeypatch, capsys):
 
 
 def test_second_filling_of_a_certified_pair_exits_2(monkeypatch, capsys):
-    from lensfill import cli, fillings
-
     # 24/5 = [5, 5], so L(24,5) with b = (2, 2, 2, 3, 2, 2, 2) has the staircase
     # alone; add a palindromic zero tuple, which the reversal check lets through
     search = fillings.bounded_zero_cf
@@ -658,12 +618,10 @@ def test_per_pair_commands_finish_or_fail_fast(command, pair):
 
 def test_lattice_check_refuses_a_command_over_its_work_limit(monkeypatch, capsys):
     # b = (3,)*20 + (2,)*480 has 2,149 fillings at k = 500: refused once zset is known
-    from lensfill import cli
-
     def unreachable(b, n):
         raise AssertionError("check_filling ran on a refused command")
 
-    monkeypatch.setattr(cli, "check_filling", unreachable)
+    monkeypatch.setattr(lattice, "check_filling", unreachable)
     start = time.perf_counter()
     assert cli.main(["lattice-check", "79746381976", "49285974541"]) == 1
     elapsed = time.perf_counter() - start
@@ -679,16 +637,14 @@ def test_lattice_check_refuses_a_command_over_its_work_limit(monkeypatch, capsys
 
 def test_lattice_check_work_limit_admits_the_largest_known_command(monkeypatch, capsys):
     # b = (3,)*10 + (2,)*490: 46 fillings at k = 500, 11,500,000 units, within the limit
-    from lensfill import cli
-
     checked = []
-    monkeypatch.setattr(cli, "check_filling", lambda b, n: checked.append(n) or {"n": list(n)})
+    monkeypatch.setattr(lattice, "check_filling", lambda b, n: checked.append(n) or {"n": list(n)})
     assert cli.main(["lattice-check", "5381251", "3325796", "--json"]) == 0
     assert len(checked) == 46
     # the limit is inclusive: L(9,2) has 2 fillings of a 4-entry chain, 32 units
-    monkeypatch.setattr(cli, "MAX_LATTICE_WORK", 32)
+    monkeypatch.setattr(lattice, "MAX_LATTICE_WORK", 32)
     assert cli.main(["lattice-check", "9", "2", "--json"]) == 0
-    monkeypatch.setattr(cli, "MAX_LATTICE_WORK", 31)
+    monkeypatch.setattr(lattice, "MAX_LATTICE_WORK", 31)
     assert cli.main(["lattice-check", "9", "2", "--json"]) == 1
     out, err = capsys.readouterr()
     assert err.endswith("2 fillings of a chain of 4 entries make 32 units of lattice work "
@@ -708,31 +664,22 @@ def test_lattice_check_refuses_too_many_exceptional_classes():
     assert elapsed < 5.0, elapsed
 
 
-def _rebind(monkeypatch, module, name, wrap):
-    """Replace module.name by wrap(module.name) in every lensfill module that
-    binds it, so callers that imported the name see the replacement too."""
-    original = getattr(module, name)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("lensfill") and vars(mod).get(name) is original:
-            monkeypatch.setattr(mod, name, wrap(original))
-
-
 def _force(monkeypatch, stage):
     """Make one stage's check fail, or one limit refuse, on every pair."""
-    from lensfill import cfrac, fillings, homology, lattice
-
+    chain, spins, standard = (homology._chain_continuants, homology._spin_structures,
+                              homology._gamma_standard)
     if stage == "point-diagram":  # the direct route gains an entry the diagram lacks
         direct = cfrac.hj_expand
         monkeypatch.setattr(cfrac, "hj_expand", lambda p, q: (*direct(p, q), 2))
     elif stage == "spin-count":  # p + 1 for p flips the parity the count is checked against
-        _rebind(monkeypatch, homology, "_chain_continuants",
-                lambda chain: lambda b: [*chain(b)[:-1], chain(b)[-1] + 1])
+        monkeypatch.setattr(homology, "_chain_continuants",
+                            lambda b: [*chain(b)[:-1], chain(b)[-1] + 1])
     elif stage == "spin-validity":  # one entry too many is never a spin structure
-        _rebind(monkeypatch, homology, "_spin_structures",
-                lambda spins: lambda b, p: [(*s, 0) for s in spins(b, p)])
-    elif stage == "gamma":  # the core both the report and gamma_standard call
-        _rebind(monkeypatch, homology, "_gamma_standard",
-                lambda standard: lambda b, s, mu, p: standard(b, s, mu, p) + 1)
+        monkeypatch.setattr(homology, "_spin_structures",
+                            lambda b, p: [(*s, 0) for s in spins(b, p)])
+    elif stage == "gamma":  # the core both spin_rows and gamma_standard call
+        monkeypatch.setattr(homology, "_gamma_standard",
+                            lambda b, s, mu, p: standard(b, s, mu, p) + 1)
     elif stage == "reversal":  # a reversal that leaves the bounded set
         monkeypatch.setattr(fillings, "reverse", lambda t: (*reversed(t), 0))
     elif stage == "lattice-check":
@@ -772,8 +719,6 @@ FORCED_FAILURES = {
     (stage, command) for stage, (_, _, commands) in FORCED_FAILURES.items() for command in commands
 ], ids=lambda x: x.replace(" ", "-"))
 def test_forced_failure_names_its_pair_once(monkeypatch, capsys, stage, command):
-    from lensfill import cli
-
     code, first, _ = FORCED_FAILURES[stage]
     argv = command.split()
     if argv[0] == "verify":
@@ -813,8 +758,6 @@ SUITE_FAILURES = {
 
 @pytest.mark.parametrize("case", SUITE_FAILURES)
 def test_forced_suite_failure_names_its_counterexample(monkeypatch, capsys, case):
-    from lensfill import cli, suites
-
     suite, name, wrap, message = SUITE_FAILURES[case]
     monkeypatch.setattr(suites, name, wrap(getattr(suites, name)))
     assert cli.main(["verify", suite, "--pmax", "12"]) == 2
@@ -824,7 +767,6 @@ def test_forced_suite_failure_names_its_counterexample(monkeypatch, capsys, case
 
 
 def test_naming_prefixes_only_inside_its_scope(monkeypatch):
-    from lensfill import cfrac
     from lensfill.errors import naming
     from lensfill.fillings import make_params
 

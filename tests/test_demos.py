@@ -21,3 +21,25 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=REPO, timeout=120
     )
     assert res.returncode == 0, res.stderr
+
+
+README_EXAMPLES = [
+    line[len("$ lensfill "):].split()
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines()
+    if line.startswith("$ lensfill ")
+]
+
+
+def test_readme_examples_cover_every_subcommand():
+    from lensfill.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert {argv[0] for argv in README_EXAMPLES} == set(sub.choices)
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids="-".join)
+def test_readme_example_exits_0(argv, tmp_path, monkeypatch, capsys):
+    from lensfill.cli import main
+
+    monkeypatch.chdir(tmp_path)  # an --out example writes here
+    assert main(argv) == 0, capsys.readouterr().err

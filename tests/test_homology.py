@@ -1,5 +1,4 @@
 from itertools import product
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +14,10 @@ from lensfill.homology import (
     is_valid_spin,
     mu_basis,
     rotation_numbers,
+    spin_rows,
     spin_structures,
 )
-from lensfill.report import spin_rows
-
-
-def coprime_pairs(pmax):
-    for p in range(2, pmax + 1):
-        for q in range(1, p):
-            if gcd(p, q) == 1:
-                yield p, q
+from test_fillings import coprime_pairs
 
 
 def chain(p, q):
@@ -131,6 +124,13 @@ def test_gamma_standard_examples():
     assert gamma_standard(b, s) == gamma_filling(b, s)
 
 
+def test_gamma_formulas_check_the_chain_before_s():
+    # (1, 1) has determinant 0, and s = (1, 1) leaves N_1 = 1 odd: bad both ways
+    for gamma in (gamma_filling, gamma_standard):
+        with pytest.raises(LensfillError, match=r"^chain \(1, 1\) has determinant 0, need p >= 1$"):
+            gamma((1, 1), (1, 1))
+
+
 def test_gamma_equality_sweep():
     for p, q in coprime_pairs(60):
         b = chain(p, q)
@@ -143,10 +143,7 @@ def test_gamma_equality_sweep():
 def test_spin_rows_equal_the_public_formulas(b):
     # spin_rows shares one continuant pass among the spin recurrence and both
     # formulas; the public entry points each compute their own
-    p = continuant(b)
-    params = make_params(p, p - continuant(b[1:]))
-    assert params.b == b
-    assert spin_rows(params) == [
+    assert spin_rows(b) == [
         {"s": list(s), "gamma_filling": gamma_filling(b, s), "gamma_standard": gamma_standard(b, s)}
         for s in spin_structures(b)
     ]

@@ -1,5 +1,6 @@
 """Every name a lensfill module imports is used in that module, every
-module-level import comes from a short allow-list of cheap modules, and no
+module-level import comes from a short allow-list of cheap modules, only
+the cli and the package ``__init__`` import the report module, and no
 command loads the heavy stdlib modules the package does without; every
 module-level private name is used somewhere in the package, every public
 name is used in the package or a demo, no module
@@ -29,6 +30,15 @@ EXPORTING_MODULES = (cfrac, exact, fillings, homology, lattice)
 
 PACKAGE = Path(lensfill.__file__).parent
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+SOURCES = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def findings(check, skip=""):
+    """{file name: check(source)} for each package module but skip where
+    check finds anything."""
+    return {
+        f"{m}.py": found for m, source in SOURCES.items() if m != skip and (found := check(source))
+    }
 
 
 def unused_imports(source):
@@ -51,13 +61,7 @@ def test_unused_imports_detected():
 
 
 def test_no_unused_imports_in_package():
-    found = {
-        path.name: unused
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-        and (unused := unused_imports(path.read_text(encoding="utf-8")))
-    }
-    assert found == {}
+    assert findings(unused_imports, skip="__init__") == {}
 
 
 # the stdlib modules a module of the package may import at module level; the
@@ -104,12 +108,40 @@ def test_disallowed_imports_detected():
 
 
 def test_module_level_imports_are_allowed():
-    found = {
-        path.name: bad
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (bad := disallowed_imports(path.read_text(encoding="utf-8")))
+    assert findings(disallowed_imports) == {}
+
+
+def report_importers(sources):
+    """Sorted names of the modules in ``sources`` (module name -> source
+    text) that import the report module, relatively or as lensfill.report."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["lensfill" if node.level else "", node.module]))
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "lensfill.report" in names:
+                found.add(module)
+    return sorted(found)
+
+
+def test_report_importers_detected():
+    sources = {
+        "cli": "from .report import build_report\n", "relative": "from . import report\n",
+        "absolute": "import json, lensfill.report\n",
+        "inside": "def f():\n    from lensfill.report import render_json\n",
+        "clean": "from .homology import spin_rows\nfrom .reporting import x\nimport report\n",
     }
-    assert found == {}
+    assert report_importers(sources) == ["absolute", "cli", "inside", "relative"]
+
+
+def test_only_cli_imports_report():
+    # report assembles and renders; the layers below it never import it
+    assert report_importers(SOURCES) == ["__init__", "cli"]
 
 
 # stdlib modules the package does without: dataclasses alone pulls in inspect,
@@ -186,8 +218,7 @@ def test_dead_private_names_detected():
 
 
 def test_no_dead_private_names_in_package():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    assert dead_private_names(sources) == []
+    assert dead_private_names(SOURCES) == []
 
 
 def uncalled_public_names(exported, sources):
@@ -233,13 +264,12 @@ def test_every_public_name_has_a_caller():
     # caller in the package itself, whose zero tests read the integer core.
     # invariants serves demo 03 (and perfbench's traced invariants span): the
     # report takes b - n inline and the family's chi holds by proof.
-    # gamma_filling, gamma_standard and spin_structures serve demo 04: the
-    # report's spin section calls their cores with one continuant pass
+    # gamma_filling, gamma_standard and spin_structures serve demo 04:
+    # homology.spin_rows calls their cores with one continuant pass
     exported = {module.__name__.rpartition(".")[2]: module.__all__ for module in EXPORTING_MODULES}
-    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     demos = {path.stem: path.read_text(encoding="utf-8") for path in sorted(DEMOS.glob("*.py"))}
-    assert uncalled_public_names(exported, package | demos) == []
-    assert uncalled_public_names(exported, package) == [
+    assert uncalled_public_names(exported, SOURCES | demos) == []
+    assert uncalled_public_names(exported, SOURCES) == [
         ("cfrac", "blowup"), ("cfrac", "eval_cf"), ("fillings", "invariants"),
         ("fillings", "minimal_filling_family"), ("homology", "gamma_filling"),
         ("homology", "gamma_standard"), ("homology", "spin_structures"),
@@ -257,12 +287,7 @@ def test_assert_statements_detected():
 
 
 def test_no_assert_statements_in_package():
-    found = {
-        path.name: lines
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (lines := assert_statements(path.read_text(encoding="utf-8")))
-    }
-    assert found == {}
+    assert findings(assert_statements) == {}
 
 
 ERROR_CLASSES = ("LensfillError", "TheoremViolation")
@@ -290,12 +315,7 @@ def test_stray_raises_detected():
 
 
 def test_every_raise_names_a_package_error():
-    found = {
-        path.name: lines
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (lines := stray_raises(path.read_text(encoding="utf-8")))
-    }
-    assert found == {}
+    assert findings(stray_raises) == {}
 
 
 # module.function -> a test, as file::name, that makes that function raise
@@ -306,10 +326,10 @@ RAISE_TESTS = {
     "fillings.classify": "test_fillings.py::test_orbits_reject_a_reversal_outside_the_set",
     "fillings.uniqueness_predicate": "test_fillings.py::test_uniqueness_predicate_examples",
     "homology._spin_structures": "test_cli.py::test_forced_failure_names_its_pair_once",
+    "homology.spin_rows": "test_cli.py::test_gamma_formulas_must_agree_strictly",
     "lattice.build_string": "test_lattice.py::test_pairing_violation_names_its_filling",
     "lattice.check_filling": "test_lattice.py::test_check_filling_forced_failure",
     "lattice.complement_homology": "test_lattice.py::test_b2_violation_names_its_filling",
-    "report.spin_rows": "test_cli.py::test_gamma_formulas_must_agree_strictly",
     "suites.suite_catalan": "test_cfrac.py::test_suite_catalan_fails_on_a_swapped_tuple",
     "suites.suite_duality": "test_cli.py::test_forced_suite_failure_names_its_counterexample",
     "suites.suite_lattice": "test_cli.py::test_verify_counterexample_names_the_pair",
@@ -370,12 +390,11 @@ def test_raise_table_gaps_detected():
 
 
 def test_every_theorem_violation_has_a_test_that_fires_it():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     tests = {
         path.name: path.read_text(encoding="utf-8")
         for path in sorted(Path(__file__).resolve().parent.glob("test_*.py"))
     }
-    assert raise_table_gaps(sources, tests, RAISE_TESTS) == []
+    assert raise_table_gaps(SOURCES, tests, RAISE_TESTS) == []
 
 
 def pair_naming_raises(source):
@@ -403,13 +422,7 @@ def test_pair_naming_raises_detected():
 
 
 def test_only_errors_names_the_pair_in_a_raise():
-    found = {
-        path.name: lines
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "errors.py"
-        and (lines := pair_naming_raises(path.read_text(encoding="utf-8")))
-    }
-    assert found == {}
+    assert findings(pair_naming_raises, skip="errors") == {}
 
 
 def indented_json_calls(source):
@@ -437,12 +450,7 @@ def test_indented_json_calls_detected():
 
 
 def test_no_indented_json_calls_in_package():
-    found = {
-        path.name: lines
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (lines := indented_json_calls(path.read_text(encoding="utf-8")))
-    }
-    assert found == {}
+    assert findings(indented_json_calls) == {}
 
 
 def test_errors_defines_exactly_two_classes():

@@ -1,7 +1,7 @@
 import random
 import time
 from collections import Counter
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 
@@ -21,13 +21,7 @@ from lensfill.lattice import (
     validate_hom_classes,
     validate_string_lemma,
 )
-
-
-def coprime_pairs(pmax):
-    for p in range(2, pmax + 1):
-        for q in range(1, p):
-            if gcd(p, q) == 1:
-                yield p, q
+from test_fillings import coprime_pairs
 
 
 def cls(line, lead, *tails):
