@@ -170,7 +170,7 @@ def blowup(t: Sequence[int], s: int) -> CFTuple:
     return tuple(out)
 
 
-def enumerate_zero_cf(k: int, *, _item=None) -> list:
+def enumerate_zero_cf(k: int, *, _totals: Optional[list[int]] = None) -> list:
     """All admissible tuples of positive integers of length k with value 0,
     lexicographic, as the search emits them (a repeat would stay).
 
@@ -178,12 +178,12 @@ def enumerate_zero_cf(k: int, *, _item=None) -> list:
     tuple of length k has entries <= k - 1, by induction on k, since (0)
     has entry 0 and a strict blowup raises the largest entry by at most
     one.  For k = 1 this is [(0,)] by convention; for k >= 2 the count is
-    the Catalan number C(k-1).  _item, bounded_zero_cf's text format, is
-    passed on to the search.
+    the Catalan number C(k-1).  _totals, which turns on bounded_zero_cf's
+    text blocks, is passed on to the search.
     """
     if k < 1:
         raise LensfillError(f"length must be >= 1, got {k}")
-    return bounded_zero_cf((k - 1,) * k, _item=_item)
+    return bounded_zero_cf((k - 1,) * k, _totals=_totals)
 
 
 def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
@@ -214,7 +214,7 @@ def _over_limit(bounds: Sequence[int], limit: int) -> str:
     return f"the zero tuples bounded by {tuple(bounds)} number more than the limit of {limit}"
 
 
-def bounded_zero_cf(bounds: Sequence[int], *, _item: Optional[tuple[str, str, str]] = None) -> list:
+def bounded_zero_cf(bounds: Sequence[int], *, _totals: Optional[list[int]] = None) -> list:
     """All admissible zero tuples n with 0 <= n_i <= bounds_i, lexicographic.
 
     Depth-first search on forced tail values: once n_1..n_{i-1} are fixed,
@@ -262,15 +262,23 @@ def bounded_zero_cf(bounds: Sequence[int], *, _item: Optional[tuple[str, str, st
     the last entry is num, kept when num <= bounds_k; for k = 1 that is
     (0,).
 
-    Text items: given _item = (open, sep, close), the search emits each
-    tuple as the string open + sep.join(entries) + close instead, so a
-    caller that writes the tuples formats no tuple itself.  A span stored
-    under (j, num, den) was filled while n_1..n_j were fixed, so every
-    string in it starts with the same text for those j entries.  A share
-    builds its own head text once, finds where entry j + 1 starts in the
-    span's first string by skipping j separators past the opening, and
-    joins the head to every string's text from that offset on; a tail is
-    formatted once, when it is first emitted, however many prefixes share it.
+    Text blocks: given an empty list _totals, the search emits text instead
+    of tuples, each tuple as "\n" followed by its entries joined by spaces,
+    and returns blocks of such text, far fewer than the tuples (8,046 blocks
+    for the 208,012 tuples under (12,)*13).  A fresh tuple is one block;
+    a share appends one block, a copy of its span's blocks.  The search puts
+    0 in _totals and appends the running tuple count after each block, so
+    _totals[i] tuples precede block i and _totals[-1] is the count.  The
+    span stored under (j, num, den) also keeps the text "\n" + n_1..n_j (a
+    space after each entry) that every tuple in it starts with, and the
+    search keeps that head text for each position as the position advances.
+    A share copies the span with one str.replace of the stored head by its
+    own.  That is exact: "\n" opens every tuple and occurs nowhere else, so
+    each occurrence of the stored head starts a tuple, the occurrences do not
+    overlap, and every tuple of the span has one.  A tail is thus formatted
+    once, when it is first emitted, and each byte of the output belongs to
+    one block, made by one join and one replace: for bounds (12,)*13 the
+    7,969 shares wrote 5,407,299 of the 5,409,313 bytes emitted.
 
     The explicit stack leaves the recursion limit alone.  Raises
     LensfillError rather than emit more than MAX_TUPLES tuples, from a shared
@@ -284,32 +292,38 @@ def bounded_zero_cf(bounds: Sequence[int], *, _item: Optional[tuple[str, str, st
     ks = continuants(bounds[::-1])[k + 1 :: -1]
     out: list = []
     limit = MAX_TUPLES
-    if _item is not None:
-        opening, sep, closing = _item
-        line = opening + sep.join(["%d"] * k) + closing  # one C-level format per fresh tuple
+    text = _totals is not None
+    if text:
+        _totals.append(0)
+    # heads[j] is "\n" and n_1..n_j, each followed by a space (text blocks only)
+    heads = ["\n"] * k
     path = [0] * k
     # (num, den, hi, e, start) per open position: candidate v leaves a tail
     # whose expansion has v + e entries, and out[start:] holds its tuples
     frames: list[tuple[int, int, int, int, int]] = []
-    # by (position, tail value), the span of out that holds its completions
-    shared: dict[tuple[int, int, int], tuple[int, int]] = {}
+    # by (position, tail value), the span of out that holds its completions and
+    # the head text its tuples start with
+    shared: dict[tuple[int, int, int], tuple[int, int, str]] = {}
     num, den, length = 0, 1, 1  # length of the expansion of num/den
     while True:
         j = len(frames)
+        if text and j:
+            heads[j] = f"{heads[j - 1]}{path[j - 1]} "
         if j < last:
             if (j, num, den) in shared:
-                first, end = shared[j, num, den]
-                if len(out) + end - first > limit:
+                first, end, old = shared[j, num, den]
+                if text:
+                    size, count = _totals[-1], _totals[end] - _totals[first]
+                else:
+                    size, count = len(out), end - first
+                if size + count > limit:
                     raise LensfillError(_over_limit(bounds, limit))
-                if _item is None:
+                if not text:
                     head = tuple(path[:j])
                     out += [head + t[j:] for t in out[first:end]]
-                elif first < end:
-                    i = len(opening)  # the offset of entry j + 1 in each string of the span
-                    for _ in range(j):
-                        i = out[first].index(sep, i) + len(sep)
-                    head = opening + "".join([f"{x}{sep}" for x in path[:j]])
-                    out += [head + t[i:] for t in out[first:end]]
+                elif count:
+                    out.append("".join(out[first:end]).replace(old, heads[j]))
+                    _totals.append(size + count)
             else:
                 # open position j just below its first candidate v_0 = num//den + 1, whose
                 # tail has l_0 = length - 1 entries, or 1 if num/den is an integer; e = l_0 - v_0
@@ -330,10 +344,15 @@ def bounded_zero_cf(bounds: Sequence[int], *, _item: Optional[tuple[str, str, st
                 frames.append((num, den, hi, e, len(out)))
                 path[j] = v
         elif j == last and num <= bounds[j]:  # den = 1; k = 0 has no position
-            if len(out) == limit:
+            size = _totals[-1] if text else len(out)
+            if size == limit:
                 raise LensfillError(_over_limit(bounds, limit))
             path[j] = num
-            out.append(tuple(path) if _item is None else line % tuple(path))
+            if text:
+                out.append(f"{heads[j]}{num}")
+                _totals.append(size + 1)
+            else:
+                out.append(tuple(path))
         # advance the deepest open position that has a value left
         while frames:
             num, den, hi, e, start = frames[-1]
@@ -344,7 +363,7 @@ def bounded_zero_cf(bounds: Sequence[int], *, _item: Optional[tuple[str, str, st
                 num, den, length = den, v * den - num, v + e
                 break
             frames.pop()
-            shared[j, num, den] = (start, len(out))
+            shared[j, num, den] = (start, len(out), heads[j])
         else:
             return out
 

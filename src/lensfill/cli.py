@@ -7,10 +7,13 @@ emit).  Errors name their pair through errors.naming scopes.  `verify`
 does not stop at a failed suite: it prints FAIL and the suite's exception
 message as the first counterexample, runs the remaining suites, and exits
 2 if any failed.  Output is deterministic; identical invocations produce
-byte-identical output.  JSON output is byte for byte what
-`json.dumps(..., indent=2)` gives; report.render_json writes reports, cmd_zeroseq its
-payload around the search's text items, and `_render` the rest with str.join, since
-the stdlib's C encoder does not handle an indent.
+byte-identical output.  A command returns its text as one string or as a
+list of chunks, which main writes with writelines, so a large output such as
+zeroseq's or `sweep --json`'s is never joined into one string.  JSON output is
+byte for byte what `json.dumps(..., indent=2)` gives; report.render_json writes
+reports, cmd_zeroseq lays out its payload by rewriting the search's text blocks,
+and `_render` writes the rest with str.join, since the stdlib's C encoder does
+not handle an indent.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ def _dump_json(payload) -> str:
     return _render(payload) + "\n"
 
 
-# Each command returns the text to write; verify also returns its exit code.
+# Each command returns the text to write, as one string or a list of chunks; verify
+# also returns its exit code.
 
 
 def cmd_expand(args) -> str:
@@ -91,19 +95,24 @@ def cmd_expand(args) -> str:
     )
 
 
-def cmd_zeroseq(args) -> str:
+def cmd_zeroseq(args) -> list[str]:
     k = args.k
     catalan = _zero_tuple_count(k, f"zeroseq {k} would write")
-    # the search writes each tuple's text, so a shared tail is formatted once; the
-    # header and footer ride on the end items, so the output is built by one join
-    if args.json:  # the payload {k, count, catalan, tuples} at indent 2; k >= 1 has a tuple
-        items = enumerate_zero_cf(k, _item=("[\n      ", ",\n      ", "\n    ]"))
-        items[0] = (f'{{\n  "k": {k},\n  "count": {len(items)},\n  "catalan": {catalan},\n'
-                    f'  "tuples": [\n    {items[0]}')
-        items[-1] += "\n  ]\n}\n"
-        return ",\n    ".join(items)
-    lines = enumerate_zero_cf(k, _item=("", " ", ""))
-    return "\n".join([f"# {len(lines)} zero tuples of length {k}", *lines, ""])
+    # the search writes the tuples as a few text blocks, each tuple "\n" and its entries
+    # joined by spaces, and counts them; the blocks are written as they stand
+    totals: list[int] = []
+    blocks = enumerate_zero_cf(k, _totals=totals)
+    count = totals[-1]
+    if not args.json:
+        return [f"# {count} zero tuples of length {k}", *blocks, "\n"]
+    # the payload {k, count, catalan, tuples} at indent 2: entries go one to a line, and
+    # a tuple's "\n" (held as ";" meanwhile) closes the tuple before it and opens its own
+    between = "\n    ],\n    [\n      "
+    for i, block in enumerate(blocks):  # in place, so each block's table text can go
+        blocks[i] = block.replace("\n", ";").replace(" ", ",\n      ").replace(";", between)
+    blocks[0] = blocks[0][len(between):]  # k >= 1 has a tuple
+    header = f'{{\n  "k": {k},\n  "count": {count},\n  "catalan": {catalan},\n  "tuples": [\n    [\n      '
+    return [header, *blocks, "\n    ]\n  ]\n}\n"]
 
 
 def cmd_fillings(args) -> str:
@@ -163,7 +172,7 @@ def cmd_lattice_check(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args) -> str | list[str]:
     if args.p_max is not None and args.p_max_flag is not None:
         raise LensfillError(f"sweep takes one bound, got {args.p_max} and --pmax {args.p_max_flag}")
     p_max = args.p_max if args.p_max_flag is None else args.p_max_flag
@@ -187,9 +196,14 @@ def cmd_sweep(args) -> str:
 
     # one report at a time: under --json each is rendered and dropped as it is built
     reports = filter(keep, (report(p, q) for p, q in _coprime_pairs(p_max)))
-    if args.json:
-        chunks = [render_json(r, "\n  ") for r in reports]
-        return "[\n  " + ",\n  ".join(chunks) + "\n]\n" if chunks else "[]\n"
+    if args.json:  # the reports and their separators, written as they stand
+        chunks = ["[\n  "]
+        for r in reports:
+            chunks += (render_json(r, "\n  "), ",\n  ")
+        if len(chunks) == 1:
+            return "[]\n"
+        chunks[-1] = "\n]\n"
+        return chunks
     if args.csv:
         return render_csv(reports)
     lines = []
@@ -330,16 +344,17 @@ def main(argv=None) -> int:
             args.func = naming(args.p, args.q)(args.func)  # the scope as a decorator
         result = args.func(args)
         text, code = result if isinstance(result, tuple) else (result, 0)
+        chunks = [text] if isinstance(text, str) else text  # never joined into one string
         if args.out:
             try:
                 if os.path.isfile(args.out):  # a device such as /dev/null cannot be truncated
                     out.truncate(0)
-                out.write(text)
+                out.writelines(chunks)
                 out.close()  # flushes, so a full device fails here
             except OSError as exc:
                 return _cannot_write(args.out, exc)
         else:
-            out.write(text)
+            out.writelines(chunks)
         failed = False
         return code
     except TheoremViolation as exc:

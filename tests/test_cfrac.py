@@ -335,20 +335,27 @@ def test_bounded_zero_cf_refuses_at_every_limit_on_both_emit_paths(monkeypatch):
     assert bounded_zero_cf(bounds) == full
 
 
-TABLE_ITEM = ("", " ", "")
-JSON_ITEM = ("[\n      ", ",\n      ", "\n    ]")  # a tuple inside zeroseq's "tuples"
+def text_blocks(search, *args):
+    """The blocks and running counts of a search in text mode, checked against
+    each other: every block is one or more whole tuples."""
+    totals = []
+    blocks = search(*args, _totals=totals)
+    assert len(totals) == len(blocks) + 1 and totals[0] == 0
+    for block, before, after in zip(blocks, totals, totals[1:]):
+        assert block.startswith("\n") and block.count("\n") == after - before > 0
+    return blocks, totals[-1]
 
 
-def formatted(tuples, item):
-    opening, sep, closing = item
-    return [opening + sep.join(map(str, t)) + closing for t in tuples]
+def formatted(tuples):
+    return "".join("\n" + " ".join(map(str, t)) for t in tuples)
 
 
 def test_text_items_equal_the_formatted_tuples_of_every_length():
     for k in range(1, 13):
         tuples = enumerate_zero_cf(k)
-        for item in (TABLE_ITEM, JSON_ITEM):
-            assert enumerate_zero_cf(k, _item=item) == formatted(tuples, item), (k, item)
+        blocks, count = text_blocks(enumerate_zero_cf, k)
+        assert "".join(blocks) == formatted(tuples) and count == len(tuples), k
+    assert len(blocks) < count // 10  # a share copies its span as one block: 3,973 for 58,786
 
 
 def test_text_items_equal_the_formatted_tuples_under_any_bounds():
@@ -362,8 +369,8 @@ def test_text_items_equal_the_formatted_tuples_under_any_bounds():
     for bounds in chains + randoms:
         tuples = bounded_zero_cf(bounds)
         emitted += len(tuples)
-        for item in (TABLE_ITEM, JSON_ITEM):
-            assert bounded_zero_cf(bounds, _item=item) == formatted(tuples, item), (bounds, item)
+        blocks, count = text_blocks(bounded_zero_cf, bounds)
+        assert "".join(blocks) == formatted(tuples) and count == len(tuples), bounds
     assert emitted > 10_000
 
 
@@ -373,11 +380,11 @@ def test_text_items_are_refused_at_every_limit_on_both_emit_paths(monkeypatch):
     for limit in range(1, 132):
         monkeypatch.setattr(cfrac, "MAX_TUPLES", limit)
         with pytest.raises(LensfillError, match=f"more than the limit of {limit}$") as info:
-            bounded_zero_cf(bounds, _item=TABLE_ITEM)
+            bounded_zero_cf(bounds, _totals=[])
         raise_lines.add(info.traceback[-1].lineno)
     assert len(raise_lines) == 2  # the shared extension and the fresh append
     monkeypatch.setattr(cfrac, "MAX_TUPLES", 132)
-    assert len(bounded_zero_cf(bounds, _item=TABLE_ITEM)) == 132
+    assert text_blocks(bounded_zero_cf, bounds)[1] == 132
 
 
 def test_bounded_zero_cf_leaves_recursion_limit_alone():
@@ -610,8 +617,8 @@ def test_suite_catalan_fails_on_a_tuple_the_search_emits_twice(monkeypatch):
     # the suite counts the search's list, so a repeat cannot hide in a set
     search = cfrac.bounded_zero_cf
 
-    def repeating(bounds, *, _item=None):
-        got = search(bounds, _item=_item)
+    def repeating(bounds, *, _totals=None):
+        got = search(bounds, _totals=_totals)
         return got + got[:1] if len(bounds) == 5 else got
 
     monkeypatch.setattr(cfrac, "bounded_zero_cf", repeating)

@@ -186,6 +186,29 @@ def test_out_on_a_full_device_is_one_error_line():
     assert res.stderr == "lensfill: error: cannot write /dev/full: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("argv", [["zeroseq", "5", "--json"], ["sweep", "12", "--json"]])
+def test_chunked_output_on_a_full_device_is_one_error_line(argv):
+    res = run_cli(*argv, "--out", "/dev/full")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == "lensfill: error: cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "failing, argv",
+    [(["zeroseq", "16"], ["zeroseq", "5", "--json"]), (["sweep", "1", "--json"], ["sweep", "12", "--json"])],
+)
+def test_chunked_command_keeps_or_replaces_an_existing_out_file(tmp_path, failing, argv):
+    target = tmp_path / "keep.txt"
+    target.write_text("earlier output\n" * 1000)
+    res = run_cli(*failing, "--out", str(target))
+    assert res.returncode == 1 and res.stdout == ""
+    assert target.read_text() == "earlier output\n" * 1000
+    res = run_cli(*argv, "--out", str(target))
+    assert res.returncode == 0 and res.stdout == ""
+    assert target.read_bytes() == run_cli(*argv).stdout.encode()
+
+
 def test_a_failed_write_removes_the_out_file_it_created(monkeypatch, capsys, tmp_path):
     import errno
 
@@ -312,6 +335,23 @@ def test_zeroseq_writes_the_searched_tuples_as_json_dumps_would(capsys):
         assert out == json.dumps(json.loads(out), indent=2) + "\n", k
         items = [cli._render(t, "\n    ") for t in tuples]  # each tuple as the payload holds it
         assert out.endswith('"tuples": [\n    ' + ",\n    ".join(items) + "\n  ]\n}\n"), k
+
+
+def test_zeroseq_peak_memory_stays_near_its_output():
+    # the output is the search's blocks as they stand, or rewritten one block at a
+    # time: never a string per tuple, and never joined into one string
+    import tracemalloc
+
+    for json_flag, bound in ((False, 3), (True, 2)):
+        args = cli.build_parser().parse_args(["zeroseq", "12", *(["--json"] * json_flag)])
+        tracemalloc.start()
+        try:
+            chunks = cli.cmd_zeroseq(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(map(len, chunks))
+        assert peak < bound * size, (json_flag, peak, size)
 
 
 def test_zeroseq_refuses_catalan_sized_output():
