@@ -7,13 +7,15 @@ emit).  Errors name their pair through errors.naming scopes.  `verify`
 does not stop at a failed suite: it prints FAIL and the suite's exception
 message as the first counterexample, runs the remaining suites, and exits
 2 if any failed.  Output is deterministic; identical invocations produce
-byte-identical output.  A command returns its text as one string or as a
-list of chunks, which main writes with writelines, so a large output such as
-zeroseq's or `sweep --json`'s is never joined into one string.  JSON output is
-byte for byte what `json.dumps(..., indent=2)` gives; report.render_json writes
-reports, cmd_zeroseq lays out its payload by rewriting the search's text blocks,
-and `_render` writes the rest with str.join, since the stdlib's C encoder does
-not handle an indent.
+byte-identical output.  A command returns its text as one string or as an
+iterable of chunks, which main writes with writelines, so a large output such
+as zeroseq's or `sweep --json`'s is never joined into one string;
+`zeroseq --json` yields its chunks as it rewrites them, a rewrite that cannot
+fail midway.  JSON output is byte for byte what `json.dumps(..., indent=2)`
+gives; report.render_json writes reports, cmd_zeroseq lays out its payload by
+rewriting the search's text blocks, and `_render` writes the rest with
+str.join, since the stdlib's C encoder does not handle an indent; both read
+integer text from report's memo.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import LensfillError, TheoremViolation, naming
 from .fillings import make_params, zset
 from .homology import spin_rows
 from .lattice import check_fillings
-from .report import build_report, render_csv, render_json, render_table
+from .report import _text, build_report, render_csv, render_json, render_table
 from .suites import SUITES, _ALIASES, _coprime_pairs
 
 _SUITE_CHOICES = sorted(SUITES) + sorted(_ALIASES) + ["all"]
@@ -58,10 +60,10 @@ def _render(x, pad="\n") -> str:
             return "[]"
         inner = pad + "  "
         # a list of ints (no bools) is the common case: one join, no recursion
-        items = map(str, x) if {*map(type, x)} == _INT else [_render(v, inner) for v in x]
+        items = map(_text, x) if {*map(type, x)} == _INT else [_render(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if t is int:
-        return str(x)
+    if t is int:  # never a bool: report._text takes ints only
+        return _text(x)
     if t is bool:
         return "true" if x else "false"
     if x is None:
@@ -73,8 +75,8 @@ def _dump_json(payload) -> str:
     return _render(payload) + "\n"
 
 
-# Each command returns the text to write, as one string or a list of chunks; verify
-# also returns its exit code.
+# Each command returns the text to write, as one string or an iterable of chunks;
+# verify also returns its exit code.
 
 
 def cmd_expand(args) -> str:
@@ -95,7 +97,7 @@ def cmd_expand(args) -> str:
     )
 
 
-def cmd_zeroseq(args) -> list[str]:
+def cmd_zeroseq(args):  # a list of chunks, or a generator of them under --json
     k = args.k
     catalan = _zero_tuple_count(k, f"zeroseq {k} would write")
     # the search writes the tuples as a few text blocks, each tuple "\n" and its entries
@@ -105,14 +107,20 @@ def cmd_zeroseq(args) -> list[str]:
     count = totals[-1]
     if not args.json:
         return [f"# {count} zero tuples of length {k}", *blocks, "\n"]
-    # the payload {k, count, catalan, tuples} at indent 2: entries go one to a line, and
-    # a tuple's "\n" (held as ";" meanwhile) closes the tuple before it and opens its own
-    between = "\n    ],\n    [\n      "
-    for i, block in enumerate(blocks):  # in place, so each block's table text can go
-        blocks[i] = block.replace("\n", ";").replace(" ", ",\n      ").replace(";", between)
-    blocks[0] = blocks[0][len(between):]  # k >= 1 has a tuple
-    header = f'{{\n  "k": {k},\n  "count": {count},\n  "catalan": {catalan},\n  "tuples": [\n    [\n      '
-    return [header, *blocks, "\n    ]\n  ]\n}\n"]
+
+    def payload():
+        # the payload {k, count, catalan, tuples} at indent 2: entries go one to a line,
+        # and a tuple's "\n" (held as ";" meanwhile) closes the tuple before it and opens
+        # its own; each block is rewritten as it is written, and its table text dropped
+        yield f'{{\n  "k": {k},\n  "count": {count},\n  "catalan": {catalan},\n  "tuples": [\n    [\n      '
+        between = "\n    ],\n    [\n      "
+        for i in range(len(blocks)):
+            chunk = blocks[i].replace("\n", ";").replace(" ", ",\n      ").replace(";", between)
+            blocks[i] = ""
+            yield chunk[len(between):] if i == 0 else chunk  # k >= 1 has a tuple
+        yield "\n    ]\n  ]\n}\n"
+
+    return payload()
 
 
 def cmd_fillings(args) -> str:

@@ -7,7 +7,9 @@ mu_{k+1} = 0.  Everything below is expressed in the cyclic group of order
 p = K(b) generated by mu_1, with mu_i = K(b_1..b_{i-1}) mu_1; both are
 prefix continuants of b, so every public function takes b alone, and the
 private cores behind the spin and invariant functions take them from one
-pass (spin_rows makes that pass once per report).  Computed here: spin
+pass (spin_rows makes that pass once per report).  Each spin core (the
+spin recurrence, the sums N_i and both invariant formulas) is one walk along
+b that builds no padded copy of b or s.  Computed here: spin
 structures as parity bit vectors, the two formulas for the plane-field
 invariant (one from the handle picture of the filling, one from the
 compactified resolution side), the spin section that checks they agree,
@@ -64,12 +66,23 @@ def mu_basis(b: Sequence[int]) -> tuple[int, ...]:
 def _chain_sums(b: Sequence[int], s: Sequence[int]) -> Optional[list[int]]:
     """[N_1, ..., N_k] with N_i = s_{i-1} + s_{i+1} + b_i (1 - s_i) and
     s_0 = s_{k+1} = 0, or None unless s is a spin structure for b (a bit
-    vector of length k with every N_i even)."""
-    if len(s) != len(b) or any(x not in (0, 1) for x in s):
+    vector of length k with every N_i even).  One walk along b: each entry
+    of s is tested as a bit when it is first read, as s_{i+1}."""
+    k = len(b)
+    if len(s) != k or (k and s[0] not in (0, 1)):
         return None
-    z = (0, *s, 0)
-    sums = [z[i - 1] + z[i + 1] + x * (1 - z[i]) for i, x in enumerate(b, 1)]
-    return None if any(x % 2 for x in sums) else sums
+    sums = []
+    left, here = 0, s[0] if k else 0  # s_{i-1}, s_i
+    for i, x in enumerate(b, 1):
+        right = s[i] if i < k else 0
+        if right not in (0, 1):
+            return None
+        n = left + right + (0 if here else x)
+        if n & 1:
+            return None
+        sums.append(n)
+        left, here = here, right
+    return sums
 
 
 def is_valid_spin(b: Sequence[int], s: Sequence[int]) -> bool:
@@ -98,11 +111,13 @@ def _spin_structures(b: tuple[int, ...], p: int) -> list[Bits]:
     """spin_structures for a chain b with determinant p = K(b)."""
     out = []
     for s1 in (0, 1):
-        s = [0, s1]
+        bits = []
+        left, here = 0, s1  # s_{i-1}, s_i
         for x in b:
-            s.append((s[-2] + x * (1 - s[-1])) % 2)
-        if s[-1] == 0:
-            out.append(tuple(s[1:-1]))
+            bits.append(here)
+            left, here = here, (left + x * (1 - here)) % 2
+        if here == 0:  # s_{k+1}
+            out.append(tuple(bits))
     if len(out) != 2 - p % 2:
         raise TheoremViolation(
             f"found {len(out)} spin structures for {b}, expected {2 - p % 2}"
@@ -128,7 +143,10 @@ def _gamma_filling(b: tuple[int, ...], s: Sequence[int], mu: list[int], p: int) 
     sums = _chain_sums(b, s)
     if sums is None:
         raise LensfillError(f"{s} is not a spin structure for chain {b}")
-    return (sum(n // 2 * c for n, c in zip(sums, mu)) - sum(mu[1:])) % p
+    total = mu[0]  # sum_i N_i/2 mu_i - sum_{i>=2} mu_i, in one pass
+    for n, c in zip(sums, mu):
+        total += (n // 2 - 1) * c
+    return total % p
 
 
 def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
@@ -157,10 +175,15 @@ def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
 
 def _gamma_standard(b: tuple[int, ...], s: Sequence[int], mu: list[int], p: int) -> int:
     """gamma_standard for a spin structure s, given mu_i and p as in _gamma_filling."""
-    t = (0, 1 - s[0], *s, 0)  # t_{-1}, t_0, ..., t_k, t_{k+1}
-    bprime = (1, 1 - b[0], *(-x for x in b[1:]))
-    g = [(2 + x * (1 - t[i + 1]) - t[i] - t[i + 2]) // 2 for i, x in enumerate(bprime)]
-    total = (g[1] - g[0]) * mu[0] + sum(x * c for x, c in zip(g[2:], mu[1:]))
+    # One walk along b: the term of position i is summed once t_{i+1} is read.
+    # Position 0 has b'_0 = 1, t_{-1} = 0, t_0 = 1 - s_1 and coefficient -mu_1,
+    # since nu_0 = -nu_1; lift makes b'_1 = 1 - b_1, and b'_i = -b_i after it.
+    t_left, t_here, x, c = 0, 1 - s[0], 1, -mu[0]
+    lift, total = 1, 0
+    for bi, ci, t_right in zip(b, mu, s):  # position i = 1..k, where t_i = s_i
+        total += (2 + x * (1 - t_here) - t_left - t_right) // 2 * c
+        t_left, t_here, x, c, lift = t_here, t_right, lift - bi, ci, 0
+    total += (2 + x * (1 - t_here) - t_left) // 2 * c  # t_{k+1} = 0
     return (-total) % p
 
 

@@ -13,6 +13,14 @@ two-handle counts b - n directly instead of calling invariants, which first
 checks that its argument is a bounded zero tuple.  The spin section and
 its check are homology.spin_rows; this module assembles and renders only.
 The commands fillings, classify, rot and sweep render reports or project them.
+
+Every renderer here, and cli._render, reads the text of an int from one memo,
+_text(x), which returns str(x).  Its contract: it takes ints only (never a
+bool, since True == 1 hashes alike and would turn the entry for 1 into
+"True"; the report's flags are written as literals), it keeps only the
+integers 0 <= x < _INT_TEXT_CAP and returns str(x) for any other, and it is a
+cache that never changes a result.  The reports of `sweep N` hold only the
+integers 0..N, so a few hundred entries serve millions of integer cells.
 """
 
 from __future__ import annotations
@@ -26,6 +34,26 @@ from .cfrac import dual_expansion
 __all__ = ["build_report", "render_json", "render_table", "csv_rows", "render_csv", "CSV_HEADER"]
 
 CSV_HEADER = ["p", "q", "b", "n", "chi", "b2", "handles", "rot", "class_index"]
+
+# the reports of `sweep 200` and `sweep 300` hold exactly the 201 and 301 integers
+# 0..200 and 0..300; the cap keeps every integer of a sweep up to p = 1023
+_INT_TEXT_CAP = 1024
+
+
+class _IntText(dict):
+    """str(x) for an int x, kept when 0 <= x < _INT_TEXT_CAP."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: int) -> str:
+        text = str(x)
+        if 0 <= x < _INT_TEXT_CAP:
+            self[x] = text
+        return text
+
+
+_INT_TEXT = _IntText()
+_text = _INT_TEXT.__getitem__  # ints only: see the module docstring
 
 
 def build_report(p: int, q: int) -> dict[str, Any]:
@@ -75,37 +103,37 @@ def render_json(report: dict[str, Any], pad: str = "\n") -> str:
     p1, p2, p3, p4 = pad + "  ", pad + "    ", pad + "      ", pad + "        "
     j2, j3, j4 = "," + p2, "," + p3, "," + p4  # separators at each depth
     fillings = [
-        f'{{{p3}"n": [{p4}{j4.join(map(str, f["n"]))}{p3}],{p3}"chi": {f["chi"]},'
-        f'{p3}"b2": {f["b2"]},{p3}"handles": [{p4}{j4.join(map(str, f["handles"]))}{p3}],'
-        f'{p3}"rot": [{p4}{j4.join(map(str, f["rot"]))}{p3}]{p2}}}'
+        f'{{{p3}"n": [{p4}{j4.join(map(_text, f["n"]))}{p3}],{p3}"chi": {_text(f["chi"])},'
+        f'{p3}"b2": {_text(f["b2"])},{p3}"handles": [{p4}{j4.join(map(_text, f["handles"]))}{p3}],'
+        f'{p3}"rot": [{p4}{j4.join(map(_text, f["rot"]))}{p3}]{p2}}}'
         for f in report["fillings"]
     ]
     spin = [
-        f'{{{p3}"s": [{p4}{j4.join(map(str, r["s"]))}{p3}],'
-        f'{p3}"gamma_filling": {r["gamma_filling"]},{p3}"gamma_standard": {r["gamma_standard"]}'
+        f'{{{p3}"s": [{p4}{j4.join(map(_text, r["s"]))}{p3}],'
+        f'{p3}"gamma_filling": {_text(r["gamma_filling"])},{p3}"gamma_standard": {_text(r["gamma_standard"])}'
         f'{p2}}}'
         for r in report["spin"]
     ]
-    z_set = [f"[{p3}{j3.join(map(str, n))}{p2}]" for n in report["z_set"]]
-    classes = [f"[{p3}{j3.join(map(str, c))}{p2}]" for c in report["classes"]]
+    z_set = [f"[{p3}{j3.join(map(_text, n))}{p2}]" for n in report["z_set"]]
+    classes = [f"[{p3}{j3.join(map(_text, c))}{p2}]" for c in report["classes"]]
     fl = report["flags"]
     witness = fl["rational_ball_witness"]
     return (
-        f'{{{p1}"p": {report["p"]},{p1}"q": {report["q"]},'
-        f'{p1}"b": [{p2}{j2.join(map(str, report["b"]))}{p1}],'
-        f'{p1}"a": [{p2}{j2.join(map(str, report["a"]))}{p1}],{p1}"qbar": {report["qbar"]},'
+        f'{{{p1}"p": {_text(report["p"])},{p1}"q": {_text(report["q"])},'
+        f'{p1}"b": [{p2}{j2.join(map(_text, report["b"]))}{p1}],'
+        f'{p1}"a": [{p2}{j2.join(map(_text, report["a"]))}{p1}],{p1}"qbar": {_text(report["qbar"])},'
         f'{p1}"z_set": [{p2}{j2.join(z_set)}{p1}],{p1}"classes": [{p2}{j2.join(classes)}{p1}],'
         f'{p1}"fillings": [{p2}{j2.join(fillings)}{p1}],{p1}"spin": [{p2}{j2.join(spin)}{p1}],'
         f'{p1}"flags": {{{p2}"rational_ball": {"true" if fl["rational_ball"] else "false"},'
         f'{p2}"rational_ball_witness": '
-        f'{"null" if witness is None else "[" + p3 + j3.join(map(str, witness)) + p2 + "]"},'
+        f'{"null" if witness is None else "[" + p3 + j3.join(map(_text, witness)) + p2 + "]"},'
         f'{p2}"unique_filling_certified": '
         f'{"true" if fl["unique_filling_certified"] else "false"}{p1}}}{pad}}}'
     )
 
 
 def _fmt_tuple(xs) -> str:
-    return "(" + ",".join(str(x) for x in xs) + ")"
+    return "(" + ",".join(map(_text, xs)) + ")"
 
 
 def render_table(report: dict[str, Any]) -> str:
@@ -128,7 +156,7 @@ def render_table(report: dict[str, Any]) -> str:
     lines.append(f"  fillings ({len(report['z_set'])}):")
     for i, f in enumerate(report["fillings"]):
         lines.append(
-            f"    [{i}] n={_fmt_tuple(f['n'])} chi={f['chi']} b2={f['b2']} "
+            f"    [{i}] n={_fmt_tuple(f['n'])} chi={_text(f['chi'])} b2={_text(f['b2'])} "
             f"handles={_fmt_tuple(f['handles'])} rot={_fmt_tuple(f['rot'])}"
         )
     rel = "reversal identified (q^2 = 1 mod p)" if (q * q) % p == 1 else "no identification"
@@ -139,8 +167,8 @@ def render_table(report: dict[str, Any]) -> str:
     lines.append(f"  spin structures ({len(report['spin'])}):")
     for s in report["spin"]:
         lines.append(
-            f"    s={_fmt_tuple(s['s'])} gamma_filling={s['gamma_filling']} "
-            f"gamma_standard={s['gamma_standard']}"
+            f"    s={_fmt_tuple(s['s'])} gamma_filling={_text(s['gamma_filling'])} "
+            f"gamma_standard={_text(s['gamma_standard'])}"
         )
     return "\n".join(lines) + "\n"
 
@@ -155,15 +183,15 @@ def csv_rows(report: dict[str, Any]) -> list[list[str]]:
     for i, f in enumerate(report["fillings"]):
         rows.append(
             [
-                str(report["p"]),
-                str(report["q"]),
-                " ".join(map(str, report["b"])),
-                " ".join(map(str, f["n"])),
-                str(f["chi"]),
-                str(f["b2"]),
-                " ".join(map(str, f["handles"])),
-                " ".join(map(str, f["rot"])),
-                str(class_of[i]),
+                _text(report["p"]),
+                _text(report["q"]),
+                " ".join(map(_text, report["b"])),
+                " ".join(map(_text, f["n"])),
+                _text(f["chi"]),
+                _text(f["b2"]),
+                " ".join(map(_text, f["handles"])),
+                " ".join(map(_text, f["rot"])),
+                _text(class_of[i]),
             ]
         )
     return rows

@@ -111,6 +111,31 @@ def test_render_equals_stdlib_indent_2(x):
     assert cli._render(x) == json.dumps(x, indent=2)
 
 
+def test_int_text_memo_never_takes_a_bool():
+    # True == 1 and both hash alike, so a bool reaching the memo would turn its
+    # entry for 1 into "True"; _render writes bools itself, scalar or in a list
+    from lensfill.report import _INT_TEXT, render_json
+
+    for x in ([True, 1], {"a": True}, [1, True]):
+        assert cli._render(x) == json.dumps(x, indent=2)
+    assert cli._render([1]) == "[\n  1\n]"
+    report = build_report(9, 2)  # its flags hold a True and its arrays many 1s
+    assert render_json(report) == json.dumps(report, indent=2)
+    assert _INT_TEXT[1] == "1"
+    assert all(type(k) is int for k in _INT_TEXT)
+
+
+def test_int_text_memo_is_bounded():
+    from lensfill.report import _INT_TEXT, _INT_TEXT_CAP, _text
+
+    xs = [2**200, -3, *range(-_INT_TEXT_CAP, 2 * _INT_TEXT_CAP), -(2**70)]
+    for _ in range(2):  # the second pass reads what the first one kept
+        assert list(map(_text, xs)) == list(map(str, xs))
+        assert cli._render(xs) == json.dumps(xs, indent=2)
+    assert len(_INT_TEXT) <= _INT_TEXT_CAP
+    assert 2**200 not in _INT_TEXT and -3 not in _INT_TEXT
+
+
 @pytest.mark.parametrize("argv", [["sweep", "30", "--json"], ["zeroseq", "6", "--json"]])
 def test_json_output_is_the_stdlib_rendering(argv, capsys):
     assert cli.main(argv) == 0
@@ -272,6 +297,67 @@ def test_render_csv_equals_the_stdlib_csv_writer():
     assert render_csv([]) == buf.getvalue().partition("\n")[0] + "\n"
 
 
+def _table_reference(report):
+    """render_table as written with str, the reference for its integer memo."""
+    def tup(xs):
+        return "(" + ",".join(str(x) for x in xs) + ")"
+
+    p, q, fl = report["p"], report["q"], report["flags"]
+    ball = "yes (m={}, h={})".format(*fl["rational_ball_witness"]) if fl["rational_ball"] else "no"
+    lines = [
+        f"L({p},{q})   qbar = {report['qbar']}",
+        f"  p/(p-q) = {tup(report['b'])}    p/q = {tup(report['a'])}",
+        f"  rational-ball filling: {ball}    unique filling certified: "
+        f"{'yes' if fl['unique_filling_certified'] else 'no'}",
+        f"  meridian scale: mu_k = {homology.mu_basis(report['b'])[-1]} mu_1 (mod {p})",
+        f"  fillings ({len(report['z_set'])}):",
+    ]
+    lines += [
+        f"    [{i}] n={tup(f['n'])} chi={f['chi']} b2={f['b2']} "
+        f"handles={tup(f['handles'])} rot={tup(f['rot'])}"
+        for i, f in enumerate(report["fillings"])
+    ]
+    rel = "reversal identified (q^2 = 1 mod p)" if (q * q) % p == 1 else "no identification"
+    lines.append(f"  diffeomorphism classes ({len(report['classes'])}; {rel}):")
+    lines += [
+        f"    class {i}: " + " ".join(tup(report["z_set"][j]) for j in c)
+        for i, c in enumerate(report["classes"])
+    ]
+    lines.append(f"  spin structures ({len(report['spin'])}):")
+    lines += [
+        f"    s={tup(s['s'])} gamma_filling={s['gamma_filling']} gamma_standard={s['gamma_standard']}"
+        for s in report["spin"]
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_reference(reports):
+    """render_csv as written with str, the reference for its integer memo."""
+    lines = [",".join(["p", "q", "b", "n", "chi", "b2", "handles", "rot", "class_index"])]
+    for r in reports:
+        class_of = {j: ci for ci, c in enumerate(r["classes"]) for j in c}
+        for i, f in enumerate(r["fillings"]):
+            fields = [r["p"], r["q"], r["b"], f["n"], f["chi"], f["b2"], f["handles"], f["rot"], class_of[i]]
+            lines.append(",".join(" ".join(map(str, x)) if type(x) is list else str(x) for x in fields))
+    return "\n".join(lines) + "\n"
+
+
+# the first chain of each `deep` pool in perfbench/inputs.json: [7]*9, [5]*10 and
+# (3, 4, 5, 6, 7, 3, 4, 5, 6, 7), with 1,421, 3,322 and 2,076 fillings
+DEEP_PAIRS = [(34111385, 29134601), (6665999, 5274724), (3996974, 2536279)]
+
+
+def test_table_and_csv_equal_their_str_references():
+    from lensfill.report import render_csv, render_table
+    from lensfill.suites import _coprime_pairs
+
+    reports = [build_report(p, q) for p, q in [*_coprime_pairs(60), *DEEP_PAIRS]]
+    assert len(reports) == 1101 + len(DEEP_PAIRS)
+    for report in reports:
+        assert render_table(report) == _table_reference(report), (report["p"], report["q"])
+    assert render_csv(reports) == _csv_reference(reports)
+
+
 def test_sweep_rational_ball_filter():
     res = run_cli("sweep", "20", "--rational-ball", "--json")
     reports = json.loads(res.stdout)
@@ -337,20 +423,23 @@ def test_zeroseq_writes_the_searched_tuples_as_json_dumps_would(capsys):
         assert out.endswith('"tuples": [\n    ' + ",\n    ".join(items) + "\n  ]\n}\n"), k
 
 
-def test_zeroseq_peak_memory_stays_near_its_output():
+def test_zeroseq_peak_memory_stays_near_its_output(tmp_path):
     # the output is the search's blocks as they stand, or rewritten one block at a
-    # time: never a string per tuple, and never joined into one string
+    # time as each is written: never a string per tuple, never joined into one
+    # string, and under --json never all alive at once, so its peak stays below the
+    # file it writes; measured through main, which consumes a lazy result
     import tracemalloc
 
-    for json_flag, bound in ((False, 3), (True, 2)):
-        args = cli.build_parser().parse_args(["zeroseq", "12", *(["--json"] * json_flag)])
+    for json_flag, bound in ((False, 3), (True, 1)):
+        target = tmp_path / f"zeroseq-{json_flag}.txt"
         tracemalloc.start()
         try:
-            chunks = cli.cmd_zeroseq(args)
+            code = cli.main(["zeroseq", "12", *(["--json"] * json_flag), "--out", str(target)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        size = sum(map(len, chunks))
+        size = target.stat().st_size
+        assert code == 0
         assert peak < bound * size, (json_flag, peak, size)
 
 

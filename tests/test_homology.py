@@ -106,6 +106,36 @@ def test_spin_structure_counts():
         assert len(spin_structures(b)) == 2 - p % 2
 
 
+def test_bits_outside_zero_one_are_refused():
+    # (0, 2, 0) leaves every N_i even (4, -2, 4), so only the bit test refuses it;
+    # (0, -1, 0) leaves N_1 = 1 odd as well
+    for s in ((0, 2, 0), (0, -1, 0)):
+        assert not is_valid_spin((2, 2, 2), s)
+        for gamma in (gamma_filling, gamma_standard):
+            with pytest.raises(LensfillError, match=r"is not a spin structure for chain \(2, 2, 2\)"):
+                gamma((2, 2, 2), s)
+
+
+def _spin_reference(b):
+    """spin_structures by the recurrence on a padded list (s_0, s_1, ...,
+    s_{k+1}), one list for each choice of s_1."""
+    out = []
+    for s1 in (0, 1):
+        s = [0, s1]
+        for x in b:
+            s.append((s[-2] + x * (1 - s[-1])) % 2)
+        if s[-1] == 0:
+            out.append(tuple(s[1:-1]))
+    return out
+
+
+def test_spin_structures_equal_the_padded_reference():
+    # every chain with p <= 300, q = 1 (the 299 twos of L(300, 1)) included
+    for p, q in coprime_pairs(300):
+        b = chain(p, q)
+        assert spin_structures(b) == _spin_reference(b), (p, q)
+
+
 def test_gamma_filling_examples():
     assert gamma_filling((2, 2, 2), (0, 0, 0)) == 1
     assert gamma_filling((2, 2, 2), (1, 0, 1)) == 3
