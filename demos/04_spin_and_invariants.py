@@ -2,12 +2,12 @@
 
 The boundary of every filling of L(p, q) carries the same contact
 structure, and its homotopy invariant (one first-homology value per spin
-structure) can be computed either from the filling's handle picture or
-from the compactified resolution side.  Every coefficient is a prefix
-continuant of the chain b, so each function takes b alone.  The two
-formulas start from different pictures but expand to the same polynomial
-in the meridian classes, so their agreement checks the two
-implementations against each other.
+structure) can be computed either from the filling's handle picture on the
+chain b or from the resolution side on the dual chain a, the expansion of
+p/q.  gamma_standard(b, s) reads a = dual_expansion(b) itself, so each
+function takes b alone.  The two sides read different chains, so their
+agreement checks that the fillings' boundary carries the standard contact
+structure.
 """
 
 from lensfill import (

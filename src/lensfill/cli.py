@@ -143,7 +143,7 @@ def cmd_classify(args) -> str:
 
 def cmd_gamma(args) -> str:
     params = make_params(args.p, args.q)
-    rows = spin_rows(params.b)
+    rows = spin_rows(params.b, dual_expansion(params.b))
     if args.json:
         return _dump_json({"p": args.p, "q": args.q, "b": list(params.b), "spin": rows})
     lines = [f"L({args.p},{args.q}) spin structures and invariants:"]

@@ -7,24 +7,32 @@ mu_{k+1} = 0.  Everything below is expressed in the cyclic group of order
 p = K(b) generated by mu_1, with mu_i = K(b_1..b_{i-1}) mu_1; both are
 prefix continuants of b, so every public function takes b alone, and the
 private cores behind the spin and invariant functions take them from one
-pass (spin_rows makes that pass once per report).  Each spin core (the
-spin recurrence, the sums N_i and both invariant formulas) is one walk along
-b that builds no padded copy of b or s.  Computed here: spin
-structures as parity bit vectors, the two formulas for the plane-field
-invariant (one from the handle picture of the filling, one from the
-compactified resolution side), the spin section that checks they agree,
-and the chain's rotation numbers.
+pass (spin_rows makes that pass once per chain).  Each spin core (the
+spin recurrence, the validity test and the invariant sum) is one walk along
+its chain.  Computed here: spin structures as parity bit vectors, the
+plane-field invariant Gamma of the filling's boundary and of the standard
+contact structure, the spin section that checks they agree, and the chain's
+rotation numbers.
 
-The two invariant formulas are not independent.  With N_i = s_{i-1} +
-s_{i+1} + b_i (1 - s_i), both expand to sum_i (N_i/2 - [i >= 2]) mu_i,
-term by term, so their agreement checks the two implementations only.
+Gamma of the standard contact structure is read from the dual chain a =
+dual_expansion(b), the expansion of p/q (K(a) = p), which the resolution of
+the cyclic quotient singularity plumbs.  Gompf (1998, Theorem 4.12) gives
+-sum_j (a_j - 2 - a_j x_j + x_{j-1} + x_{j+1})/2 nu_j for its Legendrian
+chain with rotation numbers a_j - 2, a spin structure x of a and nu_j =
+K(a_1..a_{j-1}) nu_1; each term is (N_j/2 - 1) nu_j, so the sum is
+1 - gamma_filling(a, x) in units nu_1 = mu_1.  That identification and the
+row rule x_1 = 1 - s_1 were pinned by measurement for both parities of p, not
+derived: with them the two sides agree on all 36,562 (pair, spin) rows with
+p <= 300, and x_1 = s_1 breaks both rows of every pair with even p <= 120.
+At odd p each chain has one spin structure, so the rule is a check there.
+The sides read different chains, so their agreement can fail.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .cfrac import _is_zero_tuple
+from .cfrac import _is_zero_tuple, dual_expansion
 from .errors import LensfillError, TheoremViolation
 from .exact import continuants
 
@@ -63,36 +71,23 @@ def mu_basis(b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x % p for x in c)
 
 
-def _chain_sums(b: Sequence[int], s: Sequence[int]) -> Optional[list[int]]:
-    """[N_1, ..., N_k] with N_i = s_{i-1} + s_{i+1} + b_i (1 - s_i) and
-    s_0 = s_{k+1} = 0, or None unless s is a spin structure for b (a bit
-    vector of length k with every N_i even).  One walk along b: each entry
-    of s is tested as a bit when it is first read, as s_{i+1}."""
-    k = len(b)
-    if len(s) != k or (k and s[0] not in (0, 1)):
-        return None
-    sums = []
-    left, here = 0, s[0] if k else 0  # s_{i-1}, s_i
-    for i, x in enumerate(b, 1):
-        right = s[i] if i < k else 0
-        if right not in (0, 1):
-            return None
-        n = left + right + (0 if here else x)
-        if n & 1:
-            return None
-        sums.append(n)
-        left, here = here, right
-    return sums
-
-
 def is_valid_spin(b: Sequence[int], s: Sequence[int]) -> bool:
     """Whether the bit vector s encodes a spin structure on the boundary.
 
     Validity is exactly integrality of the invariant coefficients: with
-    s_0 = s_{k+1} = 0, every s_{i-1} + s_{i+1} + b_i (1 - s_i) must be
+    s_0 = s_{k+1} = 0, every N_i = s_{i-1} + s_{i+1} + b_i (1 - s_i) must be
     even.  This is the characteristic-sublink condition for the chain.
     """
-    return _chain_sums(b, s) is not None
+    k = len(b)
+    if len(s) != k or (k and s[0] not in (0, 1)):
+        return False
+    left, here = 0, s[0] if k else 0  # s_{i-1}, s_i
+    for i, x in enumerate(b, 1):
+        right = s[i] if i < k else 0
+        if right not in (0, 1) or (left + right + (0 if here else x)) & 1:
+            return False
+        left, here = here, right
+    return True
 
 
 def spin_structures(b: Sequence[int]) -> list[Bits]:
@@ -107,17 +102,20 @@ def spin_structures(b: Sequence[int]) -> list[Bits]:
     return _spin_structures(b, _chain_continuants(b)[-1])
 
 
+def _spin_structure(b: tuple[int, ...], s1: int) -> Bits | None:
+    """The spin structure of b with first bit s1, or None if the recurrence
+    from s_1 = s1 does not close with s_{k+1} = 0."""
+    bits = []
+    left, here = 0, s1  # s_{i-1}, s_i
+    for x in b:
+        bits.append(here)
+        left, here = here, (left + x * (1 - here)) % 2
+    return tuple(bits) if here == 0 else None  # here is s_{k+1}
+
+
 def _spin_structures(b: tuple[int, ...], p: int) -> list[Bits]:
     """spin_structures for a chain b with determinant p = K(b)."""
-    out = []
-    for s1 in (0, 1):
-        bits = []
-        left, here = 0, s1  # s_{i-1}, s_i
-        for x in b:
-            bits.append(here)
-            left, here = here, (left + x * (1 - here)) % 2
-        if here == 0:  # s_{k+1}
-            out.append(tuple(bits))
+    out = [s for s in (_spin_structure(b, 0), _spin_structure(b, 1)) if s is not None]
     if len(out) != 2 - p % 2:
         raise TheoremViolation(
             f"found {len(out)} spin structures for {b}, expected {2 - p % 2}"
@@ -134,71 +132,70 @@ def gamma_filling(b: Sequence[int], s: Sequence[int]) -> int:
     Depends only on b and s, not on the particular filling.
     """
     b = tuple(b)
-    *mu, p = _chain_continuants(b)[1:]
-    return _gamma_filling(b, s, mu, p)
+    mu = _chain_continuants(b)
+    if not is_valid_spin(b, s):
+        raise LensfillError(f"{s} is not a spin structure for chain {b}")
+    return _gamma_filling(b, s, mu, mu[-1])
 
 
 def _gamma_filling(b: tuple[int, ...], s: Sequence[int], mu: list[int], p: int) -> int:
-    """gamma_filling, given mu_i = K(b_1..b_{i-1}) and p = K(b)."""
-    sums = _chain_sums(b, s)
-    if sums is None:
-        raise LensfillError(f"{s} is not a spin structure for chain {b}")
-    total = mu[0]  # sum_i N_i/2 mu_i - sum_{i>=2} mu_i, in one pass
-    for n, c in zip(sums, mu):
-        total += (n // 2 - 1) * c
+    """gamma_filling for a spin structure s of b, one that _spin_structures
+    built or is_valid_spin passed, given mu = continuants(b), so that
+    mu[i] = K(b_1..b_{i-1}) = mu_i, and p = K(b)."""
+    k = len(b)
+    total, left, here = 1, 0, s[0]  # mu_1 + sum_i (N_i/2 - 1) mu_i, in one walk
+    for i, x in enumerate(b, 1):
+        right = s[i] if i < k else 0
+        total += ((left + right + (0 if here else x)) // 2 - 1) * mu[i]
+        left, here = here, right
     return total % p
 
 
 def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
-    """Plane-field invariant of the standard contact structure, computed on
-    the orientation-reversed side and pulled back.
-
-    The reversed-orientation lens space bounds the linear chain with
-    weights (1, 1-b_1, -b_2, ..., -b_k); its meridians nu_0, ..., nu_k
-    satisfy nu_0 = -nu_1 and the same chain relations as the mu_i.  With
-    t = (1 - s_1, s_1, ..., s_k) the dual invariant there is
-
-        sum_i [(2 + b'_i (1 - t_i) - t_{i-1} - t_{i+1})/2] nu_i ,
-
-    where b' = (1, 1-b_1, -b_2, ..., -b_k).  Mapping nu_i to mu_i and
-    negating (the invariant changes sign under orientation reversal) lands
-    in the same group as gamma_filling.  The numerators are 2 at i = 0 and
-    2 - N_i at i >= 1, even because is_valid_spin requires every N_i even,
-    and the negated sum is gamma_filling's polynomial term by term.
+    """Plane-field invariant of the standard contact structure at the spin
+    structure s of the chain b, read from the resolution side: Gamma of the
+    dual chain a = dual_expansion(b) (see the module docstring).  Like
+    dual_expansion, it refuses a chain with an entry below 2.
     """
     b = tuple(b)
-    *mu, p = _chain_continuants(b)[1:]  # the chain first, as in gamma_filling
+    p = _chain_continuants(b)[-1]  # the chain first, as in gamma_filling
     if not is_valid_spin(b, s):
         raise LensfillError(f"{s} is not a spin structure for chain {b}")
-    return _gamma_standard(b, s, mu, p)
+    return _dual_gammas(dual_expansion(b), p, [s])[0]
 
 
-def _gamma_standard(b: tuple[int, ...], s: Sequence[int], mu: list[int], p: int) -> int:
-    """gamma_standard for a spin structure s, given mu_i and p as in _gamma_filling."""
-    # One walk along b: the term of position i is summed once t_{i+1} is read.
-    # Position 0 has b'_0 = 1, t_{-1} = 0, t_0 = 1 - s_1 and coefficient -mu_1,
-    # since nu_0 = -nu_1; lift makes b'_1 = 1 - b_1, and b'_i = -b_i after it.
-    t_left, t_here, x, c = 0, 1 - s[0], 1, -mu[0]
-    lift, total = 1, 0
-    for bi, ci, t_right in zip(b, mu, s):  # position i = 1..k, where t_i = s_i
-        total += (2 + x * (1 - t_here) - t_left - t_right) // 2 * c
-        t_left, t_here, x, c, lift = t_here, t_right, lift - bi, ci, 0
-    total += (2 + x * (1 - t_here) - t_left) // 2 * c  # t_{k+1} = 0
-    return (-total) % p
+def _dual_gammas(a: tuple[int, ...], p: int, spins: Sequence[Sequence[int]]) -> list[int]:
+    """gamma_standard at each spin structure s of b in spins, given the dual
+    chain a and p = K(b) = K(a): 1 - gamma_filling(a, x) mod p, where x is the
+    spin structure of a with x_1 = 1 - s_1.  TheoremViolation names the s
+    for which a has no such x."""
+    nu = continuants(a)  # nu_j = K(a_1..a_{j-1}) = nu[j]
+    out = []
+    for s in spins:
+        x = _spin_structure(a, 1 - s[0])
+        if x is None:
+            raise TheoremViolation(
+                f"gamma at s={s}: the dual chain {a} has no spin structure with x_1 = {1 - s[0]}"
+            )
+        out.append((1 - _gamma_filling(a, x, nu, p)) % p)
+    return out
 
 
-def spin_rows(b: tuple[int, ...]) -> list[dict]:
-    """The spin section: Gamma from the handle picture and from the standard
-    contact structure, on every spin structure of the chain b.
+def spin_rows(b: tuple[int, ...], a: tuple[int, ...]) -> list[dict]:
+    """The spin section: on every spin structure s of the chain b, Gamma from
+    the handle picture and Gamma of the standard contact structure, read from
+    a = dual_expansion(b), which the caller passes.
 
-    The two formulas must agree exactly (they are one polynomial, see above);
-    TheoremViolation names the spin structure where they do not, and the
-    caller's naming scope the pair.
+    The two must agree exactly; TheoremViolation names the spin structure
+    where they do not, or where a has no spin structure to pair with it, and
+    the caller's naming scopes the pair.  The b side runs first.
     """
-    *mu, p = _chain_continuants(b)[1:]  # one continuant pass serves all three
+    mu = _chain_continuants(b)  # one continuant pass serves the b side
+    p = mu[-1]
+    spins = _spin_structures(b, p)
     rows = []
-    for s in _spin_structures(b, p):
-        gf, gs = _gamma_filling(b, s, mu, p), _gamma_standard(b, s, mu, p)
+    for s, gs in zip(spins, _dual_gammas(a, p, spins)):
+        gf = _gamma_filling(b, s, mu, p)
         if gf != gs:
             raise TheoremViolation(f"gamma at s={s}: filling formula {gf}, standard formula {gs}")
         rows.append({"s": list(s), "gamma_filling": gf, "gamma_standard": gs})

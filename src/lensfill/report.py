@@ -86,7 +86,7 @@ def build_report(p: int, q: int) -> dict[str, Any]:
         "z_set": [list(n) for n in zs],
         "classes": classes,
         "fillings": fillings,
-        "spin": spin_rows(params.b),
+        "spin": spin_rows(params.b, a),
         "flags": {
             "rational_ball": witness is not None,
             "rational_ball_witness": list(witness) if witness else None,

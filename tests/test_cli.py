@@ -551,6 +551,15 @@ def test_verify_counterexample_names_the_pair(monkeypatch, capsys, suite, name, 
     assert counterexample.startswith("  first counterexample: L("), counterexample
 
 
+def test_lattice_suite_passes_a_size_refusal_through(monkeypatch):
+    # L(502,1) is past the --pmax cap; its chain of 501 twos is past the lattice limit
+    monkeypatch.setattr(suites, "_coprime_pairs", lambda pmax: iter([(502, 1)]))
+    with pytest.raises(LensfillError) as info:
+        suites.suite_lattice(pmax=12)
+    assert type(info.value) is LensfillError  # a refusal, not a theorem violation
+    assert str(info.value) == "L(502,1): a chain of 501 entries is longer than the lattice limit of 500"
+
+
 def test_rational_ball_order_must_match_the_witness(monkeypatch, capsys):
     # L(4,1)'s b2 = 0 filling (2, 1, 2) has its 2-handle at i = 2, so g = K(2) = 2 = m
     witness = suites.rational_ball_criterion
@@ -625,16 +634,22 @@ def test_gamma_formulas_must_agree_strictly(monkeypatch, capsys):
     from lensfill.errors import TheoremViolation
     from lensfill.suites import suite_gamma
 
-    # negate the standard formula's core, which gamma_standard and spin_rows both call
-    standard = homology._gamma_standard
-    monkeypatch.setattr(homology, "_gamma_standard",
-                        lambda b, s, mu, p: (-standard(b, s, mu, p)) % p)
+    # negate the dual side, which gamma_standard and spin_rows both read
+    dual = homology._dual_gammas
+    monkeypatch.setattr(homology, "_dual_gammas",
+                        lambda a, p, spins: [(-g) % p for g in dual(a, p, spins)])
     assert cli.main(["gamma", "4", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "theorem violation: L(4,1): gamma at s=(" in err
     with pytest.raises(TheoremViolation, match=r"^L\(3,1\): gamma at s=\("):
         suite_gamma(pmax=12)
+    # L(2,1) passes: its residues mod 2 are their own negatives
+    assert cli.main(["verify", "gamma", "--pmax", "12"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "gamma: FAIL",
+        "  first counterexample: L(3,1): gamma at s=(0, 0): filling formula 1, standard formula 2",
+    ]
 
 
 def test_gamma_and_expand_never_enumerate_fillings(monkeypatch, capsys):
@@ -795,20 +810,19 @@ def test_lattice_check_refuses_too_many_exceptional_classes():
 
 def _force(monkeypatch, stage):
     """Make one stage's check fail, or one limit refuse, on every pair."""
-    chain, spins, standard = (homology._chain_continuants, homology._spin_structures,
-                              homology._gamma_standard)
+    chain, dual = homology._chain_continuants, homology._dual_gammas
     if stage == "point-diagram":  # the direct route gains an entry the diagram lacks
         direct = cfrac.hj_expand
         monkeypatch.setattr(cfrac, "hj_expand", lambda p, q: (*direct(p, q), 2))
     elif stage == "spin-count":  # p + 1 for p flips the parity the count is checked against
         monkeypatch.setattr(homology, "_chain_continuants",
                             lambda b: [*chain(b)[:-1], chain(b)[-1] + 1])
-    elif stage == "spin-validity":  # one entry too many is never a spin structure
-        monkeypatch.setattr(homology, "_spin_structures",
-                            lambda b, p: [(*s, 0) for s in spins(b, p)])
-    elif stage == "gamma":  # the core both spin_rows and gamma_standard call
-        monkeypatch.setattr(homology, "_gamma_standard",
-                            lambda b, s, mu, p: standard(b, s, mu, p) + 1)
+    elif stage == "spin-validity":  # the dual chain gains an entry 2, which makes K(a) odd at
+        # L(2,1) and L(4,1), so no spin structure of it has x_1 = 1 - s_1 = 1
+        monkeypatch.setattr(homology, "_dual_gammas", lambda a, p, s: dual((*a, 2), p, s))
+    elif stage == "gamma":  # the dual side both spin_rows and gamma_standard read
+        monkeypatch.setattr(homology, "_dual_gammas",
+                            lambda a, p, s: [g + 1 for g in dual(a, p, s)])
     elif stage == "reversal":  # a reversal that leaves the bounded set
         monkeypatch.setattr(fillings, "reverse", lambda t: (*reversed(t), 0))
     elif stage == "lattice-check":
@@ -823,12 +837,14 @@ def _force(monkeypatch, stage):
 # sweep or a suite, the commands that reach the stage)
 FORCED_FAILURES = {
     "point-diagram": (2, (2, 1), ["expand 4 1", "fillings 4 1", "fillings 4 1 --json",
-                                  "classify 4 1", "rot 4 1", "sweep 10", "sweep 10 --json"]),
+                                  "classify 4 1", "gamma 4 1", "rot 4 1", "sweep 10",
+                                  "sweep 10 --json", "verify gamma"]),
     "spin-count": (2, (2, 1), ["fillings 4 1", "fillings 4 1 --json", "classify 4 1",
                                "gamma 4 1", "rot 4 1", "sweep 10", "sweep 10 --json",
                                "verify gamma"]),
-    "spin-validity": (1, (2, 1), ["fillings 4 1", "fillings 4 1 --json", "gamma 4 1",
-                                  "sweep 10 --json", "verify gamma"]),
+    "spin-validity": (2, (2, 1), ["fillings 4 1", "fillings 4 1 --json", "classify 4 1",
+                                  "gamma 4 1", "rot 4 1", "sweep 10", "sweep 10 --json",
+                                  "verify gamma"]),
     "gamma": (2, (2, 1), ["fillings 4 1", "fillings 4 1 --json", "classify 4 1", "gamma 4 1",
                           "rot 4 1", "sweep 10", "sweep 10 --json", "verify gamma"]),
     "reversal": (2, (2, 1), ["fillings 4 1", "fillings 4 1 --json", "classify 4 1", "rot 4 1",
@@ -837,9 +853,10 @@ FORCED_FAILURES = {
     "max-tuples": (1, (4, 1), ["fillings 4 1", "classify 4 1", "rot 4 1", "lattice-check 4 1",
                                "sweep 10", "verify duality", "verify lattice", "verify mcduff",
                                "verify rational-ball"]),
+    # gamma 5 4 has b = (5,) and reads the dual chain (2, 2, 2, 2), as fillings does
     "max-chain": (1, (5, 1), ["expand 5 1", "expand 5 4", "fillings 5 1", "classify 5 1",
-                              "gamma 5 1", "rot 5 1", "lattice-check 5 1", "sweep 10",
-                              "verify duality", "verify gamma", "verify lattice",
+                              "gamma 5 1", "gamma 5 4", "rot 5 1", "lattice-check 5 1",
+                              "sweep 10", "verify duality", "verify gamma", "verify lattice",
                               "verify mcduff", "verify rational-ball"]),
 }
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensfill.cfrac import enumerate_zero_cf, hj_expand
-from lensfill.errors import LensfillError
+from lensfill.cfrac import dual_expansion, enumerate_zero_cf, hj_expand
+from lensfill.errors import LensfillError, TheoremViolation
 from lensfill.exact import continuant
 from lensfill.fillings import make_params
 from lensfill.homology import (
@@ -154,6 +154,14 @@ def test_gamma_standard_examples():
     assert gamma_standard(b, s) == gamma_filling(b, s)
 
 
+def test_gamma_standard_refuses_entries_below_two():
+    # the dual chain is dual_expansion(b), which needs every b_i >= 2; the
+    # handle picture reads any chain with p >= 1
+    assert gamma_filling((1,), (1,)) == 0
+    with pytest.raises(LensfillError, match=r"^need a tuple with all entries >= 2, got \(1,\)$"):
+        gamma_standard((1,), (1,))
+
+
 def test_gamma_formulas_check_the_chain_before_s():
     # (1, 1) has determinant 0, and s = (1, 1) leaves N_1 = 1 odd: bad both ways
     for gamma in (gamma_filling, gamma_standard):
@@ -171,12 +179,29 @@ def test_gamma_equality_sweep():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.integers(2, 9), min_size=1, max_size=12).map(tuple))
 def test_spin_rows_equal_the_public_formulas(b):
-    # spin_rows shares one continuant pass among the spin recurrence and both
-    # formulas; the public entry points each compute their own
-    assert spin_rows(b) == [
+    # spin_rows shares one continuant pass per chain among the spin recurrence
+    # and the sums; the public entry points each compute their own
+    assert spin_rows(b, dual_expansion(b)) == [
         {"s": list(s), "gamma_filling": gamma_filling(b, s), "gamma_standard": gamma_standard(b, s)}
         for s in spin_structures(b)
     ]
+
+
+def test_spin_rows_refuse_a_chain_that_is_not_the_dual():
+    # L(4,1) has b = (2, 2, 2) and dual (4,); b read as its own dual pairs
+    # s = (0, 0, 0) with x = (1, 0, 1), whose Gamma is 1 - 3 = 2, not 1
+    b = chain(4, 1)
+    assert dual_expansion(b) == (4,)
+    with pytest.raises(TheoremViolation,
+                       match=r"^gamma at s=\(0, 0, 0\): filling formula 1, standard formula 2$"):
+        spin_rows(b, b)
+    # L(3,1) has b = (2, 2), dual (3,); at odd p each chain has one spin
+    # structure, and b's own one starts with s_1, not 1 - s_1
+    b = chain(3, 1)
+    assert spin_structures(b) == [(0, 0)] and dual_expansion(b) == (3,)
+    with pytest.raises(TheoremViolation, match=r"^gamma at s=\(0, 0\): the dual chain \(2, 2\) "
+                       r"has no spin structure with x_1 = 1$"):
+        spin_rows(b, b)
 
 
 def test_rotation_examples():

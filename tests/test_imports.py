@@ -265,7 +265,7 @@ def test_every_public_name_has_a_caller():
     # invariants serves demo 03 (and perfbench's traced invariants span): the
     # report takes b - n inline and the family's chi holds by proof.
     # gamma_filling, gamma_standard and spin_structures serve demo 04:
-    # homology.spin_rows calls their cores with one continuant pass
+    # homology.spin_rows calls their cores, reading b and its dual chain
     exported = {module.__name__.rpartition(".")[2]: module.__all__ for module in EXPORTING_MODULES}
     demos = {path.stem: path.read_text(encoding="utf-8") for path in sorted(DEMOS.glob("*.py"))}
     assert uncalled_public_names(exported, SOURCES | demos) == []
@@ -325,6 +325,7 @@ RAISE_TESTS = {
     "cfrac.dual_expansion": "test_cfrac.py::test_dual_expansion_raises_when_the_routes_disagree",
     "fillings.classify": "test_fillings.py::test_orbits_reject_a_reversal_outside_the_set",
     "fillings.uniqueness_predicate": "test_fillings.py::test_uniqueness_predicate_examples",
+    "homology._dual_gammas": "test_homology.py::test_spin_rows_refuse_a_chain_that_is_not_the_dual",
     "homology._spin_structures": "test_cli.py::test_forced_failure_names_its_pair_once",
     "homology.spin_rows": "test_cli.py::test_gamma_formulas_must_agree_strictly",
     "lattice.build_string": "test_lattice.py::test_pairing_violation_names_its_filling",
@@ -332,7 +333,6 @@ RAISE_TESTS = {
     "lattice.complement_homology": "test_lattice.py::test_b2_violation_names_its_filling",
     "suites.suite_catalan": "test_cfrac.py::test_suite_catalan_fails_on_a_swapped_tuple",
     "suites.suite_duality": "test_cli.py::test_forced_suite_failure_names_its_counterexample",
-    "suites.suite_lattice": "test_cli.py::test_verify_counterexample_names_the_pair",
     "suites.suite_mcduff": "test_cli.py::test_verify_all_reports_a_failed_suite_and_runs_the_rest",
     "suites.suite_rational_ball": "test_cli.py::test_rational_ball_order_must_match_the_witness",
 }
