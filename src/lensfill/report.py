@@ -10,7 +10,11 @@ A report searches the bounded zero tuples once and expands p/q once (by
 dual_expansion), and classify and uniqueness_predicate read those.  The
 tuples come from the package's own search, so the report takes the
 two-handle counts b - n directly instead of calling invariants, which first
-checks that its argument is a bounded zero tuple.  The spin section and
+checks that its argument is a bounded zero tuple.  _build_report takes the
+set from its caller: `sweep` hands it the fillings of L(p, q) reversed for
+L(p, qbar), the same contact manifold with its chain reversed, whose
+fillings are exactly those reversals (Lisca; `verify duality` checks it),
+and every other stage still runs on (p, qbar) itself.  The spin section and
 its check are homology.spin_rows; this module assembles and renders only.
 The commands fillings, classify, rot and sweep render reports or project them.
 
@@ -27,9 +31,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from .fillings import classify, make_params, rational_ball_criterion, uniqueness_predicate, zset
+from .fillings import (
+    LensParams, classify, make_params, rational_ball_criterion, uniqueness_predicate, zset,
+)
 from .homology import _rotation_numbers, mu_basis, spin_rows
-from .cfrac import dual_expansion
+from .cfrac import CFTuple, dual_expansion
 
 __all__ = ["build_report", "render_json", "render_table", "csv_rows", "render_csv", "CSV_HEADER"]
 
@@ -59,7 +65,12 @@ _text = _INT_TEXT.__getitem__  # ints only: see the module docstring
 def build_report(p: int, q: int) -> dict[str, Any]:
     """Everything the tool knows about L(p, q), as a JSON-ready dict."""
     params = make_params(p, q)
-    zs = zset(params)
+    return _build_report(params, zset(params))
+
+
+def _build_report(params: LensParams, zs: list[CFTuple]) -> dict[str, Any]:
+    """The report of params.p, params.q, given zs = zset(params)."""
+    p, q = params.p, params.q
     a = dual_expansion(params.b)
     index = {n: i for i, n in enumerate(zs)}
     classes = [[index[m] for m in orbit] for orbit in classify(params, zs)]
@@ -73,7 +84,7 @@ def build_report(p: int, q: int) -> dict[str, Any]:
                 "chi": chi,
                 "b2": chi - 1,
                 "handles": handles,
-                "rot": list(_rotation_numbers(n)),  # n is from the search: no re-check
+                "rot": list(_rotation_numbers(n)),  # n is searched, or the reversal of one
             }
         )
     witness = rational_ball_criterion(p, q)

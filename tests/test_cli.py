@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lensfill import build_report, cfrac, cli, fillings, homology, lattice, suites
+from lensfill import build_report, cfrac, cli, fillings, homology, lattice, report, suites
 from lensfill.errors import LensfillError, TheoremViolation
 from test_fillings import coprime_pair
 
@@ -379,6 +379,84 @@ def test_sweep_pmax_flag_spelling():
     flagged = run_cli("sweep", "--pmax", "8", "--json")
     assert positional.stdout == flagged.stdout
     assert run_cli("sweep").returncode == 1
+
+
+def _searched_by_sweep(p, q):
+    """True for the pair of L(p, q) that sweep searches: q <= qbar."""
+    return q <= pow(q, -1, p)
+
+
+def test_sweep_reports_equal_build_report(capsys):
+    # the pairs with q > qbar take their partner's fillings, reversed
+    assert cli.main(["sweep", "60", "--json"]) == 0
+    swept = json.loads(capsys.readouterr().out)
+    pairs = list(suites._coprime_pairs(60))
+    assert sum(not _searched_by_sweep(p, q) for p, q in pairs) == 457
+    assert swept == [build_report(p, q) for p, q in pairs]
+
+
+def test_sweep_searches_each_lens_space_once(monkeypatch, capsys):
+    search = fillings.bounded_zero_cf
+    searched = []
+    monkeypatch.setattr(fillings, "bounded_zero_cf", lambda b: searched.append(b) or search(b))
+    assert cli.main(["sweep", "40"]) == 0
+    capsys.readouterr()
+    want = [fillings.make_params(p, q).b
+            for p, q in suites._coprime_pairs(40) if _searched_by_sweep(p, q)]
+    assert len(want) == 302
+    assert searched == want
+
+
+def test_sweep_partner_pair_violation_names_that_pair(monkeypatch, capsys):
+    # 3 * 5 = 1 mod 7: L(7,5), b = (4, 2), takes the reversed fillings of L(7,3)
+    rows = report.spin_rows
+
+    def forced(b, a):
+        if b == (4, 2):
+            raise TheoremViolation("forced")
+        return rows(b, a)
+
+    monkeypatch.setattr(report, "spin_rows", forced)
+    for argv in (["sweep", "10"], ["sweep", "10", "--json"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == "lensfill: theorem violation: L(7,5): forced\n", argv
+
+
+def test_duality_suite_searches_each_chain_once(monkeypatch):
+    search = fillings.bounded_zero_cf
+    searched = []
+    monkeypatch.setattr(fillings, "bounded_zero_cf", lambda b: searched.append(b) or search(b))
+    assert suites.suite_duality(30) == (277, "all pairs with p <= 30")
+    assert len(searched) == len(set(searched)) == 277
+
+
+def _no_work(*args):
+    pytest.fail("sweep built a report past its limit")
+
+
+def test_sweep_refuses_a_bound_over_its_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_report", _no_work)
+    monkeypatch.setattr(cli, "_build_report", _no_work)
+    over = cli.MAX_SWEEP_P + 1
+    for argv in (["sweep", str(over), "--json"], ["sweep", "--pmax", str(over)]):
+        start = time.perf_counter()
+        assert cli.main(argv) == 1, argv
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"lensfill: error: sweep bound {over} is over the limit of {cli.MAX_SWEEP_P}\n"
+    readme = " ".join((REPO / "README.md").read_text(encoding="utf-8").split())
+    assert f"`sweep` refuses a bound over {cli.MAX_SWEEP_P} " in readme
+
+
+def test_sweep_limit_is_inclusive_and_admits_200(monkeypatch, capsys):
+    assert cli.MAX_SWEEP_P >= 450  # `sweep 450 --json` ran in 8.8 s before the partner reuse
+    assert cli.main(["sweep", "200"]) == 0
+    assert capsys.readouterr().out.count("\n") == 12231
+    monkeypatch.setattr(cli, "MAX_SWEEP_P", 12)
+    assert cli.main(["sweep", "12"]) == 0
+    assert cli.main(["sweep", "13"]) == 1
 
 
 def test_expand_command():
