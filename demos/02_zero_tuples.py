@@ -8,14 +8,19 @@ blowups").  In each length k >= 2 there are Catalan(k-1) of them.
 
 from math import comb
 
-from lensfill import blowdown, blowup, bounded_zero_cf, enumerate_zero_cf, strict_blowup_sequence
+from lensfill import blowdown, bounded_zero_cf, enumerate_zero_cf, strict_blowup_sequence
 
-print("growing from (0):")
-t = (0,)
-for s in (2, 2, 4, 3):
-    t = blowup(t, s)
-    print("  blowup at", s, "->", t)
-print("  blowdown at 3 ->", blowdown(t, 3))
+# Every zero tuple records its own construction; the package recovers a
+# canonical sequence of strict insertion positions by greedy blowdowns.
+n = (2, 2, 1, 4, 2, 1)
+seq = strict_blowup_sequence(n)
+print(n, "is built from (0) by strict blowups at", seq)
+print("shrinking back to (0):")
+t = n
+for s in reversed(seq):
+    t = blowdown(t, s)
+    print("  blowdown at", s, "->", t)
+assert t == (0,)
 
 for k in range(1, 9):
     count = len(enumerate_zero_cf(k))
@@ -23,11 +28,6 @@ for k in range(1, 9):
     print(f"length {k}: {count:4d} zero tuples (Catalan: {catalan})")
 
 print("the five of length 4, lexicographic:", enumerate_zero_cf(4))
-
-# Every zero tuple records its own construction; the package recovers a
-# canonical insertion sequence by greedy blowdowns.
-n = (2, 2, 1, 4, 2, 1)
-print(n, "is built from (0) by insertions at", strict_blowup_sequence(n))
 
 # Bounded enumeration scales to lengths where the full census cannot:
 bounds = (2,) * 30

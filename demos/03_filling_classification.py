@@ -7,11 +7,10 @@ and the tuples are reverses of each other.
 """
 
 from lensfill import (
+    build_report,
     classify,
     dual_expansion,
-    invariants,
     make_params,
-    minimal_filling_family,
     rational_ball_criterion,
     uniqueness_predicate,
     zset,
@@ -31,14 +30,14 @@ for p in (5, 6, 17):
 # The square family L(m^2, m-1) always has exactly two fillings; the
 # second is a rational homology ball (second Betti number zero), the
 # piece used in rational blowdown surgery.
+# The report lists each filling with its handle counts b - n, chi and b2.
 for m in (3, 4, 5):
-    pr = make_params(m * m, m - 1)
-    zs = zset(pr)
+    report = build_report(m * m, m - 1)
     print(
         f"L({m*m},{m-1}): fillings",
-        zs,
+        report["z_set"],
         "with b2 =",
-        [sum(invariants(pr, n)) - 1 for n in zs],
+        [row["b2"] for row in report["fillings"]],
         "witness:",
         rational_ball_criterion(m * m, m - 1),
     )
@@ -50,9 +49,12 @@ a = dual_expansion(pr.b)
 print(f"24/5 = {list(a)}; unique filling certified:", uniqueness_predicate(a, zset(pr)))
 print("Z_{24,5} =", zset(pr))
 
-# A lens space with many homotopy-distinct minimal fillings: the family
-# below realizes consecutive Euler characteristics.
+# A lens space with many homotopy-distinct minimal fillings: for b =
+# (2, 3, 3, 3, 3) the tuples n = (1, 2 x r, 3, 2 x (1-r), 1, 3-r) are
+# fillings whose Euler characteristics 5 + sum(b_i - 3) + r are consecutive.
 pr = make_params(89, 34)
+zs = zset(pr)
 for r in (0, 1):
-    n = minimal_filling_family(pr, r)
-    print(f"L(89,34), r={r}: n={n}, chi={sum(invariants(pr, n))}")
+    n = (1,) + (2,) * r + (3,) + (2,) * (1 - r) + (1, 3 - r)
+    assert n in zs
+    print(f"L(89,34), r={r}: n={n}, chi={sum(b - x for b, x in zip(pr.b, n))}")

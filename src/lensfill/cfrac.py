@@ -7,11 +7,13 @@ minus-sign continued fraction
 
 The tuple is *admissible* when every denominator met during bottom-up
 evaluation, i.e. every tail value [t_i, ..., t_k] for i >= 2, is positive.
-Admissible tuples evaluating to 0 are exactly the tuples reachable from
-(0) by strict blowups, and there are Catalan(k-1) of them in each length
-k >= 2.  Expansions with all entries >= 2 are the unique such expansions
-of rationals > 1 and are the combinatorial backbone of cyclic quotient
-singularities and lens spaces.
+A *strict blowup* at a 1-based position s >= 2 inserts a 1 at s and adds
+1 to each neighbor of that 1; it keeps the value and admissibility, and a
+blowdown undoes it.  Admissible tuples evaluating to 0 are exactly the
+tuples reachable from (0) by strict blowups, and there are Catalan(k-1) of
+them in each length k >= 2.  Expansions with all entries >= 2 are the
+unique such expansions of rationals > 1 and are the combinatorial backbone
+of cyclic quotient singularities and lens spaces.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from .errors import LensfillError, TheoremViolation
 from .exact import continuant, continuants
 
 __all__ = [
-    "eval_cf",
     "hj_expand",
     "blowdown",
-    "blowup",
     "enumerate_zero_cf",
     "strict_blowup_sequence",
     "bounded_zero_cf",
@@ -140,7 +140,8 @@ def hj_expand(p: int, q: int) -> CFTuple:
 def blowdown(t: Sequence[int], s: int) -> CFTuple:
     """Remove the entry t_s = 1 and decrement both neighbors.
 
-    s is 1-based; truncation applies at the ends.  The result of blowing
+    s is 1-based; truncation applies at the ends.  This undoes the blowup
+    that inserted that 1 at s, strict when s >= 2.  The result of blowing
     down an admissible zero tuple is again an admissible zero tuple, one
     shorter.
     """
@@ -153,21 +154,6 @@ def blowdown(t: Sequence[int], s: int) -> CFTuple:
     left = t[: s - 2] + (t[s - 2] - 1,) if s >= 2 else ()
     right = ((t[s] - 1,) + t[s + 1 :]) if s <= k - 1 else ()
     return left + right
-
-
-def blowup(t: Sequence[int], s: int) -> CFTuple:
-    """Insert a 1 at position s (1-based, 1..k+1) and increment the
-    neighbors that exist.  Inverse of blowdown at s; strict when s > 1."""
-    t = tuple(t)
-    k = len(t)
-    if not (1 <= s <= k + 1):
-        raise LensfillError(f"insertion position {s} out of range for length {k}")
-    out = list(t[: s - 1]) + [1] + list(t[s - 1 :])
-    if s >= 2:
-        out[s - 2] += 1
-    if s <= k:
-        out[s] += 1
-    return tuple(out)
 
 
 def enumerate_zero_cf(k: int, *, _totals: Optional[list[int]] = None) -> list:
@@ -191,8 +177,9 @@ def strict_blowup_sequence(n: Sequence[int]) -> tuple[int, ...]:
 
     Deterministic choice: at every stage the tuple is blown down at its
     earliest entry equal to 1 in a strict position (index >= 2); the
-    recorded positions are returned in forward (blowup) order.  Works for
-    any length, unlike replaying the Catalan-sized generation.
+    recorded positions are returned in the order in which strict blowups
+    at them rebuild n from (0).  Works for any length, unlike replaying the
+    Catalan-sized generation.
 
     Such an entry exists: a zero tuple of length k >= 3 counts the triangles
     at v_1..v_k of a triangulation of the polygon v_0..v_k, whose two

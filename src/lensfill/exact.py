@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .errors import LensfillError
 
-__all__ = ["mod_inverse", "continuants", "continuant", "smith_diagonal"]
+__all__ = ["mod_inverse", "continuants", "continuant"]
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -50,17 +50,6 @@ def continuant(t: Sequence[int]) -> int:
     return continuants(t)[-1]
 
 
-def _as_matrix(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    a = [list(row) for row in matrix]
-    if a and any(len(row) != len(a[0]) for row in a):
-        raise LensfillError("matrix rows have unequal lengths")
-    for row in a:
-        for x in row:
-            if not isinstance(x, int):
-                raise LensfillError(f"matrix entries must be ints, got {x!r}")
-    return a
-
-
 def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
@@ -72,7 +61,7 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
     at most (k + 1) x k for k <= lattice.MAX_LATTICE_CHAIN chain entries;
     that bounds one filling's core (0.2 s at k = 500), not a whole command.
     """
-    a = _as_matrix(matrix)
+    a = [list(row) for row in matrix]  # reduced in place, so a copy
     nr = len(a)
     nc = len(a[0]) if nr else 0
     dim = min(nr, nc)

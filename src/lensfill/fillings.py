@@ -24,9 +24,7 @@ __all__ = [
     "LensParams",
     "make_params",
     "zset",
-    "invariants",
     "classify",
-    "minimal_filling_family",
     "rational_ball_criterion",
     "uniqueness_predicate",
 ]
@@ -94,39 +92,6 @@ def classify(params: LensParams, zs: list[CFTuple]) -> list[tuple[CFTuple, ...]]
         elif n < rn:
             out.append((n, rn))
     return out
-
-
-def minimal_filling_family(params: LensParams, r: int) -> CFTuple:
-    """The r-th member of a family of fillings with chi increasing in r.
-
-    Applies when k >= 4, b_2, ..., b_{k-2} >= 3 and b_k >= k - 2; then for
-    0 <= r <= k - 4 the tuple
-
-        n = (1, 2 x r, 3, 2 x (k-4-r), 1, k-2-r)
-
-    is a bounded admissible zero tuple and the attached filling has
-    chi = 5 + sum(b_i - 3) + r.  Distinct r give fillings distinguished by
-    their Euler characteristics, all of them minimal manifolds.
-
-    Both facts hold for every accepted input, so neither is checked: n
-    blows down k - 4 - r times at its second-to-last entry to
-    (1, 2 x r, 3, 1, 2), then to the fan (1, 2 x (r+1), 1); the
-    preconditions bound it by b once every b_i >= 2 (only a hand-built
-    LensParams breaks that, and is refused); sum(n) = 3k - 5 - r.
-    """
-    b = params.b
-    k = len(b)
-    if any(x < 2 for x in b):
-        raise LensfillError(f"need a chain with all entries >= 2, got b = {b}")
-    if k < 4:
-        raise LensfillError(f"need k >= 4, got k = {k}")
-    if any(b[i] < 3 for i in range(1, k - 2)):
-        raise LensfillError(f"need b_2..b_{{k-2}} >= 3, got {b}")
-    if b[k - 1] < k - 2:
-        raise LensfillError(f"need b_k >= k - 2, got b_k = {b[k-1]}")
-    if not 0 <= r <= k - 4:
-        raise LensfillError(f"need 0 <= r <= {k - 4}, got r = {r}")
-    return (1,) + (2,) * r + (3,) + (2,) * (k - 4 - r) + (1,) + (k - 2 - r,)
 
 
 def rational_ball_criterion(p: int, q: int) -> Optional[tuple[int, int]]:

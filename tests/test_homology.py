@@ -11,7 +11,6 @@ from lensfill.fillings import make_params
 from lensfill.homology import (
     gamma_filling,
     gamma_standard,
-    is_valid_spin,
     mu_basis,
     rotation_numbers,
     spin_rows,
@@ -22,6 +21,17 @@ from test_fillings import coprime_pairs
 
 def chain(p, q):
     return hj_expand(p, p - q)
+
+
+def is_valid_spin(b, s):
+    """Whether the bits s, each 0 or 1, make every N_i = s_{i-1} + s_{i+1} +
+    b_i (1 - s_i) even, with s_0 = s_{k+1} = 0: the characteristic-sublink
+    condition, checked term by term rather than by the recurrence."""
+    if len(s) != len(b) or any(x not in (0, 1) for x in s):
+        return False
+    padded = (0, *s, 0)
+    return all((padded[i - 1] + padded[i + 1] + x * (1 - padded[i])) % 2 == 0
+               for i, x in enumerate(b, 1))
 
 
 def test_mu_basis_examples():

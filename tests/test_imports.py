@@ -2,8 +2,9 @@
 module-level import comes from a short allow-list of cheap modules, only
 the cli and the package ``__init__`` import the report module, and no
 command loads the heavy stdlib modules the package does without; every
-module-level private name is used somewhere in the package, every public
-name is used in the package or a demo, no module
+module-level private name is used somewhere in the package, every exported
+name is reached from the commands' entry points, every public-named function
+they do not reach is one that perfbench's traced.py wraps by name, no module
 holds an ``assert`` statement, since ``python -O`` strips those, every
 ``raise`` names one of the package's two exception classes, no ``raise``
 outside ``errors.py`` writes a lens space's ``L(`` name, no call passes
@@ -29,7 +30,6 @@ from lensfill import cfrac, errors, exact, fillings, homology, lattice, report
 EXPORTING_MODULES = (cfrac, exact, fillings, homology, lattice)
 
 PACKAGE = Path(lensfill.__file__).parent
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SOURCES = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -221,59 +221,115 @@ def test_no_dead_private_names_in_package():
     assert dead_private_names(SOURCES) == []
 
 
-def uncalled_public_names(exported, sources):
-    """(module, name) for each name in ``exported`` that no source loads
-    outside its own definition.
+def reached_definitions(sources, roots):
+    """The (module, name) of each top-level definition in ``sources`` that a
+    definition in ``roots`` reaches, roots included.
 
-    ``exported`` maps module names to their ``__all__`` lists and ``sources``
-    maps labels to source text.  A use is a load of the name or an attribute
-    of that name anywhere but inside the top-level def or class of that name,
-    so an import alone or a recursive call does not count.
+    ``sources`` maps module names to source text and ``roots`` lists (module,
+    name) pairs.  A definition is a top-level def or class, or an assignment
+    to a name.  It reaches every definition whose name it loads anywhere in
+    its body, nested functions and methods included, resolved in its own
+    module: a name defined there, or one bound by a relative ``from`` import.
     """
-    used = set()
-    for source in sources.values():
+    defs, scope = {}, {}
+    for module, source in sources.items():
+        names = scope[module] = {}
         for stmt in ast.parse(source).body:
-            loads = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    loads.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    loads.add(node.attr)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                loads.discard(stmt.name)
-            used |= loads
-    return sorted((m, name) for m, names in exported.items() for name in names if name not in used)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                assigned = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                targets = [t.id for t in assigned if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.level and stmt.module:
+                for alias in stmt.names:
+                    names[alias.asname or alias.name] = (stmt.module, alias.name)
+                continue
+            else:
+                continue
+            for name in targets:
+                defs[module, name] = stmt
+                names[name] = (module, name)
+    reached, stack = set(), list(roots)
+    while stack:
+        key = stack.pop()
+        if key in reached or key not in defs:
+            continue
+        reached.add(key)
+        names = scope[key[0]]
+        for node in ast.walk(defs[key]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
+                stack.append(names[node.id])
+    return reached
+
+
+def uncalled_public_names(exported, sources, roots):
+    """(module, name) for each name in ``exported`` (module name -> its
+    ``__all__`` list) that no definition in ``roots`` reaches in ``sources``."""
+    reached = reached_definitions(sources, roots)
+    return sorted(
+        (m, name) for m, names in exported.items() for name in names if (m, name) not in reached
+    )
 
 
 def test_uncalled_public_names_detected():
-    exported = {"a": ["used", "recursive", "Orphan", "imported", "by_attribute"]}
+    exported = {"a": ["used", "aliased", "recursive", "Orphan", "chained", "via_table"]}
     sources = {
-        "a": "def used():\n    return 1\ndef recursive(n):\n    return recursive(n - 1)\n"
-        "class Orphan:\n    pass\n__all__ = ['used', 'Orphan']\n",
-        "b": "import a\nfrom a import imported, used\nprint(used(), a.by_attribute)\n",
-        "c": "def used():\n    return 2\n",  # a later definition of the name hides no use
+        "a": "def used():\n    return 1\ndef aliased():\n    return 2\n"
+        "def recursive(n):\n    return recursive(n - 1)\nclass Orphan:\n    pass\n"
+        "def chained():\n    return 3\ndef unused():\n    return chained()\n"
+        "def via_table():\n    return 4\nTABLE = {'x': via_table}\n"
+        "__all__ = ['used', 'Orphan']\n",
+        "b": "from .a import used, TABLE, aliased as other, recursive\n"
+        "def main():\n    def inner():\n        return other()\n"
+        "    return used(), inner(), TABLE\n"
+        "def recursive():\n    return 0\n",  # b's own definition hides a's
     }
-    assert uncalled_public_names(exported, sources) == [
-        ("a", "Orphan"), ("a", "imported"), ("a", "recursive"),
+    # chained has a caller, but only unused calls it, and no root reaches unused
+    assert uncalled_public_names(exported, sources, [("b", "main")]) == [
+        ("a", "Orphan"), ("a", "chained"), ("a", "recursive"),
     ]
+
+
+# where the commands start: cli's main and cmd_* functions and the verify suites
+COMMAND_ROOTS = [
+    (module, stmt.name)
+    for module, prefix in (("cli", "main"), ("cli", "cmd_"), ("suites", "suite_"))
+    for stmt in ast.parse(SOURCES[module]).body
+    if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith(prefix)
+]
+
+TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+
+
+def traced_layers():
+    """(module, name) for each function perfbench/traced.py wraps, read from
+    its LAYERS literal."""
+    for stmt in ast.parse(TRACED.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets] == ["LAYERS"]:
+            layers = ast.literal_eval(stmt.value)
+            return {(module, name) for module, names in layers.items() for name in names}
+    raise AssertionError("traced.py assigns no LAYERS")
 
 
 def test_every_public_name_has_a_caller():
-    # a public name serves the package or a demo; blowup, eval_cf and
-    # minimal_filling_family are exported for demos 02, 01 and 03 and have no
-    # caller in the package itself, whose zero tests read the integer core.
-    # invariants serves demo 03 (and perfbench's traced invariants span): the
-    # report takes b - n inline and the family's chi holds by proof.
-    # gamma_filling, gamma_standard and spin_structures serve demo 04:
-    # homology.spin_rows calls their cores, reading b and its dual chain
+    # a public name is one the commands run; the demos are a tour of this
+    # surface, and a demo or test alone does not make a name public.
+    # __version__ is data, not code
     exported = {module.__name__.rpartition(".")[2]: module.__all__ for module in EXPORTING_MODULES}
-    demos = {path.stem: path.read_text(encoding="utf-8") for path in sorted(DEMOS.glob("*.py"))}
-    assert uncalled_public_names(exported, SOURCES | demos) == []
-    assert uncalled_public_names(exported, SOURCES) == [
-        ("cfrac", "blowup"), ("cfrac", "eval_cf"), ("fillings", "invariants"),
-        ("fillings", "minimal_filling_family"), ("homology", "gamma_filling"),
-        ("homology", "gamma_standard"), ("homology", "spin_structures"),
-    ]
+    exported["report"] = ["build_report"]
+    assert uncalled_public_names(exported, SOURCES, COMMAND_ROOTS) == []
+    # a public-named function no command reaches stays only while perfbench's
+    # traced.py wraps it by name (eval_cf, invariants, spin_structures,
+    # gamma_filling and gamma_standard), so this set can only shrink
+    reached = reached_definitions(SOURCES, COMMAND_ROOTS)
+    unreached = {
+        (module, stmt.name)
+        for module, source in SOURCES.items()
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+        and (module, stmt.name) not in reached
+    }
+    assert unreached <= traced_layers(), sorted(unreached - traced_layers())
 
 
 def assert_statements(source):
