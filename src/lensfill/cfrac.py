@@ -19,10 +19,13 @@ of cyclic quotient singularities and lens spaces.
 from __future__ import annotations
 
 from math import comb, gcd
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import LensfillError, TheoremViolation
 from .exact import continuant, continuants
+
+if TYPE_CHECKING:  # eval_cf's annotation; no command imports fractions
+    from fractions import Fraction
 
 __all__ = [
     "hj_expand",
@@ -126,6 +129,11 @@ def hj_expand(p: int, q: int) -> CFTuple:
     more than MAX_CHAIN entries.
     """
     _check_pair(p, q)
+    return _hj_expand(p, q)
+
+
+def _hj_expand(p: int, q: int) -> CFTuple:
+    """hj_expand for a pair already checked, such as one make_params took."""
     out = []
     x, y = p, q
     while y:
@@ -356,27 +364,42 @@ def bounded_zero_cf(bounds: Sequence[int], *, _totals: Optional[list[int]] = Non
 
 
 def dual_expansion(b: Sequence[int]) -> CFTuple:
-    """The expansion of p/q given the expansion of p/(p-q), via the point
-    diagram.
+    """The expansion of p/q given the expansion b of p/(p-q), via the point
+    diagram (see _dual_expansion).
 
-    Row i of the diagram carries b_i - 1 dots and each row starts under
-    the last dot of the previous one; the column counts plus one give the
-    dual expansion.  The result is cross-checked against the direct route
-    (p = K(b) and p - q = K(b_2..b_k), expand p/q); a mismatch raises
-    TheoremViolation.  The direct route runs first, so it refuses an
-    expansion past MAX_CHAIN before the diagram is drawn.
+    The direct route here reads the pair from b's continuants, p = K(b) and
+    p - q = K(b_2..b_k); a report passes its own pair to _dual_expansion.
     """
     b = tuple(b)
     if not b or any(x < 2 for x in b):
         raise LensfillError(f"need a tuple with all entries >= 2, got {b}")
     p = continuant(b)
-    direct = hj_expand(p, p - continuant(b[1:]))
-    counts = [1] * (sum(b) - 2 * len(b) + 1)  # one more than the dots per column
-    col = 0
+    return _dual_expansion(b, p, p - continuant(b[1:]))
+
+
+def _dual_expansion(b: CFTuple, p: int, q: int) -> CFTuple:
+    """dual_expansion for b = hj_expand(p, p - q), given the pair (p, q).
+
+    Row i of the diagram carries b_i - 1 dots and each row starts under
+    the last dot of the previous one; the column counts plus one give the
+    dual expansion.  The columns are read left to right: each row starts in
+    the current column, and a row with b_i > 2 closes it, has the next
+    b_i - 3 columns to itself and opens the one after with its last dot.
+    The direct route expands p/q itself, so a report, which holds its pair,
+    ties a to that pair; a mismatch raises TheoremViolation.  The direct
+    route runs first, so it refuses an expansion past MAX_CHAIN before the
+    diagram is drawn.
+    """
+    direct = hj_expand(p, q)
+    counts = []  # one more than the dots per column
+    dots = 0  # in the current column
     for x in b:
-        for j in range(col, col + x - 1):
-            counts[j] += 1
-        col += x - 2
+        dots += 1
+        if x > 2:
+            counts.append(dots + 1)
+            counts += [2] * (x - 3)
+            dots = 1
+    counts.append(dots + 1)
     a = tuple(counts)
     if a != direct:
         raise TheoremViolation(f"point diagram of b = {b} gives {a}, direct route {direct}")

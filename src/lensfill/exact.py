@@ -22,9 +22,10 @@ def mod_inverse(a: int, m: int) -> int:
     """
     if m < 2:
         raise LensfillError(f"modulus must be at least 2, got {m}")
-    if gcd(a, m) != 1:
-        raise LensfillError(f"{a} has no inverse mod {m}")
-    return pow(a, -1, m)
+    try:
+        return pow(a, -1, m)  # ValueError exactly when gcd(a, m) != 1
+    except ValueError:
+        raise LensfillError(f"{a} has no inverse mod {m}") from None
 
 
 def continuants(t: Sequence[int]) -> list[int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
-from .cfrac import CFTuple, _check_pair, _is_zero_tuple, bounded_zero_cf, hj_expand, reverse
+from .cfrac import CFTuple, _check_pair, _hj_expand, _is_zero_tuple, bounded_zero_cf, reverse
 from .errors import LensfillError, TheoremViolation
 from .exact import mod_inverse
 
@@ -44,9 +44,9 @@ class LensParams(NamedTuple):
 
 
 def make_params(p: int, q: int) -> LensParams:
-    """Validate the pair and populate the chain data for L(p, q)."""
+    """Validate the pair once and populate the chain data for L(p, q)."""
     _check_pair(p, q)
-    return LensParams(p=p, q=q, b=hj_expand(p, p - q), qbar=mod_inverse(q, p))
+    return LensParams(p=p, q=q, b=_hj_expand(p, p - q), qbar=mod_inverse(q, p))
 
 
 def zset(params: LensParams) -> list[CFTuple]:
@@ -103,6 +103,11 @@ def rational_ball_criterion(p: int, q: int) -> Optional[tuple[int, int]]:
     than assumed here.
     """
     _check_pair(p, q)
+    return _rational_ball_criterion(p, q)
+
+
+def _rational_ball_criterion(p: int, q: int) -> Optional[tuple[int, int]]:
+    """rational_ball_criterion for a pair already checked, such as a report's."""
     m = isqrt(p)
     if m * m != p or (q + 1) % m:
         return None

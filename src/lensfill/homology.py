@@ -10,11 +10,13 @@ spin_structures take b alone, the Gamma formulas b and a spin structure s,
 and spin_rows b and its dual chain a; rotation_numbers takes a zero tuple
 n instead.  The private cores behind the spin and invariant functions take
 p and the mu_i from one continuant pass (spin_rows makes that pass once
-per chain).  Each spin core (the spin recurrence and the invariant sum) is
-one walk along its chain.  Computed here: spin structures as parity bit
-vectors, the plane-field invariant Gamma of the filling's boundary and of
-the standard contact structure, the spin section that checks they agree,
-and the chain's rotation numbers.
+per chain).  One walk along a chain from a first bit s_1 runs the spin
+recurrence and the invariant sum together, since the step that finds
+s_{i+1} completes N_i: spin_rows walks b once per first bit and the dual
+chain once per spin structure.  Computed here: spin structures as parity
+bit vectors, the plane-field invariant Gamma of the filling's boundary and
+of the standard contact structure, the spin section that checks they
+agree, and the chain's rotation numbers.
 
 Gamma of the standard contact structure is read from the dual chain a =
 dual_expansion(b), the expansion of p/q (K(a) = p), which the resolution of
@@ -78,28 +80,43 @@ def spin_structures(b: Sequence[int]) -> list[Bits]:
     The count must be 1 for odd p = K(b) and 2 for even p (asserted).
     """
     b = tuple(b)
-    return _spin_structures(b, _chain_continuants(b)[-1])
+    return [s for s, _ in _spin_gammas(b, _chain_continuants(b))]
 
 
-def _spin_structure(b: tuple[int, ...], s1: int) -> Bits | None:
-    """The spin structure of b with first bit s1, or None if the recurrence
-    from s_1 = s1 does not close with s_{k+1} = 0."""
+def _spin_gamma(b: tuple[int, ...], s1: int, mu: list[int], p: int) -> tuple[Bits, int] | None:
+    """(s, gamma_filling(b, s)) for the spin structure s of b with s_1 = s1,
+    given mu = continuants(b), so that mu[i] = K(b_1..b_{i-1}) = mu_i, and
+    p = K(b); None if the recurrence from s_1 = s1 does not close with
+    s_{k+1} = 0.  One walk: the step that finds s_{i+1} completes N_i."""
     bits = []
-    left, here = 0, s1  # s_{i-1}, s_i
-    for x in b:
+    total, left, here = 1, 0, s1  # mu_1 + sum_i (N_i/2 - 1) mu_i; s_{i-1}, s_i
+    for i, x in enumerate(b, 1):
+        n = left + (0 if here else x)  # N_i - s_{i+1}; s_{i+1} = n & 1 makes N_i even
+        total += (n - 1) // 2 * mu[i]  # (N_i/2 - 1) mu_i, as N_i = n + (n & 1)
         bits.append(here)
-        left, here = here, (left + x * (1 - here)) % 2
-    return tuple(bits) if here == 0 else None  # here is s_{k+1}
+        left, here = here, n & 1
+    return None if here else (tuple(bits), total % p)  # here is s_{k+1}
 
 
-def _spin_structures(b: tuple[int, ...], p: int) -> list[Bits]:
-    """spin_structures for a chain b with determinant p = K(b)."""
-    out = [s for s in (_spin_structure(b, 0), _spin_structure(b, 1)) if s is not None]
+def _spin_gammas(b: tuple[int, ...], mu: list[int]) -> list[tuple[Bits, int]]:
+    """(s, gamma_filling(b, s)) for each spin structure s of a chain b, given
+    mu = continuants(b), whose last entry is p = K(b)."""
+    p = mu[-1]
+    out = [r for r in (_spin_gamma(b, 0, mu, p), _spin_gamma(b, 1, mu, p)) if r is not None]
     if len(out) != 2 - p % 2:
         raise TheoremViolation(
             f"found {len(out)} spin structures for {b}, expected {2 - p % 2}"
         )
     return out
+
+
+def _gamma_at(rows: list[tuple[Bits, int]], b: tuple[int, ...], s: Sequence[int]) -> int:
+    """gamma_filling(b, s) from rows = _spin_gammas(b, mu); refuses an s that
+    is not among them."""
+    for t, gamma in rows:
+        if t == tuple(s):
+            return gamma
+    raise LensfillError(f"{s} is not a spin structure for chain {b}")
 
 
 def gamma_filling(b: Sequence[int], s: Sequence[int]) -> int:
@@ -112,23 +129,7 @@ def gamma_filling(b: Sequence[int], s: Sequence[int]) -> int:
     that is not one of spin_structures(b).
     """
     b = tuple(b)
-    mu = _chain_continuants(b)
-    if tuple(s) not in _spin_structures(b, mu[-1]):
-        raise LensfillError(f"{s} is not a spin structure for chain {b}")
-    return _gamma_filling(b, s, mu, mu[-1])
-
-
-def _gamma_filling(b: tuple[int, ...], s: Sequence[int], mu: list[int], p: int) -> int:
-    """gamma_filling for a spin structure s of b, one that _spin_structures
-    built, given mu = continuants(b), so that mu[i] = K(b_1..b_{i-1}) = mu_i,
-    and p = K(b)."""
-    k = len(b)
-    total, left, here = 1, 0, s[0]  # mu_1 + sum_i (N_i/2 - 1) mu_i, in one walk
-    for i, x in enumerate(b, 1):
-        right = s[i] if i < k else 0
-        total += ((left + right + (0 if here else x)) // 2 - 1) * mu[i]
-        left, here = here, right
-    return total % p
+    return _gamma_at(_spin_gammas(b, _chain_continuants(b)), b, s)
 
 
 def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
@@ -138,26 +139,25 @@ def gamma_standard(b: Sequence[int], s: Sequence[int]) -> int:
     dual_expansion, it refuses a chain with an entry below 2.
     """
     b = tuple(b)
-    p = _chain_continuants(b)[-1]  # the chain first, as in gamma_filling
-    if tuple(s) not in _spin_structures(b, p):
-        raise LensfillError(f"{s} is not a spin structure for chain {b}")
-    return _dual_gammas(dual_expansion(b), p, [s])[0]
+    mu = _chain_continuants(b)  # the chain first, as in gamma_filling
+    _gamma_at(_spin_gammas(b, mu), b, s)  # refuses an s that is not a spin structure of b
+    return _dual_gammas(dual_expansion(b), mu[-1], [s])[0]
 
 
 def _dual_gammas(a: tuple[int, ...], p: int, spins: Sequence[Sequence[int]]) -> list[int]:
     """gamma_standard at each spin structure s of b in spins, given the dual
     chain a and p = K(b) = K(a): 1 - gamma_filling(a, x) mod p, where x is the
-    spin structure of a with x_1 = 1 - s_1.  TheoremViolation names the s
-    for which a has no such x."""
+    spin structure of a with x_1 = 1 - s_1, one walk along a per s.
+    TheoremViolation names the s for which a has no such x."""
     nu = continuants(a)  # nu_j = K(a_1..a_{j-1}) = nu[j]
     out = []
     for s in spins:
-        x = _spin_structure(a, 1 - s[0])
-        if x is None:
+        row = _spin_gamma(a, 1 - s[0], nu, p)
+        if row is None:
             raise TheoremViolation(
                 f"gamma at s={s}: the dual chain {a} has no spin structure with x_1 = {1 - s[0]}"
             )
-        out.append((1 - _gamma_filling(a, x, nu, p)) % p)
+        out.append((1 - row[1]) % p)
     return out
 
 
@@ -168,14 +168,13 @@ def spin_rows(b: tuple[int, ...], a: tuple[int, ...]) -> list[dict]:
 
     The two must agree exactly; TheoremViolation names the spin structure
     where they do not, or where a has no spin structure to pair with it, and
-    the caller's naming scopes the pair.  The b side runs first.
+    the caller's naming scopes the pair.  The b side runs first: two walks
+    along b, one per first bit, then one walk along a per spin structure.
     """
     mu = _chain_continuants(b)  # one continuant pass serves the b side
-    p = mu[-1]
-    spins = _spin_structures(b, p)
+    found = _spin_gammas(b, mu)
     rows = []
-    for s, gs in zip(spins, _dual_gammas(a, p, spins)):
-        gf = _gamma_filling(b, s, mu, p)
+    for (s, gf), gs in zip(found, _dual_gammas(a, mu[-1], [s for s, _ in found])):
         if gf != gs:
             raise TheoremViolation(f"gamma at s={s}: filling formula {gf}, standard formula {gs}")
         rows.append({"s": list(s), "gamma_filling": gf, "gamma_standard": gs})
@@ -198,12 +197,12 @@ def rotation_numbers(n: Sequence[int]) -> tuple[int, ...]:
     n = tuple(n)
     if not _is_zero_tuple(n):
         raise LensfillError(f"{n} is not an admissible zero tuple")
-    return _rotation_numbers(n)
+    return tuple(_rotation_numbers(n))
 
 
-def _rotation_numbers(n: tuple[int, ...]) -> tuple[int, ...]:
-    """rotation_numbers for an n already known to be an admissible zero tuple,
-    such as one the report's own search emitted."""
+def _rotation_numbers(n: tuple[int, ...]) -> list[int]:
+    """rotation_numbers as a new list, for an n already known to be an
+    admissible zero tuple, such as one the report's own search emitted."""
     if len(n) == 1:
-        return (0,)
-    return tuple(continuants(n[1:-1]))  # r_1 = K_{-1} = 0, r_2 = K() = 1, ..., r_k
+        return [0]
+    return continuants(n[1:-1])  # r_1 = K_{-1} = 0, r_2 = K() = 1, ..., r_k

@@ -6,15 +6,18 @@ fixed and published as schema/report.schema.json at the repository root;
 identical inputs produce byte-identical output (no timestamps, fully
 deterministic ordering).
 
-A report searches the bounded zero tuples once and expands p/q once (by
-dual_expansion), and classify and uniqueness_predicate read those.  The
-tuples come from the package's own search, so the report takes the
-two-handle counts b - n directly instead of calling invariants, which first
-checks that its argument is a bounded zero tuple.  _build_report takes the
-set from its caller: `sweep` hands it the fillings of L(p, q) reversed for
-L(p, qbar), the same contact manifold with its chain reversed, whose
-fillings are exactly those reversals (Lisca; `verify duality` checks it),
-and every other stage still runs on (p, qbar) itself.  The spin section and
+A report checks its pair once, in make_params, searches the bounded zero
+tuples once and expands p/q once: the direct route of cfrac._dual_expansion
+expands the report's own pair and checks the point diagram of b against it.
+classify and uniqueness_predicate read those, and the rational-ball witness
+comes from the unchecked core of rational_ball_criterion.  The tuples come
+from the package's own search, so the report takes the two-handle counts
+b - n directly instead of calling invariants, which first checks that its
+argument is a bounded zero tuple.  _build_report takes the set from its
+caller: `sweep` hands it the fillings of L(p, q) reversed for L(p, qbar),
+the same contact manifold with its chain reversed, whose fillings are
+exactly those reversals (Lisca; `verify duality` checks it), and every
+other stage still runs on (p, qbar) itself.  The spin section and
 its check are homology.spin_rows; this module assembles and renders only.
 The commands fillings, classify, rot and sweep render reports or project them.
 
@@ -32,10 +35,10 @@ from __future__ import annotations
 from typing import Any
 
 from .fillings import (
-    LensParams, classify, make_params, rational_ball_criterion, uniqueness_predicate, zset,
+    LensParams, _rational_ball_criterion, classify, make_params, uniqueness_predicate, zset,
 )
 from .homology import _rotation_numbers, mu_basis, spin_rows
-from .cfrac import CFTuple, dual_expansion
+from .cfrac import CFTuple, _dual_expansion
 
 __all__ = ["build_report", "render_json", "render_table", "csv_rows", "render_csv", "CSV_HEADER"]
 
@@ -70,13 +73,17 @@ def build_report(p: int, q: int) -> dict[str, Any]:
 
 def _build_report(params: LensParams, zs: list[CFTuple]) -> dict[str, Any]:
     """The report of params.p, params.q, given zs = zset(params)."""
-    p, q = params.p, params.q
-    a = dual_expansion(params.b)
-    index = {n: i for i, n in enumerate(zs)}
-    classes = [[index[m] for m in orbit] for orbit in classify(params, zs)]
+    p, q, b, qbar = params
+    a = _dual_expansion(b, p, q)
+    orbits = classify(params, zs)
+    if len(orbits) == len(zs):  # one orbit per tuple, in the order of zs
+        classes = [[i] for i in range(len(zs))]
+    else:
+        index = {n: i for i, n in enumerate(zs)}
+        classes = [[index[m] for m in orbit] for orbit in orbits]
     fillings = []
     for n in zs:
-        handles = [bi - ni for bi, ni in zip(params.b, n)]
+        handles = [bi - ni for bi, ni in zip(b, n)]
         chi = sum(handles)
         fillings.append(
             {
@@ -84,20 +91,20 @@ def _build_report(params: LensParams, zs: list[CFTuple]) -> dict[str, Any]:
                 "chi": chi,
                 "b2": chi - 1,
                 "handles": handles,
-                "rot": list(_rotation_numbers(n)),  # n is searched, or the reversal of one
+                "rot": _rotation_numbers(n),  # n is searched, or the reversal of one
             }
         )
-    witness = rational_ball_criterion(p, q)
+    witness = _rational_ball_criterion(p, q)
     return {
         "p": p,
         "q": q,
-        "b": list(params.b),
+        "b": list(b),
         "a": list(a),
-        "qbar": params.qbar,
+        "qbar": qbar,
         "z_set": [list(n) for n in zs],
         "classes": classes,
         "fillings": fillings,
-        "spin": spin_rows(params.b, a),
+        "spin": spin_rows(b, a),
         "flags": {
             "rational_ball": witness is not None,
             "rational_ball_witness": list(witness) if witness else None,

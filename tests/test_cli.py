@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -405,6 +406,51 @@ def test_sweep_searches_each_lens_space_once(monkeypatch, capsys):
             for p, q in suites._coprime_pairs(40) if _searched_by_sweep(p, q)]
     assert len(want) == 302
     assert searched == want
+
+
+def test_sweep_does_each_pairs_work_once(monkeypatch, capsys):
+    # a pair is checked by make_params and by the direct route of its dual
+    # expansion, which expands p/q from the report's own pair, not from b's
+    # continuants; b is walked once per first spin bit, the dual chain once per row
+    counts = dict.fromkeys(["check", "walk", "continuant"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    check = cfrac._check_pair
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("lensfill") and vars(module).get("_check_pair") is check:
+            monkeypatch.setattr(module, "_check_pair", counted("check", check))
+    monkeypatch.setattr(homology, "_spin_gamma", counted("walk", homology._spin_gamma))
+    monkeypatch.setattr(cfrac, "continuant", counted("continuant", cfrac.continuant))
+    assert cli.main(["sweep", "40", "--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == len(list(suites._coprime_pairs(40)))
+    assert counts["check"] <= 2 * len(reports)
+    assert counts["walk"] <= sum(2 + len(r["spin"]) for r in reports)
+    assert counts["continuant"] == 0
+
+
+# sha256 of what the benchmark's commands write, as perfbench/inputs.json records it
+# for `census` and for the seed-0 `deep` commands, which run the pairs in DEEP_PAIRS
+BENCHMARK_DIGESTS = {
+    "sweep 200 --json": "5e15035ee50c071de45ca60fcbd766556fc7f66c6e9e6a6613c6c9a66866447f",
+    "fillings 34111385 29134601": "1076f086fde99907cded9d0b84338cf0b645540a72307d1c0880b45f74230098",
+    "fillings 6665999 5274724": "94f397eb8dfd3e715d672418fae2d187057440f18394679b90dc7d50a891a71d",
+    "fillings 3996974 2536279": "474c6edcda5d6e904fdd5d6a4330dc0a738e2a443110c5bacadb9fd1654c85ad",
+}
+
+
+@pytest.mark.parametrize("command", BENCHMARK_DIGESTS, ids=lambda x: x.replace(" ", "-"))
+def test_benchmark_commands_write_their_recorded_bytes(tmp_path, command):
+    assert [*BENCHMARK_DIGESTS][1:] == [f"fillings {p} {q}" for p, q in DEEP_PAIRS]
+    out = tmp_path / "out.txt"
+    assert cli.main([*command.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCHMARK_DIGESTS[command]
 
 
 def test_sweep_partner_pair_violation_names_that_pair(monkeypatch, capsys):

@@ -123,8 +123,9 @@ def test_zset_count_at_depth_twelve():
 
 
 def test_build_report_searches_once(monkeypatch):
-    # one search, one classify on its result, and two expansions: p/(p-q) in
-    # make_params and p/q in dual_expansion, which uniqueness_predicate reads
+    # one search, one classify on its result, and two expansions through the
+    # unchecked core: p/(p-q) in make_params and p/q on the direct route of
+    # the report's dual expansion, which uniqueness_predicate reads
     from lensfill import cfrac, report
 
     calls = []
@@ -137,9 +138,9 @@ def test_build_report_searches_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fillings, "bounded_zero_cf", counted("search", bounded_zero_cf))
-    expand = counted("expand", hj_expand)
-    monkeypatch.setattr(cfrac, "hj_expand", expand)
-    monkeypatch.setattr(fillings, "hj_expand", expand)
+    expand = counted("expand", cfrac._hj_expand)
+    monkeypatch.setattr(cfrac, "_hj_expand", expand)
+    monkeypatch.setattr(fillings, "_hj_expand", expand)
     monkeypatch.setattr(report, "classify", counted("classify", classify))
     # 24/5 = [5, 5] certifies a unique filling; 8^2 = 1 mod 21 pairs reversals
     for p, q in ((24, 5), (21, 8), (9, 2)):

@@ -241,7 +241,7 @@ def test_rotation_core_equals_the_checked_function_on_every_filling():
     cases = 0
     for p, q in coprime_pairs(60):
         for n in zset(make_params(p, q)):
-            assert _rotation_numbers(n) == rotation_numbers(n), (p, q, n)
+            assert _rotation_numbers(n) == list(rotation_numbers(n)), (p, q, n)
             cases += 1
     assert cases > 1000
 

@@ -9,20 +9,25 @@ holds an ``assert`` statement, since ``python -O`` strips those, every
 ``raise`` names one of the package's two exception classes, no ``raise``
 outside ``errors.py`` writes a lens space's ``L(`` name, no call passes
 ``indent=`` to ``json.dumps`` or ``json.dump``, every function that raises
-``TheoremViolation`` is mapped to a test that fires that raise, and the
-package exports exactly its modules' ``__all__`` lists.
+``TheoremViolation`` is mapped to a test that fires that raise, every
+annotation resolves under ``typing.get_type_hints``, and the package exports
+exactly its modules' ``__all__`` lists.
 
 No linter ships with the package, so these are stdlib AST checks.  The
 package ``__init__.py`` is skipped by the import check, since its imports
-are re-exports, and so are ``__future__`` imports.
+are re-exports, and so are ``__future__`` imports and the body of
+``if TYPE_CHECKING:``, which never runs.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
+from types import FunctionType
 
 import lensfill
 from lensfill import cfrac, errors, exact, fillings, homology, lattice, report
@@ -73,14 +78,23 @@ ALLOWED_IMPORTS = {
 }
 
 
+def is_type_checking_block(node):
+    """Whether node is ``if TYPE_CHECKING:``, whose body only a type checker runs."""
+    return isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+
+
 def module_level_imports(source):
     """(line, top-level module) for each import that runs when the module is
-    imported, that is, outside every function body; a relative import is "."."""
+    imported, that is, outside every function body and every
+    ``if TYPE_CHECKING:`` body; a relative import is "."."""
     found = []
     stack = list(ast.parse(source).body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if is_type_checking_block(node):
+            stack.extend(node.orelse)
             continue
         if isinstance(node, ast.Import):
             found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
@@ -101,9 +115,12 @@ def test_disallowed_imports_detected():
         "from .cfrac import eval_cf\nif True:\n    import csv\n"
         "def f():\n    from fractions import Fraction\n"
         "class C:\n    from decimal import Decimal\n    def g(self):\n        import ast\n"
+        "if TYPE_CHECKING:\n    from fractions import Fraction\nelse:\n    import numbers\n"
+        "if typing.TYPE_CHECKING:\n    import decimal\n"
     )
     assert disallowed_imports(source) == [
-        (1, "inspect"), (2, "dataclasses"), (6, "csv"), (10, "decimal"),
+        (1, "inspect"), (2, "dataclasses"), (6, "csv"), (10, "decimal"), (16, "numbers"),
+        (18, "decimal"),
     ]
 
 
@@ -378,11 +395,11 @@ def test_every_raise_names_a_package_error():
 # TheoremViolation; a raise inside a nested function or a method belongs to
 # the top-level def or class that holds it
 RAISE_TESTS = {
-    "cfrac.dual_expansion": "test_cfrac.py::test_dual_expansion_raises_when_the_routes_disagree",
+    "cfrac._dual_expansion": "test_cfrac.py::test_dual_expansion_raises_when_the_routes_disagree",
     "fillings.classify": "test_fillings.py::test_orbits_reject_a_reversal_outside_the_set",
     "fillings.uniqueness_predicate": "test_fillings.py::test_uniqueness_predicate_examples",
     "homology._dual_gammas": "test_homology.py::test_spin_rows_refuse_a_chain_that_is_not_the_dual",
-    "homology._spin_structures": "test_cli.py::test_forced_failure_names_its_pair_once",
+    "homology._spin_gammas": "test_cli.py::test_forced_failure_names_its_pair_once",
     "homology.spin_rows": "test_cli.py::test_gamma_formulas_must_agree_strictly",
     "lattice.build_string": "test_lattice.py::test_pairing_violation_names_its_filling",
     "lattice.check_filling": "test_lattice.py::test_check_filling_forced_failure",
@@ -507,6 +524,39 @@ def test_indented_json_calls_detected():
 
 def test_no_indented_json_calls_in_package():
     assert findings(indented_json_calls) == {}
+
+
+def annotation_namespace(module, source):
+    """The globals of module, whose text is source, plus the names it imports
+    under ``if TYPE_CHECKING:``: the namespace its annotations are written in."""
+    namespace = dict(vars(module))
+    for stmt in ast.parse(source).body:
+        if is_type_checking_block(stmt):
+            body = ast.Module(body=stmt.body, type_ignores=[])
+            exec(compile(body, module.__file__, "exec"), namespace)
+    return namespace
+
+
+def test_every_annotation_resolves():
+    # with `from __future__ import annotations` an annotation is a string that
+    # only typing.get_type_hints evaluates, so a name it lacks goes unnoticed
+    checked = 0
+    for stem, source in SOURCES.items():
+        module = importlib.import_module("lensfill" if stem == "__init__" else f"lensfill.{stem}")
+        namespace = annotation_namespace(module, source)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, type):
+                members = [obj, *(m for m in vars(obj).values() if isinstance(m, FunctionType))]
+            elif isinstance(obj, FunctionType):
+                members = [obj]
+            else:
+                continue
+            for member in members:
+                typing.get_type_hints(member, globalns=namespace)
+                checked += 1
+    assert checked > 50  # the scan found the package's definitions
 
 
 def test_errors_defines_exactly_two_classes():
