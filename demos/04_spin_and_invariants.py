@@ -10,11 +10,12 @@ different chains, so their agreement checks that the fillings' boundary
 carries the standard contact structure.
 """
 
-from lensfill import dual_expansion, make_params, mu_basis, rotation_numbers, spin_rows
+from lensfill import dual_expansion, make_params, rotation_numbers, spin_rows
 
 for p, q in ((4, 1), (9, 2), (12, 5), (25, 4)):
     pr = make_params(p, q)
-    print(f"L({p},{q}): chain {pr.b}, meridians c = {mu_basis(pr.b)} (mod {p})")
+    # mu_k = K(b_1..b_{k-1}) mu_1 = (p - qbar) mu_1, the meridian scale of the table
+    print(f"L({p},{q}): chain {pr.b}, mu_k = {p - pr.qbar} mu_1 (mod {p})")
     for row in spin_rows(pr.b, dual_expansion(pr.b)):
         a, b = row["gamma_filling"], row["gamma_standard"]
         print(f"  spin {tuple(row['s'])}: filling formula {a} == standard formula {b}")

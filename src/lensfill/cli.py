@@ -33,7 +33,9 @@ import json
 import os
 import sys
 
-from .cfrac import _check_pair, _zero_tuple_count, dual_expansion, enumerate_zero_cf, reverse
+from .cfrac import (
+    _check_pair, _dual_expansion, _zero_tuple_count, dual_expansion, enumerate_zero_cf, reverse,
+)
 from .errors import LensfillError, TheoremViolation, naming
 from .fillings import make_params, zset
 from .homology import spin_rows
@@ -151,7 +153,7 @@ def cmd_classify(args) -> str:
 
 def cmd_gamma(args) -> str:
     params = make_params(args.p, args.q)
-    rows = spin_rows(params.b, dual_expansion(params.b))
+    rows = spin_rows(params.b, _dual_expansion(params.b, args.p, args.q))
     if args.json:
         return _dump_json({"p": args.p, "q": args.q, "b": list(params.b), "spin": rows})
     lines = [f"L({args.p},{args.q}) spin structures and invariants:"]

@@ -37,7 +37,7 @@ from typing import Any
 from .fillings import (
     LensParams, _rational_ball_criterion, classify, make_params, uniqueness_predicate, zset,
 )
-from .homology import _rotation_numbers, mu_basis, spin_rows
+from .homology import _rotation_numbers, spin_rows
 from .cfrac import CFTuple, _dual_expansion
 
 __all__ = ["build_report", "render_json", "render_table", "csv_rows", "render_csv", "CSV_HEADER"]
@@ -169,8 +169,8 @@ def render_table(report: dict[str, Any]) -> str:
         f"  rational-ball filling: {ball}    unique filling certified: "
         f"{'yes' if fl['unique_filling_certified'] else 'no'}"
     )
-    mu_k = mu_basis(report["b"])[-1]
-    lines.append(f"  meridian scale: mu_k = {mu_k} mu_1 (mod {p})")
+    # mu_k = K(b_1..b_{k-1}) mu_1, and K(b_1..b_{k-1}) = p - qbar (k = 1 included)
+    lines.append(f"  meridian scale: mu_k = {p - report['qbar']} mu_1 (mod {p})")
     lines.append(f"  fillings ({len(report['z_set'])}):")
     for i, f in enumerate(report["fillings"]):
         lines.append(

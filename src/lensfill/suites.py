@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Callable
 
-from .cfrac import _catalan, dual_expansion, enumerate_zero_cf, reverse
+from .cfrac import _catalan, _dual_expansion, enumerate_zero_cf, reverse
 from .fillings import classify, make_params, rational_ball_criterion, zset
 from .errors import TheoremViolation, naming
 from .exact import continuants
@@ -101,7 +101,7 @@ def suite_gamma(pmax: int) -> tuple[int, str]:
     for p, q in _coprime_pairs(pmax):
         with naming(p, q):
             b = make_params(p, q).b
-            cases += len(spin_rows(b, dual_expansion(b)))
+            cases += len(spin_rows(b, _dual_expansion(b, p, q)))
         pairs += 1
     # "negated for 0" keeps the published detail format: no pair may pass with
     # the formulas of opposite sign

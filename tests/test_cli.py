@@ -425,7 +425,7 @@ def test_sweep_does_each_pairs_work_once(monkeypatch, capsys):
     for module in list(sys.modules.values()):
         if module.__name__.startswith("lensfill") and vars(module).get("_check_pair") is check:
             monkeypatch.setattr(module, "_check_pair", counted("check", check))
-    monkeypatch.setattr(homology, "_spin_gamma", counted("walk", homology._spin_gamma))
+    monkeypatch.setattr(homology, "_walk", counted("walk", homology._walk))
     monkeypatch.setattr(cfrac, "continuant", counted("continuant", cfrac.continuant))
     assert cli.main(["sweep", "40", "--json"]) == 0
     reports = json.loads(capsys.readouterr().out)
@@ -433,6 +433,19 @@ def test_sweep_does_each_pairs_work_once(monkeypatch, capsys):
     assert counts["check"] <= 2 * len(reports)
     assert counts["walk"] <= sum(2 + len(r["spin"]) for r in reports)
     assert counts["continuant"] == 0
+
+
+@pytest.mark.parametrize("argv", [["gamma", "9", "2"], ["verify", "gamma", "--pmax", "12"]],
+                         ids="-".join)
+def test_gamma_commands_read_the_pair_they_hold(monkeypatch, capsys, argv):
+    # the dual chain comes from (p, q) through the direct route, as in reports,
+    # so no continuant pass recovers the pair from b
+    calls = []
+    continuant = cfrac.continuant
+    monkeypatch.setattr(cfrac, "continuant", lambda t: calls.append(t) or continuant(t))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 # sha256 of what the benchmark's commands write, as perfbench/inputs.json records it
@@ -758,17 +771,17 @@ def test_gamma_formulas_must_agree_strictly(monkeypatch, capsys):
     from lensfill.errors import TheoremViolation
     from lensfill.suites import suite_gamma
 
-    # negate the dual side, which gamma_standard and spin_rows both read
-    dual = homology._dual_gammas
-    monkeypatch.setattr(homology, "_dual_gammas",
-                        lambda a, p, spins: [(-g) % p for g in dual(a, p, spins)])
+    # every walk reads K(c_1..c_{L-1}) as -2 - K(c_1..c_{L-1}), which takes Gamma
+    # of each chain to 2 - Gamma: the filling side reads 2 - Gamma and the
+    # standard side 1 - (2 - (1 - Gamma)) = -Gamma, the dual side negated
+    _change_walks(monkeypatch, lambda x, before, p: (x, -2 - before, p))
     assert cli.main(["gamma", "4", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "theorem violation: L(4,1): gamma at s=(" in err
     with pytest.raises(TheoremViolation, match=r"^L\(3,1\): gamma at s=\("):
         suite_gamma(pmax=12)
-    # L(2,1) passes: its residues mod 2 are their own negatives
+    # L(2,1) passes: the sides differ by 2, which is 0 mod 2
     assert cli.main(["verify", "gamma", "--pmax", "12"]) == 2
     assert capsys.readouterr().out.splitlines() == [
         "gamma: FAIL",
@@ -932,21 +945,27 @@ def test_lattice_check_refuses_too_many_exceptional_classes():
     assert elapsed < 5.0, elapsed
 
 
+def _change_walks(monkeypatch, change):
+    """Pass every walk of homology._walk that closes, (x, K(c_1..c_{L-1}), K(c)),
+    through change."""
+    walk = homology._walk
+    monkeypatch.setattr(homology, "_walk", lambda c, x1: (lambda w: w and change(*w))(walk(c, x1)))
+
+
 def _force(monkeypatch, stage):
     """Make one stage's check fail, or one limit refuse, on every pair."""
-    chain, dual = homology._chain_continuants, homology._dual_gammas
     if stage == "point-diagram":  # the direct route gains an entry the diagram lacks
         direct = cfrac.hj_expand
         monkeypatch.setattr(cfrac, "hj_expand", lambda p, q: (*direct(p, q), 2))
     elif stage == "spin-count":  # p + 1 for p flips the parity the count is checked against
-        monkeypatch.setattr(homology, "_chain_continuants",
-                            lambda b: [*chain(b)[:-1], chain(b)[-1] + 1])
-    elif stage == "spin-validity":  # the dual chain gains an entry 2, which makes K(a) odd at
-        # L(2,1) and L(4,1), so no spin structure of it has x_1 = 1 - s_1 = 1
-        monkeypatch.setattr(homology, "_dual_gammas", lambda a, p, s: dual((*a, 2), p, s))
-    elif stage == "gamma":  # the dual side both spin_rows and gamma_standard read
-        monkeypatch.setattr(homology, "_dual_gammas",
-                            lambda a, p, s: [g + 1 for g in dual(a, p, s)])
+        _change_walks(monkeypatch, lambda x, before, p: (x, before, p + 1))
+    elif stage == "spin-validity":  # every walked chain gains an entry 2: at L(2,1) and L(4,1)
+        # b then has odd K and one spin structure, with s_1 = 0, and the dual chain has
+        # none with x_1 = 1 - s_1 = 1
+        walk = homology._walk
+        monkeypatch.setattr(homology, "_walk", lambda c, x1: walk((*c, 2), x1))
+    elif stage == "gamma":  # p + 2 for p keeps the spin count and moves each Gamma's modulus
+        _change_walks(monkeypatch, lambda x, before, p: (x, before, p + 2))
     elif stage == "reversal":  # a reversal that leaves the bounded set
         monkeypatch.setattr(fillings, "reverse", lambda t: (*reversed(t), 0))
     elif stage == "lattice-check":

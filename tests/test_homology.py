@@ -1,12 +1,10 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lensfill.cfrac import dual_expansion, enumerate_zero_cf, hj_expand
 from lensfill.errors import LensfillError, TheoremViolation
-from lensfill.exact import continuant
+from lensfill.exact import continuant, continuants
 from lensfill.fillings import make_params
 from lensfill.homology import (
     gamma_filling,
@@ -186,15 +184,66 @@ def test_gamma_equality_sweep():
             assert gamma_filling(b, s) == gamma_standard(b, s), (p, q, s)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.integers(2, 9), min_size=1, max_size=12).map(tuple))
-def test_spin_rows_equal_the_public_formulas(b):
-    # spin_rows shares one continuant pass per chain among the spin recurrence
-    # and the sums; the public entry points each compute their own
-    assert spin_rows(b, dual_expansion(b)) == [
-        {"s": list(s), "gamma_filling": gamma_filling(b, s), "gamma_standard": gamma_standard(b, s)}
-        for s in spin_structures(b)
-    ]
+def _handle_picture(c, x1, mu, p):
+    """(x, Gamma) for the spin structure x of the chain c with x_1 = x1, or
+    None: the literal sum mu_1 + sum_i (N_i/2 - 1) mu_i mod p, term by term,
+    with mu = continuants(c), so that mu[i] = K(c_1..c_{i-1}) = mu_i."""
+    x = [0, x1]  # x_0, x_1, ..., x_{L+1}
+    for v in c:
+        x.append((x[-2] + v * (1 - x[-1])) % 2)
+    if x[-1]:
+        return None
+    total = mu[1]
+    for i, v in enumerate(c, 1):
+        n = x[i - 1] + x[i + 1] + v * (1 - x[i])
+        assert n % 2 == 0, (c, x, i)
+        total += (n // 2 - 1) * mu[i]
+    return tuple(x[1:-1]), total % p
+
+
+def _spin_rows_reference(b, a):
+    """spin_rows(b, a) from the handle-picture sums on both chains, both
+    reduced mod p = K(b): Gamma of b at s, and 1 - Gamma of a at the x with
+    x_1 = 1 - s_1."""
+    mu, nu = continuants(b), continuants(a)
+    p = mu[-1]
+    rows = []
+    for s1 in (0, 1):
+        found = _handle_picture(b, s1, mu, p)
+        if found is not None:
+            s, gf = found
+            x, ga = _handle_picture(a, 1 - s1, nu, p)
+            rows.append({"s": list(s), "gamma_filling": gf, "gamma_standard": (1 - ga) % p})
+    return rows
+
+
+def test_spin_rows_equal_the_handle_picture_reference():
+    # the closed form against the sums it telescopes, on every pair with
+    # p <= 300; a is expanded from (p, q) directly, not from b
+    rows = 0
+    for p, q in coprime_pairs(300):
+        b, a = chain(p, q), hj_expand(p, q)
+        got = spin_rows(b, a)
+        assert got == _spin_rows_reference(b, a), (p, q)
+        rows += len(got)
+    assert rows == 36562
+
+
+def test_gamma_filling_equals_the_handle_picture_on_any_chain():
+    # the telescoping uses only the chain relations, so the closed form holds
+    # for entries below 2 too: every chain with entries 0..4, k <= 6 and p >= 1
+    cases = 0
+    for k in range(1, 7):
+        for b in product(range(5), repeat=k):
+            mu = continuants(b)
+            if mu[-1] < 1:
+                continue
+            for s1 in (0, 1):
+                found = _handle_picture(b, s1, mu, mu[-1])
+                if found is not None:
+                    assert gamma_filling(b, found[0]) == found[1], (b, found)
+                    cases += 1
+    assert cases == 11651
 
 
 def test_spin_rows_refuse_a_chain_that_is_not_the_dual():

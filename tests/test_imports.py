@@ -337,7 +337,7 @@ def test_every_public_name_has_a_caller():
     assert uncalled_public_names(exported, SOURCES, COMMAND_ROOTS) == []
     # a public-named function no command reaches stays only while perfbench's
     # traced.py wraps it by name (eval_cf, invariants, spin_structures,
-    # gamma_filling and gamma_standard), so this set can only shrink
+    # gamma_filling, gamma_standard and mu_basis)
     reached = reached_definitions(SOURCES, COMMAND_ROOTS)
     unreached = {
         (module, stmt.name)
@@ -398,8 +398,7 @@ RAISE_TESTS = {
     "cfrac._dual_expansion": "test_cfrac.py::test_dual_expansion_raises_when_the_routes_disagree",
     "fillings.classify": "test_fillings.py::test_orbits_reject_a_reversal_outside_the_set",
     "fillings.uniqueness_predicate": "test_fillings.py::test_uniqueness_predicate_examples",
-    "homology._dual_gammas": "test_homology.py::test_spin_rows_refuse_a_chain_that_is_not_the_dual",
-    "homology._spin_gammas": "test_cli.py::test_forced_failure_names_its_pair_once",
+    "homology._spins": "test_cli.py::test_forced_failure_names_its_pair_once",
     "homology.spin_rows": "test_cli.py::test_gamma_formulas_must_agree_strictly",
     "lattice.build_string": "test_lattice.py::test_pairing_violation_names_its_filling",
     "lattice.check_filling": "test_lattice.py::test_check_filling_forced_failure",
